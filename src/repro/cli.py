@@ -312,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=VALID_ENGINES,
         help=(
-            "join/evaluation pipeline: closure kernels (auto/compiled), "
-            "generated-source kernels (codegen), columnar whole-batch "
+            "join/evaluation pipeline: generated-source kernels "
+            "(auto/codegen), closure kernels (compiled), columnar whole-batch "
             "kernels (batched), or the re-planned generator pipeline "
             "(interpreted)"
         ),

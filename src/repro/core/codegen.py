@@ -228,8 +228,18 @@ class _SourceGen:
         self.database = database
         self.functions = functions
         self.idb_names = idb_names
-        self.carried_slots = carried_slots
+        #: Factor slots whose value rides a plan step's probe.  A
+        #: value-carrying guard is fed from the relation's support
+        #: *mapping* (see :class:`~repro.core.valuations.Guard`), so
+        #: every entry of its index holds a value: whether a factor
+        #: reads the entry or the store is decided here, not per leaf.
+        self.probed_slots = frozenset(
+            step.slot for step in ir.steps if step.slot in carried_slots
+        )
         self.variant = variant
+        #: Per-leaf counter increments, folded into one multiply at the
+        #: flush (``_n`` counts the leaves).
+        self._leaf_hits = self._leaf_lookups = 0
         # Mirror the closure backend: any fallback binding needs the
         # domain membership check, so the set is materialized for it.
         self.needs_domain_set = ir.needs_domain_set or any(
@@ -463,7 +473,7 @@ class _SourceGen:
         w.w(
             "_c_probes = _c_probed = _c_scans = _c_scanned = _c_arity = 0"
         )
-        w.w("_c_prunes = _c_fb = _c_fbe = _c_eq = _c_hits = _c_lookups = 0")
+        w.w("_c_prunes = _c_fb = _c_fbe = _c_eq = 0")
         # Per-invocation index resolution: guards may have been
         # refreshed since the last call, so nothing index-shaped is
         # baked into the env (exactly the closure kernels' contract).
@@ -490,9 +500,6 @@ class _SourceGen:
             else:
                 w.w("#__VARIANT_STORES__")
             w.w("_bget = bucket.get")
-            noval = self.ref(NO_VALUE, "NOVAL")
-            for slot in sorted(self.carried_slots):
-                w.w(f"_val{slot} = {noval}")
 
     def _gen_initial_bindings(self) -> None:
         w = self.w
@@ -570,8 +577,8 @@ class _SourceGen:
         if step.slot is not None:
             if self.emit_mode:
                 w.w(f"_slots[{step.slot}] = _e{i}[1]")
-            elif step.slot in self.carried_slots:
-                w.w(f"_val{step.slot} = _e{i}[1]")
+            elif step.slot in self.probed_slots:
+                w.w(f"_v{step.slot} = _e{i}[1]")
         self._gen_steps(i + 1)
         w.dedent()
 
@@ -659,26 +666,14 @@ class _SourceGen:
         if self.emit_mode:
             w.w("emit(_valu, _slots)")
             return
-        noval = self.ref(NO_VALUE, "NOVAL")
         names: List[str] = []
         for slot, factor in enumerate(self.body.factors):
-            expr, lookups = self.factor_expr(slot, factor)
             name = f"_v{slot}"
-            if slot in self.carried_slots:
-                w.w(f"{name} = _val{slot}")
-                w.w(f"if {name} is {noval}:")
-                w.indent()
-                if lookups:
-                    w.w(f"_c_lookups += {lookups}")
-                w.w(f"{name} = {expr}")
-                w.dedent()
-                w.w("else:")
-                w.indent()
-                w.w("_c_hits += 1")
-                w.dedent()
+            if slot in self.probed_slots:
+                self._leaf_hits += 1  # bound by its plan step
             else:
-                if lookups:
-                    w.w(f"_c_lookups += {lookups}")
+                expr, lookups = self.factor_expr(slot, factor)
+                self._leaf_lookups += lookups
                 w.w(f"{name} = {expr}")
             names.append(name)
         one = self.ref(self.pops.one, "one")
@@ -707,8 +702,10 @@ class _SourceGen:
         w.w(f"{stats}.fallback_candidates += _c_fb")
         w.w(f"{stats}.fallback_extensions += _c_fbe")
         w.w(f"{stats}.equality_bindings += _c_eq")
-        w.w(f"{stats}.value_probe_hits += _c_hits")
-        w.w(f"{stats}.factor_lookups += _c_lookups")
+        if self._leaf_hits:
+            w.w(f"{stats}.value_probe_hits += _n * {self._leaf_hits}")
+        if self._leaf_lookups:
+            w.w(f"{stats}.factor_lookups += _n * {self._leaf_lookups}")
 
 
 #: Source text → compiled code object.  Two structurally identical

@@ -97,24 +97,25 @@ def solve(
             ``steps`` as the deepest stratum's step count and carry
             per-stratum reports on ``result.strata``.
         engine: Evaluation pipeline for the join core — ``"auto"``
-            (the default) lowers each (rule, body) plan into a
-            compiled closure kernel (:mod:`repro.core.kernels`), built
-            once per stratum and cached across fixpoint iterations,
-            and enables delta-driven rule activation
-            (``stats["rules_skipped"]``), whenever the plan is
-            indexed; ``"codegen"`` lowers each plan to generated
-            Python source instead (:mod:`repro.core.codegen` — one
-            flat ``compile()``-d function per body, cached the same
-            way, with the source retained on the kernel for
-            debugging); ``"batched"`` executes each plan over whole
+            (the default) is ``"codegen"`` whenever the plan is
+            indexed: each (rule, body) plan is lowered to generated
+            Python source (:mod:`repro.core.codegen` — one flat
+            ``compile()``-d function per body, built once per stratum
+            and cached across fixpoint iterations, with the source
+            retained on the kernel for debugging), with delta-driven
+            rule activation (``stats["rules_skipped"]``);
+            ``"batched"`` executes each plan over whole
             delta batches at once as columnar hash-joins with
             vectorized filter masks and a grouped ⊕-reduction
             (:mod:`repro.core.batched` — stdlib columns with an
             automatic numpy fast path for numeric semirings);
             ``"interpreted"`` keeps the per-application re-planned
             generator pipeline as the byte-for-byte differential
-            baseline; ``"compiled"`` forces closure kernels (and, like
-            ``"codegen"``/``"batched"``, rejects ``plan="naive"``).
+            baseline; ``"compiled"`` lowers each plan to nested
+            closures instead (:mod:`repro.core.kernels`, cached the
+            same way — the differential baseline for the generated
+            source) and, like ``"codegen"``/``"batched"``, rejects
+            ``plan="naive"``.
             All engines compute the same fixpoint.
         engine_workers: Shard count for semi-naïve evaluation.  ``> 1``
             hash-partitions every recursive delta across that many

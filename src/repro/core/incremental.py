@@ -790,35 +790,28 @@ class IncrementalInstance:
             budget=budget,
         )
         image = bootstrap.ico(j_minus)
-        pops = self.pops
-        delta = Instance(pops)
-        for rel in image.relations():
-            for key, value in image.support(rel).items():
-                diff = pops.minus(value, j_minus.get(rel, key))
-                if not pops.eq(diff, pops.zero):
-                    delta.set(rel, key, diff)
-        new = j_minus.copy()
+        # δ⁽⁰⁾ = F(J⁻) ⊖ J⁻, applied to a copy: a failed continuation
+        # must leave the surviving instance as it was.
+        old = j_minus
+        delta, new = evaluator.advance(
+            {rel: image.support(rel) for rel in image.relations()},
+            j_minus.copy(),
+        )
         if delta.size() == 0:
             self.instance = new
             return "seminaive"
-        evaluator._apply_delta(new, delta)
-        old = j_minus
         for step in range(1, self.max_iterations):
             evaluator.stats.iterations += 1
             contributions = evaluator._iteration_contributions(
-                delta, new, old, step
+                delta, new, old
             )
-            next_delta = evaluator._next_delta(contributions, new)
-            if next_delta.size() == 0:
+            old = new
+            delta, new = evaluator.advance(contributions, new)
+            if delta.size() == 0:
                 self.instance = new
                 self.steps = step
                 self.stats["warm_iterations"] += step
                 return "seminaive"
-            old = new
-            if not evaluator._linear:
-                new = new.copy()
-            evaluator._apply_delta(new, next_delta)
-            delta = next_delta
             if budget is not None:
                 budget.charge_size(new.size())
         raise BudgetExceeded(

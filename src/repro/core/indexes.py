@@ -35,7 +35,7 @@ the static ``n / 4^bound`` guess the seed planner used.
 
 from __future__ import annotations
 
-from collections.abc import Mapping as _Mapping
+from collections.abc import Mapping as _Mapping, Set as _Set
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -276,11 +276,16 @@ class KeyIndex:
 
     Feed a ``Mapping`` (a relation support) to carry values; any other
     iterable builds a key-only index.
+
+    A bulk load keeps the entry list alone.  Scans and mask tables —
+    all a frozen kernel reads — need nothing else, so the key →
+    position map that :meth:`add` maintains is built on its first
+    call: the per-iteration delta index and the EDB indexes, which are
+    never added to, never pay for it.
     """
 
     __slots__ = (
         "_entries",
-        "_keys",
         "_pos",
         "_maps",
         "_observed",
@@ -295,8 +300,9 @@ class KeyIndex:
         stats: Optional[JoinStats] = None,
     ):
         self._entries: List[Entry] = []
-        self._keys: List[Key] = []
-        self._pos: Dict[Key, int] = {}
+        #: key -> position in ``_entries``; ``None`` until :meth:`add`
+        #: (or a bulk load that has to look for duplicates) needs it.
+        self._pos: Optional[Dict[Key, int]] = None
         self._maps: Dict[Mask, Dict[Tuple[Hashable, ...], List[Entry]]] = {}
         #: Per-mask probe observations: mask -> [probes, entries returned].
         self._observed: Dict[Mask, List[int]] = {}
@@ -313,7 +319,7 @@ class KeyIndex:
 
     def keys(self) -> Sequence[Key]:
         """Return every key (a scan — prefer :meth:`probe` when bound)."""
-        return self._keys
+        return [entry[0] for entry in self._entries]
 
     def entries(self) -> Sequence[Entry]:
         """Return every ``[key, value]`` entry (the value-aware scan)."""
@@ -329,16 +335,20 @@ class KeyIndex:
         O(#built masks) per new key instead of a rebuild.
         """
         key = tuple(key)
-        pos = self._pos.get(key)
+        positions = self._pos
+        if positions is None:
+            positions = self._pos = {
+                entry[0]: i for i, entry in enumerate(self._entries)
+            }
+        pos = positions.get(key)
         if pos is not None:
             if value is not NO_VALUE:
                 self._entries[pos][1] = value
                 self.has_values = True
             return False
         entry: Entry = [key, value]
-        self._pos[key] = len(self._entries)
+        positions[key] = len(self._entries)
         self._entries.append(entry)
-        self._keys.append(key)
         if self._distinct:
             self._distinct.clear()
         if value is not NO_VALUE:
@@ -359,17 +369,19 @@ class KeyIndex:
             # over the *materialized* entries, since ``keys`` may be a
             # one-shot iterable that the bulk attempt just consumed.
             if isinstance(keys, _Mapping):
-                entries = [[key, value] for key, value in keys.items()]
+                entries = list(map(list, keys.items()))
             else:
                 entries = [[key, NO_VALUE] for key in keys]
-            if all(type(entry[0]) is tuple for entry in entries):
-                self._keys = [entry[0] for entry in entries]
-                self._pos = {key: i for i, key in enumerate(self._keys)}
-                if len(self._pos) == len(self._keys):
-                    self._entries = entries
+            if {type(entry[0]) for entry in entries} <= {tuple}:
+                # Mappings and sets cannot repeat a key; anything else
+                # is checked through the position map it then keeps.
+                positions = None
+                if not isinstance(keys, (_Mapping, _Set)):
+                    positions = {e[0]: i for i, e in enumerate(entries)}
+                if positions is None or len(positions) == len(entries):
+                    self._entries, self._pos = entries, positions
                     self.has_values = isinstance(keys, _Mapping) and bool(entries)
-                    return len(self._keys)
-                self._keys, self._pos = [], {}
+                    return len(entries)
             return sum(
                 1 for key, value in entries if self.add(key, value)
             )
@@ -432,8 +444,6 @@ class KeyIndex:
 
     def probe(self, mask: Mask, values: Tuple[Hashable, ...]) -> Sequence[Key]:
         """Key-only view of :meth:`probe_entries` (compatibility shim)."""
-        if not mask:
-            return self._keys
         return [entry[0] for entry in self.probe_entries(mask, values)]
 
     def estimate(self, mask: Mask) -> float:
@@ -464,9 +474,9 @@ class KeyIndex:
                     1,
                     len(
                         {
-                            tuple(key[i] for i in mask)
-                            for key in self._keys
-                            if top < len(key)
+                            tuple(entry[0][i] for i in mask)
+                            for entry in self._entries
+                            if top < len(entry[0])
                         }
                     ),
                 )

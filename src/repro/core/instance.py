@@ -126,8 +126,31 @@ class Instance:
 
     def merge(self, relation: str, key: Key, value: Value) -> None:
         """``J[T(key)] ⊕= value`` (the accumulation step of the ICO)."""
-        current = self.get(relation, key)
-        self.set(relation, key, self.pops.add(current, value))
+        if type(key) is not tuple:
+            key = tuple(key)
+        rel = self._data.get(relation)
+        if rel is None:
+            rel = {}
+        merged = self.pops.add(rel.get(key, self._bottom), value)
+        if self._eq(merged, self._bottom):
+            rel.pop(key, None)
+        else:
+            self._data.setdefault(relation, rel)[key] = merged
+
+    def update(self, relation: str, entries: Mapping[Key, Value]) -> None:
+        """Bulk ``J[T(key)] = value`` over already-stored entries.
+
+        The raw-store path of the semi-naïve step and the stratum
+        freeze: ``entries`` must hold tuple keys and non-``⊥`` values
+        (another instance's support, or values ⊒ a non-``⊥`` one), so
+        the per-atom checks of :meth:`set` are vacuous.
+        """
+        rel = self._data.get(relation)
+        if rel is None:
+            if entries:
+                self._data[relation] = dict(entries)
+        else:
+            rel.update(entries)
 
     def support(self, relation: str) -> Mapping[Key, Value]:
         """Return stored entries for one relation."""

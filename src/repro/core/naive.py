@@ -211,19 +211,18 @@ class NaiveEvaluator:
         frozen-layer indexes are built once and reused across strata.
 
         ``engine`` selects the join/evaluation pipeline: ``"auto"``
-        (the default) compiles each (rule, body) plan into a
-        :mod:`repro.core.kernels` closure pipeline — built once, cached
-        across iterations — whenever the plan is indexed, and also
-        enables delta-driven rule activation; ``"codegen"`` lowers each
-        plan to generated Python source instead
-        (:mod:`repro.core.codegen` — one flat function per body,
-        cached the same way); ``"batched"`` executes each plan over
+        (the default) is ``"codegen"`` whenever the plan is indexed —
+        each (rule, body) plan lowered to generated Python source
+        (:mod:`repro.core.codegen` — one flat function per body, built
+        once, cached across iterations), with delta-driven rule
+        activation; ``"batched"`` executes each plan over
         the whole candidate batch at once as columnar hash-joins with
         vectorized filter masks (:mod:`repro.core.batched`);
         ``"interpreted"`` keeps the
         per-application re-planned generator pipeline byte-for-byte
-        (the differential baseline); ``"compiled"`` forces closure
-        kernels and rejects non-indexed plans.
+        (the differential baseline); ``"compiled"`` lowers each plan
+        to a :mod:`repro.core.kernels` closure pipeline instead
+        (cached the same way) and rejects non-indexed plans.
         """
         self.program = program
         self.database = database

@@ -272,7 +272,7 @@ def scheduled_fixpoint(
         total_heads: Forwarded to the per-stratum evaluators (``None``
             keeps the per-POPS default).
         engine: Join/evaluation pipeline for the per-stratum evaluators
-            (``"auto"`` → compiled kernels on indexed plans).
+            (``"auto"`` → generated kernels on indexed plans).
         parallel: Evaluate **independent** components of the
             condensation concurrently (see :func:`_parallel_schedule`);
             results and reports keep the deterministic schedule order.
@@ -390,8 +390,7 @@ def scheduled_fixpoint(
             if inner is not None:
                 inner_steps = inner.steps
                 for rel in component:
-                    for key, value in inner.instance.support(rel).items():
-                        combined.set(rel, key, value)
+                    combined.update(rel, inner.instance.support(rel))
             reports.append(
                 StratumReport(
                     relations=component,
@@ -432,8 +431,7 @@ def scheduled_fixpoint(
         for rel in component:
             support = dict(instance.support(rel))
             working.relations[rel] = support
-            for key, value in support.items():
-                combined.set(rel, key, value)
+            combined.update(rel, support)
         if budget is not None:
             # Completed strata count permanently toward the tuple
             # budget; the next stratum's in-flight charge rides on top.
@@ -614,14 +612,11 @@ def _parallel_schedule(
                         pending.cancel()
                     partial = Instance(pops)
                     for rel, support in frozen.items():
-                        for key, value in support.items():
-                            partial.set(rel, key, value)
+                        partial.update(rel, support)
                     inner = exc.partial
                     if inner is not None:
                         for rel in components.components[i]:
-                            sup = inner.instance.support(rel)
-                            for key, value in sup.items():
-                                partial.set(rel, key, value)
+                            partial.update(rel, inner.instance.support(rel))
                     exc.partial = PartialResult(
                         instance=partial,
                         steps=inner.steps if inner is not None else 0,
@@ -657,8 +652,7 @@ def _parallel_schedule(
             )
         )
         for rel in components.components[i]:
-            for key, value in instance.support(rel).items():
-                combined.set(rel, key, value)
+            combined.update(rel, instance.support(rel))
 
     snapshot = totals.snapshot()
     snapshot["strata"] = len(reports)

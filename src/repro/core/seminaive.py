@@ -20,6 +20,25 @@ EDB-only bodies dropping out entirely (Eq. 65).  Enumeration is driven
 by the delta's support, which is what makes the method cheaper than
 naïve evaluation; both engines share work counters so the benchmark
 (E12) can report the saving.
+
+The two lines of the iteration are one pass.  The kernels leave
+``F``'s contributions in per-relation buckets;
+:meth:`SemiNaiveEvaluator.advance` walks each bucket once against the
+relation's raw store, keeps ``value ⊖ J[key]`` where it is not ``0``
+(Eq. 58 — a key absent from ``J`` reads ``⊥ = 0`` and ``b ⊖ 0 = b``),
+and ⊕-merges exactly those keys back into ``J``.  It is the only
+implementation of that tail: :meth:`SemiNaiveEvaluator.run`, the warm
+continuation of :mod:`repro.core.incremental` and the coordinator and
+workers of :mod:`repro.core.sharded` all call it.
+
+Indexes follow demand.  The delta of an iteration gets one
+:class:`~repro.core.indexes.KeyIndex` per relation, scanned by the
+variants that drive from it.  An index over ``J`` itself
+(``("sn-new", rel)``) exists only once some variant's guard probes a
+``new``/``old`` occurrence of ``rel`` — :meth:`_new_index` builds it
+then, and ``advance`` feeds it each later delta.  A linear program
+(≤ 1 IDB occurrence per body) has no such occurrence and never builds
+one.
 """
 
 from __future__ import annotations
@@ -49,6 +68,11 @@ from .valuations import (
     pushable_indicator_conditions,
 )
 from .ast import positive_bool_atoms
+
+
+#: ``dict.get`` default for a key the store does not hold (``None``
+#: could be a POPS value).
+_ABSENT = object()
 
 
 class SemiNaiveError(ValueError):
@@ -108,7 +132,6 @@ class SemiNaiveEvaluator:
         self.indexes = (
             indexes if indexes is not None else IndexManager(stats=self.stats.join)
         )
-        self._step = 0
         self._validate()
         self._plans = self._build_plans()
         #: Linear programs (≤ 1 IDB occurrence per body, §4) never read
@@ -126,10 +149,13 @@ class SemiNaiveEvaluator:
         self._variant_guard_cache: Dict[
             Tuple[int, int], Tuple[List[Guard], List[Guard]]
         ] = {}
-        #: Compiled path: relation -> (step, delta KeyIndex) — one
-        #: direct build per relation per iteration, shared by every
-        #: variant whose delta occurrence reads that relation.
-        self._delta_indexes: Dict[str, Tuple[int, KeyIndex]] = {}
+        #: relation -> (delta instance, its KeyIndex) — one build per
+        #: relation per iteration, shared by every variant whose delta
+        #: occurrence reads that relation.
+        self._delta_indexes: Dict[str, Tuple[Instance, KeyIndex]] = {}
+        #: The empty IDB the interpreted path evaluates EDB factors
+        #: against (never written).
+        self._empty = Instance(self.pops)
 
     # ------------------------------------------------------------------
     def _validate(self) -> None:
@@ -177,13 +203,13 @@ class SemiNaiveEvaluator:
 
         Under ``plan="indexed"`` each guard carries a persistent index:
         EDB/Boolean supports are cached for the whole run; the delta's
-        index is rebuilt once per iteration (versioned by the step
-        counter); and both ``new``- and ``old``-store occurrences probe
-        the *new* index, which is maintained incrementally as deltas
-        are applied.  Probing ``new``'s keys for an ``old`` occurrence
-        over-approximates ``old``'s support by exactly the last delta —
-        sound, because the extra candidates read ``⊥ = 0`` from ``old``
-        and their whole product is absorbed.
+        index is rebuilt once per iteration (:meth:`_delta_index`); and
+        both ``new``- and ``old``-store occurrences probe the *new*
+        index, built here on first demand and maintained incrementally
+        as deltas are applied.  Probing ``new``'s keys for an ``old``
+        occurrence over-approximates ``old``'s support by exactly the
+        last delta — sound, because the extra candidates read ``⊥ = 0``
+        from ``old`` and their whole product is absorbed.
 
         Guards whose index covers the *same* store the variant reads
         (delta at ``j``, ``new`` before it, EDB relations) carry the
@@ -209,20 +235,18 @@ class SemiNaiveEvaluator:
                 )
             )
         sparse = self.pops.is_semiring and self.pops.is_naturally_ordered
+        rank = 0
         for i, factor in enumerate(body.factors):
             if not isinstance(factor, RelAtom):
                 continue
             rel_name = factor.relation
             if i in idb_positions:
-                store = self._store_for(i, idb_positions, j, delta, new, old)
+                store = self._store_for(rank, j, delta, new, old)
+                rank += 1
                 index = None
                 if indexed:
                     if store is delta:
-                        index = self.indexes.get(
-                            ("sn-delta", rel_name),
-                            lambda d=delta, r=rel_name: d.support(r),
-                            version=self._step,
-                        )
+                        index = self._delta_index(rel_name, delta)
                     else:
                         index = self._new_index(rel_name, new)
                 guards.append(
@@ -289,7 +313,7 @@ class SemiNaiveEvaluator:
         """Cached guards for one variant, delta index re-pointed.
 
         The static guards (EDB supports, Boolean stores, the live
-        ``new`` index that :meth:`run` maintains incrementally) keep
+        ``new`` index that :meth:`advance` maintains incrementally) keep
         their index bindings for the whole run; only the guard reading
         the delta occurrence needs a fresh index per iteration — the
         kernel resolves ``guard.index`` in its prologue, so re-pointing
@@ -310,26 +334,35 @@ class SemiNaiveEvaluator:
             return guards
         guards, delta_guards = cached
         for guard in delta_guards:
-            relation = guard.name[4:]
-            # Kernels freeze their join order at compile time, so the
-            # delta index needs no adaptive-observation inheritance —
-            # build it directly instead of paying the IndexManager's
-            # version dance per iteration (deltas are usually tiny).
-            index = self._delta_indexes.get(relation)
-            if index is None or index[0] != self._step:
-                built = KeyIndex(delta.support(relation), stats=self.stats.join)
-                self._delta_indexes[relation] = (self._step, built)
-                guard.index = built
-            else:
-                guard.index = index[1]
+            guard.index = self._delta_index(guard.name[4:], delta)
         return guards
+
+    def _delta_index(self, relation: str, delta: Instance) -> KeyIndex:
+        """This iteration's index over one relation of the delta.
+
+        Keyed on the delta instance itself, so a new iteration (a new
+        delta) rebuilds and every variant of one iteration shares the
+        build.  The interpreted pipeline re-plans per application, so
+        the rebuilt index inherits its predecessor's decayed probe
+        observations; compiled kernels record none.
+        """
+        cached = self._delta_indexes.get(relation)
+        if cached is not None and cached[0] is delta:
+            return cached[1]
+        index = KeyIndex(delta.support(relation), stats=self.stats.join)
+        if cached is not None:
+            index.inherit_observations(cached[1])
+        self._delta_indexes[relation] = (delta, index)
+        return index
 
     def _new_index(self, relation: str, new: Instance) -> KeyIndex:
         """The incrementally-maintained index over ``new``'s support.
 
-        Built from the support *mapping* so probed values ride along;
-        :meth:`run` keeps the carried values fresh by re-``add``-ing
-        each applied delta key with its ⊕-merged value.
+        Built on the first demand — a guard for a ``new``/``old``
+        occurrence of ``relation`` — from the support *mapping*, so
+        probed values ride along; :meth:`advance` keeps the carried
+        values fresh by re-``add``-ing each applied delta key with its
+        ⊕-merged value.
         """
         name = ("sn-new", relation)
         index = self.indexes.peek(name)
@@ -341,15 +374,9 @@ class SemiNaiveEvaluator:
 
     @staticmethod
     def _store_for(
-        position: int,
-        idb_positions: List[int],
-        j: int,
-        delta: Instance,
-        new: Instance,
-        old: Instance,
+        rank: int, j: int, delta: Instance, new: Instance, old: Instance
     ) -> Instance:
         """Pick the store per Eq. 64: new before ``j``, delta at, old after."""
-        rank = idb_positions.index(position)
         if rank < j:
             return new
         if rank == j:
@@ -374,21 +401,23 @@ class SemiNaiveEvaluator:
         see :meth:`_variant_guards`), saving the per-factor hash
         lookup.
         """
-        empty = Instance(self.pops)
         acc = self.pops.one
+        rank = 0
         for i, factor in enumerate(body.factors):
+            occurrence = i in idb_positions
             if slot_values and i in slot_values:
                 value = slot_values[i]
                 self.stats.join.value_probe_hits += 1
-            elif isinstance(factor, RelAtom) and i in idb_positions:
-                store = self._store_for(i, idb_positions, j, delta, new, old)
+            elif occurrence:
+                store = self._store_for(rank, j, delta, new, old)
                 key = tuple(eval_term(a, valuation) for a in factor.args)
                 value = store.get(factor.relation, key)
                 self.stats.join.factor_lookups += 1
             else:
                 value = self.evaluator.factor_value(
-                    factor, valuation, empty, frozenset()
+                    factor, valuation, self._empty, frozenset()
                 )
+            rank += occurrence
             acc = self.pops.mul(acc, value)
         self.stats.products += 1
         return acc
@@ -482,7 +511,7 @@ class SemiNaiveEvaluator:
 
     # ------------------------------------------------------------------
     def _iteration_contributions(
-        self, delta: Instance, new: Instance, old: Instance, step: int
+        self, delta: Instance, new: Instance, old: Instance
     ) -> Dict[str, Dict[Key, Value]]:
         """One differential iteration's head contributions (Eq. 64/65).
 
@@ -496,7 +525,6 @@ class SemiNaiveEvaluator:
         bucket accumulation order within a shard matches the
         single-process enumeration order.
         """
-        self._step = step
         contributions: Dict[str, Dict[Key, Value]] = {}
         add = self.pops.add
         poll = self._poll
@@ -597,48 +625,58 @@ class SemiNaiveEvaluator:
                         bucket[head_key] = value
         return contributions
 
-    def _next_delta(
-        self, contributions: Dict[str, Dict[Key, Value]], new: Instance
-    ) -> Instance:
-        """``δ = contributions ⊖ new`` with ⊥/0 entries dropped."""
-        next_delta = Instance(self.pops)
-        zero = self.pops.zero
-        minus = self.pops.minus
-        eq = self.pops.eq
-        new_get = new.get
-        next_set = next_delta.set
-        for rel, entries in contributions.items():
-            for key, value in entries.items():
-                diff = minus(value, new_get(rel, key))
-                if not eq(diff, zero):
-                    next_set(rel, key, diff)
-        return next_delta
+    def advance(
+        self, buckets: Dict[str, Dict[Key, Value]], new: Instance
+    ) -> Tuple[Instance, Instance]:
+        """The tail of one iteration: ``δ = F(J) ⊖ J``, ``J ← J ⊕ δ``.
 
-    def _apply_delta(self, new: Instance, next_delta: Instance) -> None:
-        """⊕-merge an applied delta into ``new``, refreshing indexes.
+        ``buckets`` hold ``F``'s contributions per head relation and
+        ``new`` is ``J``; returns ``(δ, J ⊕ δ)``.  One pass per
+        relation over the raw store: a key stays in ``δ`` when
+        ``value ⊖ J[key]`` is not ``0`` (Eq. 58), and exactly those
+        keys are ⊕-merged.  A key absent from ``J`` reads ``⊥ = 0``,
+        where ``b ⊖ 0 = b`` and ``0 ⊕ b = b`` — its value is both the
+        delta and the merged entry, no operator called.  The merged
+        value needs no ``⊥`` check: in a dioid ``a ⊕ d ⊒ d ≠ 0``.
 
-        The live ``("sn-new", rel)`` indexes are maintained
-        incrementally: the only keys that can appear (or whose value
-        can change) are the delta's, and their fresh ⊕-merged values
-        must replace the carried ones so probes keep reading exactly
-        what ``new`` stores.
+        A linear program merges into ``new`` in place.  Otherwise the
+        first relation that changes copies ``new``, because Eq. 64
+        reads the untouched instance as ``old`` for occurrence ranks
+        after the delta; an empty ``δ`` (the fixpoint) copies nothing.
+        Only the ``("sn-new", rel)`` indexes that a guard demanded
+        (:meth:`_new_index`) are fed the merged values.
+
+        Everything is applied between two budget polls, so a tripped
+        budget never sees a half-merged ``J``.
         """
-        merge = new.merge
-        for rel in list(next_delta.relations()):
-            for key, d in next_delta.support(rel).items():
-                merge(rel, key, d)
-        if is_indexed_plan(self.plan):
-            for rel in next_delta.relations():
-                index = self.indexes.peek(("sn-new", rel))
-                if index is None:
-                    self.indexes.get(
-                        ("sn-new", rel),
-                        lambda n=new, r=rel: n.support(r),
-                        version="live",
-                    )
-                else:
-                    for key in next_delta.support_keys(rel):
-                        index.add(key, new.get(rel, key))
+        pops = self.pops
+        minus, add, eq, zero = pops.minus, pops.add, pops.eq, pops.zero
+        delta = Instance(pops)
+        merged_into = new
+        for rel, entries in buckets.items():
+            stored = new.support(rel).get
+            fresh: Dict[Key, Value] = {}
+            merged: Dict[Key, Value] = {}
+            for key, value in entries.items():
+                current = stored(key, _ABSENT)
+                if current is _ABSENT:
+                    if not (value is zero or eq(value, zero)):
+                        fresh[key] = merged[key] = value
+                    continue
+                diff = minus(value, current)
+                if not (diff is zero or eq(diff, zero)):
+                    fresh[key] = diff
+                    merged[key] = add(current, diff)
+            if not fresh:
+                continue
+            if merged_into is new and not self._linear:
+                merged_into = new.copy()
+            delta.update(rel, fresh)
+            merged_into.update(rel, merged)
+            index = self.indexes.peek(("sn-new", rel))
+            if index is not None:
+                index.extend(merged)
+        return delta, merged_into
 
     def bootstrap(self) -> Instance:
         """``J⁽¹⁾ = F(0̄)``: the shared first naïve application.
@@ -686,8 +724,8 @@ class SemiNaiveEvaluator:
         :class:`~repro.core.guardrails.BudgetExceeded` carrying the
         last fully applied iterate ``J⁽ᵗ⁾`` and the delta that was
         still growing — a mid-iteration wall trip never exposes a
-        half-merged state, because deltas are applied atomically after
-        the iteration's contributions are complete.
+        half-merged state, because :meth:`advance` applies a delta
+        only after the iteration's contributions are complete.
         """
         budget = self.budget
         # J⁽¹⁾ = F(0̄) and δ⁽⁰⁾ = J⁽¹⁾ ⊖ 0̄ = J⁽¹⁾ (b ⊖ 0 = b).
@@ -697,6 +735,9 @@ class SemiNaiveEvaluator:
         except BudgetExceeded as exc:
             attach_partial(exc, self._partial(empty, 0, None, []))
             raise
+        # δ⁽⁰⁾ must be its own object: ``advance`` merges later deltas
+        # into ``new`` in place, which would grow an aliased δ⁽⁰⁾ under
+        # the variants still scanning it.
         delta = new.copy()
         old = empty
         trace: List[Instance] = []
@@ -714,26 +755,22 @@ class SemiNaiveEvaluator:
             # (rel, key) tuple allocation per match).
             try:
                 contributions = self._iteration_contributions(
-                    delta, new, old, step
+                    delta, new, old
                 )
             except BudgetExceeded as exc:
                 attach_partial(exc, self._partial(new, step, delta, trace))
                 raise
-            next_delta = self._next_delta(contributions, new)
-            if next_delta.size() == 0:
+            old = new
+            delta, new = self.advance(contributions, new)
+            if delta.size() == 0:
                 return EvaluationResult(
                     instance=new,
                     steps=step,
                     trace=trace,
                     stats=self.stats.snapshot(),
                 )
-            old = new
-            if not self._linear:
-                new = new.copy()
-            self._apply_delta(new, next_delta)
             if capture_trace:
                 trace.append(new.copy())
-            delta = next_delta
             if budget is not None:
                 try:
                     budget.charge_size(new.size())

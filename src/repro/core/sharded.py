@@ -290,12 +290,13 @@ def _worker_loop(
                     continue
                 # Mirror run()'s store rotation exactly — including on
                 # empty slices, so old/new stay one iteration apart.
-                next_delta = _decode_instance(shipped, evaluator.pops)
+                # The shipped slice already is δ = F(J) ⊖ J, and
+                # (b ⊖ a) ⊖ a = b ⊖ a in a dioid, so the shared step
+                # re-derives it unchanged while merging it.
                 old = new
-                if not evaluator._linear:
-                    new = new.copy()
-                evaluator._apply_delta(new, next_delta)
-                delta = next_delta
+                delta, new = evaluator.advance(
+                    {rel: dict(entries) for rel, entries in shipped}, new
+                )
             if faults.should("crash", step, worker, generation):
                 if in_process:
                     os._exit(1)
@@ -307,7 +308,7 @@ def _worker_loop(
             valuations = stats.valuations
             products = stats.products
             contributions = evaluator._iteration_contributions(
-                driving, new, old, step
+                driving, new, old
             )
             payload = [
                 (rel, list(bucket.items()))
@@ -843,19 +844,15 @@ class ShardedSemiNaiveEvaluator:
                 if contributions is None:
                     try:
                         contributions = master._iteration_contributions(
-                            delta, new, old, step
+                            delta, new, old
                         )
                     except BudgetExceeded as exc:
                         attach_partial(exc, self._partial(new, step, delta))
                         raise
-                next_delta = master._next_delta(contributions, new)
-                if next_delta.size() == 0:
-                    return self._result(new, steps=step)
                 old = new
-                if not master._linear:
-                    new = new.copy()
-                master._apply_delta(new, next_delta)
-                delta = next_delta
+                delta, new = master.advance(contributions, new)
+                if delta.size() == 0:
+                    return self._result(new, steps=step)
                 if budget is not None:
                     try:
                         budget.charge_size(new.size())

@@ -106,7 +106,10 @@ class Guard:
     when ``carries_value`` is set the guard's key source is the *same
     store* factor evaluation would read, so the value stored in the
     index entry may be used directly for that factor (no second hash
-    lookup).  Boolean and condition guards stay key-only.
+    lookup).  Such a guard's ``keys()`` returns the store's support
+    *mapping*, so every entry of an index built from it holds a value —
+    generated kernels rely on that and read the entry unconditionally.
+    Boolean and condition guards stay key-only.
     """
 
     args: Tuple

@@ -27,6 +27,7 @@ from repro import programs, workloads
 from repro.core import Database, HybridEvaluator, ThresholdRule, solve
 from repro.core.ast import BoolAtom, Compare, Constant, terms, var
 from repro.core.grounding import ground_program
+from repro.core.kernels import resolve_engine_mode
 from repro.core.naive import NaiveEvaluator
 from repro.core.rules import (
     Indicator,
@@ -146,6 +147,54 @@ class TestCompiledDifferentials:
         # plan="naive" + engine="auto" falls back to interpreted.
         result = solve(programs.sssp(0), db, plan="naive")
         assert result.stats["kernel_cache_hits"] == 0
+
+
+class TestDefaultEngine:
+    """``engine="auto"`` is the generated-source backend on indexed
+    plans; closures stay reachable as ``"compiled"``."""
+
+    def test_auto_resolves_to_codegen_on_indexed_plans(self):
+        assert resolve_engine_mode("auto", "indexed") == "codegen"
+        assert resolve_engine_mode("auto", "indexed-greedy") == "codegen"
+        assert resolve_engine_mode("auto", "naive") == "interpreted"
+        assert resolve_engine_mode("compiled", "indexed") == "closures"
+
+    @pytest.mark.parametrize("method", ["naive", "seminaive"])
+    def test_default_solve_runs_generated_kernels(self, method):
+        result = solve(programs.sssp(0), _line_db(12), method=method)
+        assert result.stats["codegen_kernels"] > 0
+        closures = solve(
+            programs.sssp(0), _line_db(12), method=method, engine="compiled"
+        )
+        assert closures.stats["codegen_kernels"] == 0
+
+    @pytest.mark.parametrize("method", ["naive", "seminaive"])
+    @pytest.mark.parametrize(
+        "workload",
+        ["e12-sssp-line", "e12-layered-line", "e22-apsp"],
+    )
+    def test_counter_parity_auto_codegen_compiled(self, workload, method):
+        """The E12/E22 quick programs: the default does exactly the
+        join work of both explicit kernel backends."""
+        if workload == "e22-apsp":
+            edges = workloads.random_weighted_digraph(10, 0.3, seed=3)
+            prog = programs.apsp()
+        else:
+            edges = workloads.line_edges(12)
+            layered = workload == "e12-layered-line"
+            prog = programs.layered_sssp(0) if layered else programs.sssp(0)
+        db = Database(pops=TROP, relations={"E": dict(edges)})
+        runs = {
+            engine: solve(prog, db, method=method, engine=engine)
+            for engine in ("auto", "codegen", "compiled")
+        }
+        for counter in (
+            "keys_examined", "probes", "scanned_keys",
+            "rule_applications", "valuations",
+        ):
+            values = {e: r.stats[counter] for e, r in runs.items()}
+            assert len(set(values.values())) == 1, (counter, values)
+        assert runs["auto"].instance.equals(runs["compiled"].instance)
 
 
 # ---------------------------------------------------------------------------

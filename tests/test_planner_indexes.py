@@ -296,15 +296,38 @@ class TestPlanEquivalence:
 
 class TestSemiNaiveIndexMaintenance:
     def test_new_store_index_grows_incrementally(self):
+        # Non-linear: the ``new``/``old`` occurrences of T really probe
+        # the index over J, so it is built and fed every delta.
         edges = workloads.line_edges(8)
         db = Database(pops=TROP, relations={"E": dict(edges)})
-        evaluator = SemiNaiveEvaluator(programs.sssp(0), db)
+        evaluator = SemiNaiveEvaluator(
+            programs.quadratic_transitive_closure(), db
+        )
         result = evaluator.run()
-        index = evaluator.indexes.peek(("sn-new", "L"))
+        index = evaluator.indexes.peek(("sn-new", "T"))
         assert index is not None
-        # The maintained index covers exactly the fixpoint support.
-        assert sorted(index.keys()) == sorted(
-            result.instance.support("L").keys()
+        # The maintained index covers exactly the fixpoint support,
+        # and the carried values are the store's.
+        support = result.instance.support("T")
+        assert sorted(index.keys()) == sorted(support.keys())
+        assert {key: value for key, value in index.entries()} == dict(support)
+
+    def test_linear_program_builds_no_new_store_index(self):
+        # No variant of a linear program probes J, so no index over it
+        # is ever built (nor its mask tables).
+        edges = workloads.line_edges(8)
+        db = Database(pops=TROP, relations={"E": dict(edges)})
+        sssp = SemiNaiveEvaluator(programs.sssp(0), db)
+        sssp.run()
+        assert sssp.indexes.peek(("sn-new", "L")) is None
+        linear = SemiNaiveEvaluator(programs.transitive_closure(), db)
+        quadratic = SemiNaiveEvaluator(
+            programs.quadratic_transitive_closure(), db
+        )
+        assert linear.run().instance.equals(quadratic.run().instance)
+        assert linear.indexes.peek(("sn-new", "T")) is None
+        assert (
+            linear.stats.join.index_builds < quadratic.stats.join.index_builds
         )
 
     def test_stats_shared_between_engines(self):
