@@ -5,7 +5,7 @@ Usage::
 
     python benchmarks/check_joincore_regression.py \
         BENCH_joincore.json benchmarks/baselines/joincore_quick.json \
-        [--tolerance 0.10] [--wall-tolerance 0.25] [--wall-floor 0.05]
+        [--tolerance 0.10]
 
     python benchmarks/check_joincore_regression.py \
         BENCH_schedule.json benchmarks/baselines/schedule_quick.json
@@ -60,11 +60,9 @@ baseline:
   ``demanded_atoms`` as floors, and ``demand_fallbacks`` as
   lower-is-better off its 0 baseline.
 
-``--wall-tolerance`` additionally gates **wall time** against the
-baseline's ``wall_s`` fields (intended for a pinned runner; off by
-default).  Benchmarks whose baseline wall time is below
-``--wall-floor`` seconds are skipped — sub-floor timings are noise, not
-signal, at any tolerance.
+Wall time is not compared here: the records keep their ``wall_s``, but
+end-to-end time belongs to the repo benchmark (``perf/``), which runs
+workloads large enough to time.
 
 Benchmarks new in the current run are reported but never fail;
 benchmarks missing from the current run fail (a silently skipped
@@ -157,28 +155,6 @@ def main(argv=None) -> int:
         default=0.10,
         help="allowed relative drift per gated counter (default 0.10)",
     )
-    parser.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help=(
-            "also gate wall time: fail when a benchmark runs more than "
-            "FRAC slower than its baseline wall_s (off by default — "
-            "enable on a pinned runner)"
-        ),
-    )
-    parser.add_argument(
-        "--wall-floor",
-        type=float,
-        default=0.05,
-        metavar="SECONDS",
-        help=(
-            "skip wall gating for benchmarks whose baseline wall time "
-            "is below this floor (default 0.05s: sub-floor timings are "
-            "noise at any tolerance)"
-        ),
-    )
     args = parser.parse_args(argv)
 
     current = load(args.current)
@@ -194,21 +170,6 @@ def main(argv=None) -> int:
         if now is None:
             failures.append(f"{name}: missing from current run")
             continue
-        base_wall = bench.get("wall_s", 0.0)
-        now_wall = now.get("wall_s", 0.0)
-        wall_marker = ""
-        if args.wall_tolerance is not None and base_wall >= args.wall_floor:
-            ceiling = base_wall * (1.0 + args.wall_tolerance)
-            if now_wall > ceiling:
-                failures.append(
-                    f"{name}: wall time regressed {base_wall:.4f}s -> "
-                    f"{now_wall:.4f}s (ceiling {ceiling:.4f}s)"
-                )
-                wall_marker = "  <-- REGRESSION"
-        rows.append(
-            f"  {name:50s} {'wall_s':20s} "
-            f"{base_wall:>10.4f} -> {now_wall:>10.4f}{wall_marker}"
-        )
         for stat in gated:
             base_value = bench.get("stats", {}).get(stat)
             if base_value is None:
@@ -239,15 +200,9 @@ def main(argv=None) -> int:
                 f"{marker}"
             )
 
-    wall_note = (
-        "off"
-        if args.wall_tolerance is None
-        else f"{args.wall_tolerance:.0%} over {args.wall_floor}s floor"
-    )
     print(
         "benchmark regression check "
-        f"(tolerance {args.tolerance:.0%}, wall gate {wall_note}, "
-        f"gated: {', '.join(gated)})"
+        f"(tolerance {args.tolerance:.0%}, gated: {', '.join(gated)})"
     )
     for row in rows:
         print(row)

@@ -178,9 +178,8 @@ class Condensation:
     schedules (and their work counters) are reproducible across runs.
 
     ``dependencies[i]`` holds the indexes (into ``components``) of the
-    components component ``i`` reads from — the readiness edges the
-    parallel stratum scheduler uses to evaluate independent branches
-    of the DAG concurrently.
+    components component ``i`` reads from — what the scheduler follows
+    to prune the condensation to a query's reachable strata.
     """
 
     components: List[Tuple[str, ...]]
@@ -192,9 +191,8 @@ class Condensation:
             # Two-field construction (the historical signature): default
             # to the conservative chain — every component depends on all
             # earlier ones.  That is always sound for the topological
-            # order (it merely serializes the parallel scheduler); an
-            # all-empty default would instead claim total independence,
-            # the one wrong answer.
+            # order; an all-empty default would instead claim total
+            # independence, the one wrong answer.
             self.dependencies = [
                 frozenset(range(i)) for i in range(len(self.components))
             ]

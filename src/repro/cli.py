@@ -29,6 +29,7 @@ from typing import Any, Callable, Dict, Optional
 from . import analysis, semirings
 from .core import (
     VALID_ENGINES,
+    VALID_PLANS,
     VALID_SCHEDULES,
     BudgetExceeded,
     Database,
@@ -292,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--plan",
         default="indexed",
-        choices=("indexed", "indexed-greedy", "naive"),
+        choices=VALID_PLANS,
         help=(
             "join strategy: cost-ordered hash-index probes (default), "
             "greedy-ordered probes, or the seed scan join"
@@ -303,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=VALID_SCHEDULES,
         help=(
-            "fixpoint scheduling: per-SCC strata (auto/scc), parallel "
-            "independent strata, or the whole-program iteration"
+            "fixpoint scheduling: per-SCC strata (auto/scc) or the "
+            "whole-program iteration"
         ),
     )
     run.add_argument(
@@ -448,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--plan",
         default="indexed",
-        choices=("indexed", "indexed-greedy", "naive"),
+        choices=VALID_PLANS,
     )
     serve.add_argument("--engine", default="auto", choices=VALID_ENGINES)
     serve.set_defaults(handler=cmd_serve)

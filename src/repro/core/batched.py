@@ -59,8 +59,8 @@ Kernels are cached in the evaluators' existing
 :class:`~repro.core.kernels.KernelCache` (``kernel_cache_hits`` counts
 reuse); ``engine="batched"`` on :func:`repro.core.engine.solve` selects
 this backend everywhere the other compiled engines are wired (naïve,
-semi-naïve with all delta variants, hybrid, grounding, every schedule
-including ``parallel``).
+semi-naïve with all delta variants, hybrid, grounding, every
+schedule).
 """
 
 from __future__ import annotations
@@ -1369,21 +1369,6 @@ class BatchedKernel:
             return n
         finally:
             self._flush(ctr)
-
-    def matches(self, guards: Sequence) -> List[Tuple[Dict, Dict[int, Any]]]:
-        """Materialized ``(valuation, slot_values)`` pairs (emit mode)."""
-        out: List[Tuple[Dict, Dict[int, Any]]] = []
-
-        def emit(valu: Dict, slots: List[Any]) -> None:
-            out.append(
-                (
-                    dict(valu),
-                    {i: v for i, v in enumerate(slots) if v is not NO_VALUE},
-                )
-            )
-
-        self.execute(guards, emit)
-        return out
 
 
 def build_batched_rule_kernel(

@@ -170,21 +170,6 @@ class CodegenKernel:
         """Emit-mode alias mirroring ``CompiledKernel.execute``."""
         return self.run(guards, emit)
 
-    def matches(self, guards: Sequence) -> List[Tuple[Dict, Dict[int, Any]]]:
-        """Materialized ``(valuation, slot_values)`` pairs (emit mode)."""
-        out: List[Tuple[Dict, Dict[int, Any]]] = []
-
-        def emit(valu: Dict, slots: List[Any]) -> None:
-            out.append(
-                (
-                    dict(valu),
-                    {i: v for i, v in enumerate(slots) if v is not NO_VALUE},
-                )
-            )
-
-        self.run(guards, emit)
-        return out
-
 
 class _SourceGen:
     """Lowers one :class:`BodyPlanIR` to Python source plus an env dict.
@@ -796,8 +781,7 @@ def generate_join_kernel(
     :meth:`repro.core.kernels.CompiledKernel.execute` — the valuation
     dict and slot list are owned by the kernel and reused, so consumers
     must copy what they retain.  Used by grounding (whose leaf builds
-    provenance monomials, not semiring products) and as the
-    ``matches()`` shim for tests.
+    provenance monomials, not semiring products).
     """
     gen = _SourceGen(
         ir, fallback_domain, bool_lookup, stats, emit_mode=True

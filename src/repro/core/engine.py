@@ -38,6 +38,10 @@ from .naive import EvaluationResult, naive_fixpoint
 from .rules import Program
 from .scheduler import VALID_SCHEDULES, scheduled_fixpoint
 from .seminaive import seminaive_fixpoint
+from .valuations import VALID_PLANS
+
+#: The ``method=`` choices of :func:`solve`.
+VALID_METHODS: Tuple[str, ...] = ("naive", "seminaive", "grounded", "linear")
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .demand import QueryLike
@@ -84,18 +88,15 @@ def solve(
         schedule: Fixpoint scheduling for ``naive``/``seminaive`` —
             ``"scc"`` condenses the predicate dependency graph and
             runs one fixpoint per SCC with lower strata frozen (see
-            :mod:`repro.core.scheduler`); ``"parallel"`` does the same
-            but evaluates **independent** components of the
-            condensation concurrently on a thread pool (deterministic
-            merge order — wide condensations overlap their strata);
-            ``"monolithic"`` keeps the seed's whole-program iteration;
-            ``"auto"`` (the default) picks ``"scc"`` except when
-            ``capture_trace`` asks for the global iteration chain,
-            which only the monolithic run produces.  Ignored by
-            ``grounded``/``linear`` (grounding is one-shot).  All
-            schedules compute the same fixpoint; scheduled runs report
-            ``steps`` as the deepest stratum's step count and carry
-            per-stratum reports on ``result.strata``.
+            :mod:`repro.core.scheduler`); ``"monolithic"`` keeps the
+            seed's whole-program iteration; ``"auto"`` (the default)
+            picks ``"scc"`` except when ``capture_trace`` asks for the
+            global iteration chain, which only the monolithic run
+            produces.  Ignored by ``grounded``/``linear`` (grounding
+            is one-shot).  Both schedules compute the same fixpoint;
+            an SCC-scheduled run reports ``steps`` as the deepest
+            stratum's step count and carries per-stratum reports on
+            ``result.strata``.
         engine: Evaluation pipeline for the join core — ``"auto"``
             (the default) is ``"codegen"`` whenever the plan is
             indexed: each (rule, body) plan is lowered to generated
@@ -170,6 +171,17 @@ def solve(
     Returns:
         The least-fixpoint instance plus step counts and statistics.
     """
+    for knob, value, valid in (
+        ("method", method, VALID_METHODS),
+        ("plan", plan, VALID_PLANS),
+        ("engine", engine, VALID_ENGINES),
+        ("schedule", schedule, VALID_SCHEDULES),
+    ):
+        if value not in valid:
+            raise ValueError(
+                f"unknown {knob} {value!r}; valid choices: "
+                + ", ".join(valid)
+            )
     if query is not None:
         from .demand import demand_solve
 
@@ -189,16 +201,6 @@ def solve(
             max_wall_s=max_wall_s,
             max_tuples=max_tuples,
             preflight=preflight,
-        )
-    if engine not in VALID_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; valid choices: "
-            + ", ".join(VALID_ENGINES)
-        )
-    if schedule not in VALID_SCHEDULES:
-        raise ValueError(
-            f"unknown schedule {schedule!r}; valid choices: "
-            + ", ".join(VALID_SCHEDULES)
         )
     if engine_workers < 1:
         raise ValueError(f"engine_workers must be ≥ 1, got {engine_workers}")
@@ -238,10 +240,10 @@ def solve(
         resolved = schedule
         if schedule == "auto":
             resolved = "monolithic" if capture_trace else "scc"
-        if resolved in ("scc", "parallel"):
+        if resolved == "scc":
             if capture_trace:
                 raise ValueError(
-                    f"schedule={resolved!r} has no global iteration chain "
+                    "schedule='scc' has no global iteration chain "
                     "to trace; use schedule='monolithic' with capture_trace"
                 )
             result = scheduled_fixpoint(
@@ -252,7 +254,6 @@ def solve(
                 max_iterations=max_iterations,
                 plan=plan,
                 engine=engine,
-                parallel=resolved == "parallel",
                 workers=engine_workers,
                 budget=budget,
                 roots=_demand_roots,
@@ -320,20 +321,19 @@ def solve(
             stats=join_stats.snapshot(),
             verdict=verdict,
         )
-    if method == "linear":
-        if stability_p is None:
-            raise ValueError("method='linear' requires stability_p")
-        join_stats = JoinStats()
-        system = ground_program(
-            program, database, functions=functions, plan=plan,
-            stats=join_stats, engine=engine,
-        )
-        assignment = linear_lfp(system, stability_p)
-        return EvaluationResult(
-            instance=assignment_to_instance(system, assignment),
-            steps=0,
-            trace=[],
-            stats=join_stats.snapshot(),
-            verdict=verdict,
-        )
-    raise ValueError(f"unknown method {method!r}")
+    # method == "linear"
+    if stability_p is None:
+        raise ValueError("method='linear' requires stability_p")
+    join_stats = JoinStats()
+    system = ground_program(
+        program, database, functions=functions, plan=plan,
+        stats=join_stats, engine=engine,
+    )
+    assignment = linear_lfp(system, stability_p)
+    return EvaluationResult(
+        instance=assignment_to_instance(system, assignment),
+        steps=0,
+        trace=[],
+        stats=join_stats.snapshot(),
+        verdict=verdict,
+    )

@@ -23,24 +23,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..fixpoint.iteration import DivergenceError
 from ..semirings.base import FunctionRegistry, Value
-from .ast import Term, eval_term
+from .ast import Term
 from .instance import Database, Instance, Key
-from .kernels import (
-    BodyValue,
-    KernelCache,
-    compile_kernel,
-    compile_key,
-    resolve_engine_mode,
-)
 from .naive import EvaluationResult, NaiveEvaluator
 from .rules import Program, SumProduct
-from .valuations import (
-    body_guards,
-    enumerate_matches,
-    is_indexed_plan,
-    plan_ordering,
-    refresh_guard_indexes,
-)
+from .valuations import body_guards, is_indexed_plan, refresh_guard_indexes
 
 
 @dataclass(frozen=True)
@@ -79,8 +66,6 @@ class HybridEvaluator:
         self.max_iterations = max_iterations
         self.plan = plan
         self.engine = engine
-        self.mode = resolve_engine_mode(engine, plan)
-        self.compiled = self.mode != "interpreted"
         self.bool_idb_names = {r.head_relation for r in self.threshold_rules}
         # Boolean IDB facts are injected into the database's Boolean
         # store so that conditions and indicators see them transparently.
@@ -96,12 +81,13 @@ class HybridEvaluator:
             plan=plan,
             engine=engine,
         )
-        # Compiled-engine state: cached per-threshold-rule guards and
-        # kernels (guards are late-bound through the base evaluator's
-        # current instance, so caching them is sound; their indexes are
-        # refreshed per iteration against the base's change counters
-        # instead of being rebuilt from scratch).
-        self._threshold_kernels = KernelCache(stats=self._base.stats.join)
+        self.compiled = self._base.compiled
+        # Compiled-engine state: cached per-threshold-rule guards
+        # (late-bound through the base evaluator's current instance,
+        # so caching them is sound; their indexes are refreshed per
+        # iteration against the base's change counters instead of
+        # being rebuilt from scratch).  Threshold kernels live in the
+        # base evaluator's kernel cache.
         self._threshold_guards: Dict[int, list] = {}
 
     # ------------------------------------------------------------------
@@ -132,137 +118,37 @@ class HybridEvaluator:
             self._threshold_guards[idx] = guards
         return guards
 
-    def _compiled_threshold(self, idx: int, rule: ThresholdRule, guards: list):
-        def build():
-            carried = frozenset(
-                g.slot for g in guards if g.carries_value and g.slot is not None
-            )
-            if self.mode in ("codegen", "batched"):
-                if self.mode == "batched":
-                    from .batched import (
-                        build_batched_rule_kernel as generate_rule_kernel,
-                    )
-                else:
-                    from .codegen import generate_rule_kernel
-                from .plan_ir import build_body_plan
-
-                ir, _indexes = build_body_plan(
-                    guards,
-                    variables=rule.body.enumeration_order(),
-                    condition=rule.body.condition,
-                    order=plan_ordering(self.plan),
-                    stats=self._base.stats.join,
-                    n_slots=len(rule.body.factors),
-                )
-                return generate_rule_kernel(
-                    ir,
-                    rule.body,
-                    rule.head_args,
-                    self.pops,
-                    self.database,
-                    self._base.functions,
-                    self.program.idb_names(),
-                    self.database.bool_holds,
-                    carried,
-                    self._base.domain,
-                    stats=self._base.stats.join,
-                    label=f"threshold.{rule.head_relation}.{idx}",
-                )
-            kernel = compile_kernel(
-                guards,
-                rule.body.enumeration_order(),
-                self._base.domain,
-                rule.body.condition,
-                self.database.bool_holds,
-                order=plan_ordering(self.plan),
-                stats=self._base.stats.join,
-                n_slots=len(rule.body.factors),
-            )
-            value_fn = BodyValue(
-                rule.body,
-                self.pops,
-                self.database,
-                self._base.functions,
-                self.program.idb_names(),
-                self.database.bool_holds,
-                carried,
-            )
-            head_key = compile_key(rule.head_args)
-            return kernel, value_fn, head_key
-
-        return self._threshold_kernels.get(idx, build)
-
     def _threshold_step(self, idb: Instance) -> Set[Tuple[str, Key]]:
         """Evaluate every threshold rule, returning new Boolean facts."""
         new_facts: Set[Tuple[str, Key]] = set()
+        base = self._base
         if self.compiled:
             # Threshold bodies read the *freshly derived* instance, one
             # step ahead of the base ICO's input: advance the change
             # counters so the shared IDB guard indexes refresh to it
             # (and so the base's next ICO sees these stores as already
             # seen, keeping its contribution cache exact).
-            self._base._bump_changed_relations(idb)
+            base._bump_changed_relations(idb)
         for idx, rule in enumerate(self.threshold_rules):
             guards = self._rule_guards(idx, rule)
             acc: Dict[Key, Value] = {}
-            self._base._current = idb
+            base._current = idb
             if self.compiled:
                 refresh_guard_indexes(
                     guards,
-                    self._base.indexes,
-                    self._base._epoch,
-                    versions=self._base._rel_versions,
-                    bool_versions=self._base._bool_versions,
-                    stats=self._base.stats.join,
+                    base.indexes,
+                    base._epoch,
+                    versions=base._rel_versions,
+                    bool_versions=base._bool_versions,
+                    stats=base.stats.join,
                 )
-                entry = self._compiled_threshold(idx, rule, guards)
-                if self.mode in ("codegen", "batched"):
-                    # The kernel accumulates straight into ``acc``; its
-                    # match count is dropped for counter parity with
-                    # the interpreted threshold loop.
-                    entry.run(guards, idb, acc)
-                else:
-                    kernel, value_fn, head_getter = entry
-                    add = self.pops.add
-
-                    def emit(
-                        valu, slots,
-                        _v=value_fn, _h=head_getter, _idb=idb,
-                    ):
-                        value = _v(valu, slots, _idb)
-                        head_key = _h(valu)
-                        if head_key in acc:
-                            acc[head_key] = add(acc[head_key], value)
-                        else:
-                            acc[head_key] = value
-
-                    # Counter parity: the interpreted threshold loop
-                    # counts neither valuations nor products, so the
-                    # compiled one doesn't either (flush covers the
-                    # value-probe split).
-                    kernel.execute(guards, emit)
-                    value_fn.flush(self._base.stats.join)
-            else:
-                for valuation, slot_values in enumerate_matches(
-                    rule.body.enumeration_order(),
-                    guards,
-                    self._base.domain,
-                    rule.body.condition,
-                    self.database.bool_holds,
-                    plan=self.plan,
-                    stats=self._base.stats.join,
-                ):
-                    value = self._base.evaluator.product_value(
-                        rule.body, valuation, idb, self.program.idb_names(),
-                        slot_values=slot_values,
-                    )
-                    head_key = tuple(
-                        eval_term(t, valuation) for t in rule.head_args
-                    )
-                    if head_key in acc:
-                        acc[head_key] = self.pops.add(acc[head_key], value)
-                    else:
-                        acc[head_key] = value
+            # The match count is dropped: threshold bodies count
+            # neither valuations nor products, on any engine.
+            base._kernels.get(
+                ("threshold", idx), guards, rule.body,
+                head_args=rule.head_args,
+                label=f"threshold.{rule.head_relation}.{idx}",
+            ).run(guards, idb, acc)
             store = self.database.bool_relations[rule.head_relation]
             for key, value in acc.items():
                 if key not in store and rule.predicate(value):

@@ -16,7 +16,7 @@ example program (differential testing).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..semirings.base import FunctionRegistry, POPS, Value
 from .ast import Valuation, eval_term
@@ -30,13 +30,11 @@ from .rules import (
     SumProduct,
     factor_atoms,
 )
-from .kernels import compile_kernel, resolve_engine_mode
+from .kernels import BodyKernels
 from .valuations import (
     FactorEvaluator,
     body_guards,
-    enumerate_matches,
     is_indexed_plan,
-    plan_ordering,
     refresh_guard_indexes,
 )
 
@@ -59,13 +57,13 @@ def _monomial_for_valuation(
     evaluator: FactorEvaluator,
     idb_names: frozenset,
     empty_idb: Instance,
-    slot_values: Optional[Dict[int, Value]] = None,
+    slots: List[Any],
 ) -> Monomial:
     """Build the monomial of one valuation (Eq. 12, EDBs substituted).
 
-    ``slot_values`` carries EDB values that rode the enumeration's
-    index probes, so the coefficient is assembled without re-hashing
-    the probed keys.
+    ``slots[i]`` is the EDB value that rode factor ``i``'s index probe
+    (``NO_VALUE`` where none did), so the coefficient is assembled
+    without re-hashing the probed keys.
     """
     coeff: Value = pops.one
     powers: List[Tuple[VarId, int]] = []
@@ -83,8 +81,8 @@ def _monomial_for_valuation(
                 coeff,
                 evaluator.factor_value(factor, valuation, empty_idb, idb_names),
             )
-        elif slot_values and i in slot_values:
-            coeff = pops.mul(coeff, slot_values[i])
+        elif slots[i] is not NO_VALUE:
+            coeff = pops.mul(coeff, slots[i])
         else:
             coeff = pops.mul(
                 coeff,
@@ -125,17 +123,14 @@ def ground_program(
             testing).
         stats: Optional :class:`~repro.core.indexes.JoinStats`
             receiving the enumeration's probe/scan counters.
-        engine: ``"auto"``/``"compiled"`` lower each body's plan into a
-            :mod:`repro.core.kernels` closure pipeline (grounding is
-            one-shot, so the win is the compiled executor rather than
-            cross-iteration caching); ``"codegen"`` generates one flat
-            source function per body instead
-            (:mod:`repro.core.codegen`, emit mode — the leaf builds
-            provenance monomials, so the join streams matches into the
-            same callback); ``"batched"`` runs the same emit contract
-            off the columnar whole-batch pipeline
-            (:mod:`repro.core.batched`); ``"interpreted"`` keeps the
-            generator pipeline.
+        engine: The join pipeline, as in
+            :func:`repro.core.engine.solve` — ``"auto"`` is
+            ``"codegen"`` on indexed plans.  Every engine runs in emit
+            mode here (:class:`~repro.core.kernels.BodyKernels`): the
+            leaf builds provenance monomials, not semiring products,
+            so the join streams its matches into one callback.
+            Grounding is one-shot, so a compiled engine's win is its
+            executor rather than cross-iteration caching.
 
     Returns:
         The grounded :class:`PolynomialSystem`.
@@ -149,6 +144,9 @@ def ground_program(
     indexes = IndexManager(stats=stats) if is_indexed_plan(plan) else None
     domain = sorted(
         database.active_domain() | program.constants(), key=repr
+    )
+    kernels = BodyKernels(
+        engine, plan, database, functions, idb_names, domain, stats=stats
     )
 
     polynomials: Dict[VarId, Polynomial] = {}
@@ -178,9 +176,10 @@ def ground_program(
             )
             if indexes is not None:
                 refresh_guard_indexes(guards, indexes, epoch="ground")
-            variables = body.enumeration_order()
 
-            def ground_one(valuation, slot_values, rule=rule, body=body):
+            def ground_one(valuation, slots, rule=rule, body=body):
+                # Both arguments are the kernel's to reuse; nothing
+                # below retains them.
                 head_key = tuple(
                     eval_term(t, valuation) for t in rule.head_args
                 )
@@ -190,68 +189,15 @@ def ground_program(
                     order.append(var)
                 monomial = _monomial_for_valuation(
                     body, valuation, pops, evaluator, idb_names, empty_idb,
-                    slot_values=slot_values,
+                    slots,
                 )
                 polynomials[var] = polynomials[var].plus(
                     Polynomial((monomial,))
                 )
 
-            mode = resolve_engine_mode(engine, plan)
-            if mode != "interpreted":
-                if mode in ("codegen", "batched"):
-                    if mode == "batched":
-                        from .batched import (
-                            build_batched_join_kernel as generate_join_kernel,
-                        )
-                    else:
-                        from .codegen import generate_join_kernel
-                    from .plan_ir import build_body_plan
-
-                    ir, _indexes = build_body_plan(
-                        guards,
-                        variables=variables,
-                        condition=body.condition,
-                        order=plan_ordering(plan),
-                        stats=stats,
-                        n_slots=len(body.factors),
-                    )
-                    kernel = generate_join_kernel(
-                        ir,
-                        database.bool_holds,
-                        domain,
-                        stats=stats,
-                        label=f"ground.{rule.head_relation}",
-                    )
-                else:
-                    kernel = compile_kernel(
-                        guards,
-                        variables,
-                        domain,
-                        body.condition,
-                        database.bool_holds,
-                        order=plan_ordering(plan),
-                        stats=stats,
-                        n_slots=len(body.factors),
-                    )
-
-                def emit(valu, slots):
-                    slot_values = {
-                        i: v for i, v in enumerate(slots) if v is not NO_VALUE
-                    }
-                    ground_one(dict(valu), slot_values)
-
-                kernel.execute(guards, emit)
-                continue
-            for valuation, slot_values in enumerate_matches(
-                variables,
-                guards,
-                domain,
-                body.condition,
-                database.bool_holds,
-                plan=plan,
-                stats=stats,
-            ):
-                ground_one(valuation, slot_values)
+            kernels.build(
+                guards, body, label=f"ground.{rule.head_relation}"
+            ).execute(guards, ground_one)
 
     if combine_like_terms:
         polynomials = {

@@ -734,8 +734,8 @@ class IncrementalInstance:
         its ``J⁻`` values exactly, so its δ⁽⁰⁾ is empty by construction.
         A grown active domain voids that argument (new constants reach
         every rule through enumeration fallbacks), so it bootstraps the
-        full program.  The differential loop is then exactly
-        :meth:`SemiNaiveEvaluator.run`'s, entered mid-chain.
+        full program.  The differential loop is
+        :meth:`SemiNaiveEvaluator.run`, entered mid-chain.
         """
         budget = (
             Budget(max_wall_s=self.rederive_wall_s)
@@ -792,7 +792,6 @@ class IncrementalInstance:
         image = bootstrap.ico(j_minus)
         # δ⁽⁰⁾ = F(J⁻) ⊖ J⁻, applied to a copy: a failed continuation
         # must leave the surviving instance as it was.
-        old = j_minus
         delta, new = evaluator.advance(
             {rel: image.support(rel) for rel in image.relations()},
             j_minus.copy(),
@@ -800,27 +799,11 @@ class IncrementalInstance:
         if delta.size() == 0:
             self.instance = new
             return "seminaive"
-        for step in range(1, self.max_iterations):
-            evaluator.stats.iterations += 1
-            contributions = evaluator._iteration_contributions(
-                delta, new, old
-            )
-            old = new
-            delta, new = evaluator.advance(contributions, new)
-            if delta.size() == 0:
-                self.instance = new
-                self.steps = step
-                self.stats["warm_iterations"] += step
-                return "seminaive"
-            if budget is not None:
-                budget.charge_size(new.size())
-        raise BudgetExceeded(
-            "incremental re-derivation did not converge within "
-            f"{self.max_iterations} iterations",
-            resource="iterations",
-            limit=self.max_iterations,
-            spent=self.max_iterations,
-        )
+        result = evaluator.run(start=(delta, new, j_minus))
+        self.instance = result.instance
+        self.steps = result.steps
+        self.stats["warm_iterations"] += result.steps
+        return "seminaive"
 
     def _warm_naive(self, j_minus: Instance) -> str:
         """Warm restart without ⊖: iterate the naïve ICO from ``J⁻``."""
@@ -838,22 +821,8 @@ class IncrementalInstance:
             engine=self.engine,
             budget=budget,
         )
-        current = j_minus
-        for step in range(self.max_iterations):
-            evaluator.stats.iterations += 1
-            nxt = evaluator.ico(current)
-            if nxt.equals(current):
-                self.instance = current
-                self.steps = step
-                self.stats["warm_iterations"] += step + 1
-                return "warm-naive"
-            if budget is not None:
-                budget.charge_size(nxt.size())
-            current = nxt
-        raise BudgetExceeded(
-            "warm naïve re-derivation did not converge within "
-            f"{self.max_iterations} iterations",
-            resource="iterations",
-            limit=self.max_iterations,
-            spent=self.max_iterations,
-        )
+        result = evaluator.run(start=j_minus)
+        self.instance = result.instance
+        self.steps = result.steps
+        self.stats["warm_iterations"] += result.steps + 1
+        return "warm-naive"

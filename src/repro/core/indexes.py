@@ -199,36 +199,6 @@ class JoinStats:
     def keys_examined(self) -> int:
         return self.probed_keys + self.scanned_keys + self.fallback_candidates
 
-    def merge(self, other: "JoinStats") -> None:
-        """Fold another counter set into this one (engine composition)."""
-        self.probes += other.probes
-        self.scans += other.scans
-        self.probed_keys += other.probed_keys
-        self.scanned_keys += other.scanned_keys
-        self.fallback_candidates += other.fallback_candidates
-        self.index_builds += other.index_builds
-        self.fallback_extensions += other.fallback_extensions
-        self.pushdown_prunes += other.pushdown_prunes
-        self.equality_bindings += other.equality_bindings
-        self.arity_skips += other.arity_skips
-        self.probe_hits += other.probe_hits
-        self.probe_misses += other.probe_misses
-        self.value_probe_hits += other.value_probe_hits
-        self.factor_lookups += other.factor_lookups
-        self.rebuild_skips += other.rebuild_skips
-        self.kernel_cache_hits += other.kernel_cache_hits
-        self.codegen_kernels += other.codegen_kernels
-        self.batch_joins += other.batch_joins
-        self.batch_rows += other.batch_rows
-        self.vector_filter_prunes += other.vector_filter_prunes
-        self.exchange_rounds += other.exchange_rounds
-        self.exchange_tuples += other.exchange_tuples
-        self.shard_fallbacks += other.shard_fallbacks
-        self.shard_stall_fallbacks += other.shard_stall_fallbacks
-        self.shard_restarts += other.shard_restarts
-        self.shard_demotions += other.shard_demotions
-        self.crc_retransmits += other.crc_retransmits
-
     def snapshot(self) -> Dict[str, int]:
         return {
             "probes": self.probes,

@@ -40,14 +40,25 @@ locals there.  Work counters are accumulated in local integers and
 flushed to :class:`~repro.core.indexes.JoinStats` once per invocation,
 keeping the counters' meanings identical to the interpreted engine's.
 
-``engine="interpreted"`` on the evaluators bypasses this module
-entirely, keeping the PR-3 path byte-for-byte as the differential
-baseline; the test suite checks compiled == interpreted fixpoints
-across value spaces and program shapes.
+This module is also where the engines meet the evaluators.
+:class:`BodyKernels` is the **body-application seam**: an evaluator
+asks it for the kernel of one (rule, body[, Eq. 64 variant]) and calls
+``kernel.run(guards, state, bucket)`` once per application, whatever
+the engine — the interpreted re-planning pipeline
+(:class:`repro.core.valuations.InterpretedKernel`), this module's
+closures (:class:`ClosureKernel`), generated source
+(:mod:`repro.core.codegen`) or columnar batches
+(:mod:`repro.core.batched`).  A backend is one class with that
+contract plus one line in ``_BACKENDS``; nothing outside this module
+names a backend's constructor.  ``engine="interpreted"`` keeps the
+PR-3 path byte-for-byte as the differential baseline; the test suite
+checks compiled == interpreted fixpoints across value spaces and
+program shapes.
 """
 
 from __future__ import annotations
 
+import importlib
 from typing import (
     Any,
     Callable,
@@ -87,7 +98,7 @@ from .rules import (
     ValueConst,
     factor_atoms,
 )
-from .valuations import Guard
+from .valuations import Guard, InterpretedKernel, is_indexed_plan, plan_body
 
 #: ``emit(valuation, slots)`` — the kernel's leaf callback.  ``slots``
 #: is the kernel-owned list of per-factor carried values (``NO_VALUE``
@@ -508,7 +519,9 @@ class CompiledKernel:
         domain_set: Optional[frozenset],
         n_slots: int,
         stats: Optional[JoinStats],
+        label: str = "join",
     ):
+        self.label = label
         self._steps = steps
         self._fallback = fallback
         self._residual = residual
@@ -757,47 +770,28 @@ class CompiledKernel:
 
         return run
 
-    def matches(
-        self, guards: Sequence[Guard]
-    ) -> List[Tuple[Valuation, Dict[int, Value]]]:
-        """Materialized ``(valuation, slot_values)`` pairs (API shim).
 
-        Mirrors :func:`repro.core.valuations.enumerate_matches`'s
-        per-match shape for consumers that want plain dicts (grounding,
-        tests); each pair is an independent copy.
-        """
-        out: List[Tuple[Valuation, Dict[int, Value]]] = []
-
-        def emit(valu: Valuation, slots: List[Any]) -> None:
-            out.append(
-                (
-                    dict(valu),
-                    {
-                        i: v
-                        for i, v in enumerate(slots)
-                        if v is not NO_VALUE
-                    },
-                )
-            )
-
-        self.execute(guards, emit)
-        return out
-
-
-def compile_kernel_ir(
+def compile_kernel(
     ir,
-    fallback_domain: Sequence[Any],
     bool_lookup: Callable[[str, Tuple], bool],
+    fallback_domain: Sequence[Any],
     stats: Optional[JoinStats] = None,
+    label: str = "join",
 ) -> CompiledKernel:
     """Compile a :class:`~repro.core.plan_ir.BodyPlanIR` into closures.
 
-    The closure backend of the Plan IR: every IR node becomes its
-    pre-resolved closure shape — probe keys via :func:`compile_key`,
-    filters/residual via :func:`compile_condition`, the fresh-bind /
-    dup-check positions taken from the IR verbatim.  Index objects are
-    *not* baked in; :meth:`CompiledKernel.execute` re-resolves
-    ``guards[step.guard_pos].index`` per invocation.
+    The closure backend of the Plan IR, and its emit-mode constructor
+    (same signature as :func:`repro.core.codegen.generate_join_kernel`):
+    every IR node becomes its pre-resolved closure shape — probe keys
+    via :func:`compile_key`, filters/residual via
+    :func:`compile_condition`, the fresh-bind / dup-check positions
+    taken from the IR verbatim.  The plan is the one the first
+    iteration's selectivity estimates produced, frozen for the run;
+    index objects are *not* baked in — :meth:`CompiledKernel.execute`
+    re-resolves ``guards[step.guard_pos].index`` per invocation, so
+    later guard lists only have to be structurally identical (same
+    relations in the same positions), which every evaluator's per-body
+    guard construction guarantees.
     """
     if any(step.checks for step in ir.steps):
         raise ValueError(
@@ -841,44 +835,76 @@ def compile_kernel_ir(
         domain_set=frozenset(fallback_domain) if needs_domain_set else None,
         n_slots=ir.n_slots,
         stats=stats,
+        label=label,
     )
 
 
-def compile_kernel(
-    guards: Sequence[Guard],
-    variables: Sequence[str],
-    fallback_domain: Sequence[Any],
-    condition: Condition,
-    bool_lookup: Callable[[str, Tuple], bool],
-    extra_conjuncts: Sequence[Condition] = (),
-    order: str = "cost",
-    stats: Optional[JoinStats] = None,
-    n_slots: int = 0,
-) -> CompiledKernel:
-    """Plan one body and compile the resulting IR into closures.
+class ClosureKernel:
+    """The closure backend's accumulate-mode kernel.
 
-    Planning (join order, probe masks, pushdown schedule) is delegated
-    to :func:`repro.core.plan_ir.build_body_plan` — the kernel layer
-    changes *when* that work happens (once per evaluator instead of
-    once per rule application), not *what* is planned.  The chosen
-    order is therefore the one the first iteration's selectivity
-    estimates produce, frozen for the run; later guard lists passed to
-    :meth:`CompiledKernel.execute` must be structurally identical
-    (same relations in the same positions), which every evaluator's
-    per-body guard construction guarantees.
+    Constructor and ``run`` contract of
+    :func:`repro.core.codegen.generate_rule_kernel`: ``run(guards,
+    state, bucket)`` streams the :class:`CompiledKernel` join into a
+    leaf that multiplies the compiled factor getters
+    (:class:`BodyValue`, or :class:`VariantValue` when ``variant``
+    gives the Eq. 64 occurrence assignment and ``state`` is the
+    ``(new, delta, old)`` triple), ⊕-accumulates the product into
+    ``bucket`` under the compiled head key and returns the match
+    count.
     """
-    from .plan_ir import build_body_plan
 
-    ir, _indexes = build_body_plan(
-        guards,
-        variables=variables,
-        condition=condition,
-        extra_conjuncts=extra_conjuncts,
-        order=order,
-        stats=stats,
-        n_slots=n_slots,
-    )
-    return compile_kernel_ir(ir, fallback_domain, bool_lookup, stats=stats)
+    def __init__(
+        self,
+        ir,
+        body: SumProduct,
+        head_args: Tuple[Term, ...],
+        pops: POPS,
+        database: Database,
+        functions: FunctionRegistry,
+        idb_names: frozenset,
+        bool_lookup: Callable[[str, Tuple], bool],
+        carried_slots: frozenset,
+        fallback_domain: Sequence[Any],
+        stats: Optional[JoinStats] = None,
+        variant: Optional[Tuple[Sequence[int], int]] = None,
+        label: str = "rule",
+    ):
+        self._kernel = compile_kernel(
+            ir, bool_lookup, fallback_domain, stats=stats, label=label
+        )
+        if variant is None:
+            self._value = BodyValue(
+                body, pops, database, functions, idb_names, bool_lookup,
+                carried_slots,
+            )
+        else:
+            idb_positions, j = variant
+            self._value = VariantValue(
+                body, idb_positions, j, pops, database, functions,
+                bool_lookup, carried_slots,
+            )
+        self._head_key = compile_key(head_args)
+        self._add = pops.add
+        self._stats = stats
+        self.install_poll = self._kernel.install_poll
+
+    def run(self, guards: Sequence[Guard], state, bucket: Dict[Tuple, Value]) -> int:
+        value_fn, head_key, add = self._value, self._head_key, self._add
+        matched = 0
+
+        def emit(valu, slots):
+            nonlocal matched
+            matched += 1
+            value = value_fn(valu, slots, state)
+            key = head_key(valu)
+            if key in bucket:
+                bucket[key] = add(bucket[key], value)
+            else:
+                bucket[key] = value
+
+        self._kernel.execute(guards, emit)
+        value_fn.flush(self._stats)
+        return matched
 
 
 # ---------------------------------------------------------------------------
@@ -940,8 +966,6 @@ def resolve_engine_mode(engine: str, plan: str) -> str:
     baseline for the generated source; ``"compiled"``, ``"codegen"``
     and ``"batched"`` reject non-indexed plans outright.
     """
-    from .valuations import is_indexed_plan
-
     if engine not in VALID_ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; valid choices: "
@@ -959,3 +983,119 @@ def resolve_engine_mode(engine: str, plan: str) -> str:
     if not is_indexed_plan(plan):
         return "interpreted"
     return {"auto": "codegen", "compiled": "closures"}.get(engine, engine)
+
+
+#: Resolved compiled mode -> (module, accumulate-mode constructor,
+#: emit-mode constructor).  Every accumulate-mode constructor takes
+#: :func:`repro.core.codegen.generate_rule_kernel`'s arguments, every
+#: emit-mode one :func:`repro.core.codegen.generate_join_kernel`'s.
+#: :meth:`BodyKernels.build` resolves the names through their module on
+#: each build, so an outside-in probe patched over a constructor (the
+#: repo benchmark's ``perf/tracing.py``) sees every kernel built.
+_BACKENDS: Dict[str, Tuple[str, str, str]] = {
+    "closures": ("kernels", "ClosureKernel", "compile_kernel"),
+    "codegen": ("codegen", "generate_rule_kernel", "generate_join_kernel"),
+    "batched": (
+        "batched", "build_batched_rule_kernel", "build_batched_join_kernel",
+    ),
+}
+
+
+class BodyKernels:
+    """The body-application seam: one per evaluator (= per stratum).
+
+    Resolves ``engine``/``plan`` to a mode once and hands out one
+    kernel per (rule, body[, variant]).  Whatever the mode, a kernel
+    offers
+
+    * ``run(guards, state, bucket) -> matched`` — apply the body once:
+      ⊕-accumulate every match's ⊗-product into ``bucket`` under its
+      head key.  ``state`` is the current IDB
+      :class:`~repro.core.instance.Instance`, or the ``(new, delta,
+      old)`` triple when the kernel was built for an Eq. 64
+      ``variant=(idb_positions, j)``;
+    * ``install_poll(poll)`` — arm the budget poll (done here, at
+      build);
+    * ``execute(guards, emit)`` — emit mode (built with ``head_args``
+      ``None``): stream ``emit(valuation, slots)`` per match, both
+      arguments owned by the kernel and reused, ``slots[i]`` the value
+      that rode factor ``i``'s probe or ``NO_VALUE``.
+
+    :meth:`get` caches by a caller-chosen key; reuse of a compiled
+    kernel is counted in ``JoinStats.kernel_cache_hits``.  The
+    interpreted pipeline keeps nothing between applications, so its
+    adapters count no hits.
+    """
+
+    def __init__(
+        self,
+        engine: str,
+        plan: str,
+        database: Database,
+        functions: Optional[FunctionRegistry],
+        idb_names: frozenset,
+        domain: Sequence[Any],
+        stats: Optional[JoinStats] = None,
+        poll: Optional[Callable[[], None]] = None,
+    ):
+        self.mode = resolve_engine_mode(engine, plan)
+        self.plan = plan
+        self.database = database
+        self.functions = functions
+        self.idb_names = idb_names
+        self.domain = domain
+        self.stats = stats
+        self.poll = poll
+        self._cache = KernelCache(
+            stats=stats if self.mode != "interpreted" else None
+        )
+
+    def get(self, key: Hashable, guards: Sequence[Guard], body: SumProduct, **spec):
+        """The cached kernel under ``key``, built on first demand from
+        that call's ``guards`` (see :meth:`build` for ``spec``)."""
+        return self._cache.get(key, lambda: self.build(guards, body, **spec))
+
+    def build(
+        self,
+        guards: Sequence[Guard],
+        body: SumProduct,
+        head_args: Optional[Tuple[Term, ...]] = None,
+        extra_conjuncts: Sequence[Condition] = (),
+        variant: Optional[Tuple[Sequence[int], int]] = None,
+        label: str = "rule",
+    ):
+        """Build one body's kernel with the mode's backend."""
+        database, pops = self.database, self.database.pops
+        if self.mode == "interpreted":
+            return InterpretedKernel(
+                body, head_args, pops, database, self.functions,
+                self.idb_names, self.domain, self.plan, stats=self.stats,
+                extra_conjuncts=extra_conjuncts, variant=variant,
+            )
+        ir, _indexes = plan_body(
+            guards,
+            body.enumeration_order(),
+            body.condition,
+            plan=self.plan,
+            stats=self.stats,
+            extra_conjuncts=extra_conjuncts,
+            n_slots=len(body.factors),
+        )
+        module_name, rule_kernel, join_kernel = _BACKENDS[self.mode]
+        module = importlib.import_module(f".{module_name}", __package__)
+        if head_args is None:
+            kernel = getattr(module, join_kernel)(
+                ir, database.bool_holds, self.domain,
+                stats=self.stats, label=label,
+            )
+        else:
+            carried = frozenset(
+                g.slot for g in guards if g.carries_value and g.slot is not None
+            )
+            kernel = getattr(module, rule_kernel)(
+                ir, body, head_args, pops, database, self.functions,
+                self.idb_names, database.bool_holds, carried, self.domain,
+                stats=self.stats, variant=variant, label=label,
+            )
+        kernel.install_poll(self.poll)
+        return kernel

@@ -21,17 +21,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..semirings.base import FunctionRegistry, Value
-from .ast import And, BoolAtom, Condition, Not, Or, eval_term
+from .ast import And, BoolAtom, Condition, Not, Or
 from .guardrails import Budget, BudgetExceeded, PartialResult, attach_partial
 from .indexes import IndexManager, JoinStats
 from .instance import Database, Instance, Key
-from .kernels import (
-    BodyValue,
-    KernelCache,
-    compile_kernel,
-    compile_key,
-    resolve_engine_mode,
-)
+from .kernels import BodyKernels
 from .rules import (
     FuncFactor,
     Indicator,
@@ -41,11 +35,8 @@ from .rules import (
     SumProduct,
 )
 from .valuations import (
-    FactorEvaluator,
     body_guards,
-    enumerate_matches,
     is_indexed_plan,
-    plan_ordering,
     pushable_indicator_conditions,
     refresh_guard_indexes,
 )
@@ -83,15 +74,6 @@ class EvalStats:
     rule_applications: int = 0
     rules_skipped: int = 0
     join: JoinStats = field(default_factory=JoinStats)
-
-    def merge(self, other: "EvalStats") -> None:
-        """Fold another counter set into this one (parallel strata)."""
-        self.iterations += other.iterations
-        self.valuations += other.valuations
-        self.products += other.products
-        self.rule_applications += other.rule_applications
-        self.rules_skipped += other.rules_skipped
-        self.join.merge(other.join)
 
     def snapshot(self) -> Dict[str, int]:
         out = {
@@ -210,19 +192,11 @@ class NaiveEvaluator:
         smaller) and share one counter set plus one index cache so
         frozen-layer indexes are built once and reused across strata.
 
-        ``engine`` selects the join/evaluation pipeline: ``"auto"``
-        (the default) is ``"codegen"`` whenever the plan is indexed —
-        each (rule, body) plan lowered to generated Python source
-        (:mod:`repro.core.codegen` — one flat function per body, built
-        once, cached across iterations), with delta-driven rule
-        activation; ``"batched"`` executes each plan over
-        the whole candidate batch at once as columnar hash-joins with
-        vectorized filter masks (:mod:`repro.core.batched`);
-        ``"interpreted"`` keeps the
-        per-application re-planned generator pipeline byte-for-byte
-        (the differential baseline); ``"compiled"`` lowers each plan
-        to a :mod:`repro.core.kernels` closure pipeline instead
-        (cached the same way) and rejects non-indexed plans.
+        ``engine`` selects the join/evaluation pipeline, as documented
+        on :func:`repro.core.engine.solve`; the evaluator sees it only
+        through :class:`~repro.core.kernels.BodyKernels`.  Every mode
+        but ``"interpreted"`` (the re-planned differential baseline)
+        additionally gets delta-driven rule activation.
         """
         self.program = program
         self.database = database
@@ -235,13 +209,8 @@ class NaiveEvaluator:
         self._poll = budget.wall_hook() if budget is not None else None
         self.plan = plan
         self.engine = engine
-        self.mode = resolve_engine_mode(engine, plan)
-        self.compiled = self.mode != "interpreted"
         self.idb_names = program.idb_names()
         self.stats = stats if stats is not None else EvalStats()
-        self.evaluator = FactorEvaluator(
-            self.pops, database, self.functions, stats=self.stats.join
-        )
         if domain is not None:
             self.domain: List[Any] = list(domain)
         else:
@@ -266,11 +235,16 @@ class NaiveEvaluator:
         self._bool_versions: Dict[str, int] = {}
         self._bool_sizes: Dict[str, int] = {}
         self._plans = self._build_plans()
-        # Compiled-engine state: one kernel cache for the evaluator's
-        # lifetime (= one stratum under the SCC scheduler), the static
-        # input-relation sets per plan, and the last contribution of
-        # each plan for delta-driven reuse.
-        self._kernels = KernelCache(stats=self.stats.join)
+        # One kernel per plan for the evaluator's lifetime (= one
+        # stratum under the SCC scheduler); for the compiled engines
+        # also the static input-relation sets per plan and the last
+        # contribution of each plan for delta-driven reuse.
+        self._kernels = BodyKernels(
+            engine, plan, database, self.functions, self.idb_names,
+            self.domain, stats=self.stats.join, poll=self._poll,
+        )
+        self.mode = self._kernels.mode
+        self.compiled = self.mode != "interpreted"
         self._plan_deps = [
             (
                 tuple(
@@ -284,7 +258,7 @@ class NaiveEvaluator:
                 ),
                 tuple(sorted(body_bool_relations(body, self.database))),
             )
-            for _rule, body, _guards, _vars, _extra in self._plans
+            for _rule, body, _guards, _extra in self._plans
         ]
         #: Per plan: (dep-version vector at computation time, contribution).
         self._contributions: List[
@@ -292,7 +266,7 @@ class NaiveEvaluator:
         ] = [None] * len(self._plans)
 
     # ------------------------------------------------------------------
-    def _build_plans(self) -> List[Tuple[Rule, SumProduct, list, List[str], tuple]]:
+    def _build_plans(self) -> List[Tuple[Rule, SumProduct, list, tuple]]:
         plans = []
         for rule in self.program.rules:
             for body in rule.bodies:
@@ -307,9 +281,7 @@ class NaiveEvaluator:
                 extra = pushable_indicator_conditions(
                     body, self.pops, self.total_heads
                 )
-                plans.append(
-                    (rule, body, guards, body.enumeration_order(), extra)
-                )
+                plans.append((rule, body, guards, extra))
         return plans
 
     def _idb_supplier(self, name: str):
@@ -367,117 +339,26 @@ class NaiveEvaluator:
             tuple(self._bool_versions.get(rel, 0) for rel in bool_deps),
         )
 
-    def _compiled_rule(self, idx: int):
-        """The cached compiled form of one plan.
+    def kernel(self, idx: int):
+        """The kernel of plan ``idx`` (see
+        :class:`~repro.core.kernels.BodyKernels`), built on first use
+        and kept for the evaluator's lifetime."""
+        rule, body, guards, extra = self._plans[idx]
+        return self._kernels.get(
+            idx, guards, body, head_args=rule.head_args,
+            extra_conjuncts=extra, label=f"{rule.head_relation}.{idx}",
+        )
 
-        Under ``mode="closures"`` this is the (kernel, value fn, head
-        extractor, head relation) tuple; under ``mode="codegen"`` it is
-        one :class:`~repro.core.codegen.CodegenKernel` whose generated
-        function joins, evaluates and accumulates in one flat pass.
-        Both live in the same :class:`~repro.core.kernels.KernelCache`,
-        so ``kernel_cache_hits`` counts reuse identically.
-        """
-
-        def build():
-            rule, body, guards, variables, extra = self._plans[idx]
-            carried = frozenset(
-                g.slot for g in guards if g.carries_value and g.slot is not None
-            )
-            if self.mode in ("codegen", "batched"):
-                if self.mode == "batched":
-                    from .batched import (
-                        build_batched_rule_kernel as generate_rule_kernel,
-                    )
-                else:
-                    from .codegen import generate_rule_kernel
-                from .plan_ir import build_body_plan
-
-                ir, _indexes = build_body_plan(
-                    guards,
-                    variables=variables,
-                    condition=body.condition,
-                    extra_conjuncts=extra,
-                    order=plan_ordering(self.plan),
-                    stats=self.stats.join,
-                    n_slots=len(body.factors),
-                )
-                generated = generate_rule_kernel(
-                    ir,
-                    body,
-                    rule.head_args,
-                    self.pops,
-                    self.database,
-                    self.functions,
-                    self.idb_names,
-                    self.database.bool_holds,
-                    carried,
-                    self.domain,
-                    stats=self.stats.join,
-                    label=f"{rule.head_relation}.{idx}",
-                )
-                generated.install_poll(self._poll)
-                return generated
-            kernel = compile_kernel(
-                guards,
-                variables,
-                self.domain,
-                body.condition,
-                self.database.bool_holds,
-                extra_conjuncts=extra,
-                order=plan_ordering(self.plan),
-                stats=self.stats.join,
-                n_slots=len(body.factors),
-            )
-            kernel.install_poll(self._poll)
-            value_fn = BodyValue(
-                body,
-                self.pops,
-                self.database,
-                self.functions,
-                self.idb_names,
-                self.database.bool_holds,
-                carried,
-            )
-            head_key = compile_key(rule.head_args)
-            return kernel, value_fn, head_key, rule.head_relation
-
-        return self._kernels.get(idx, build)
-
-    def _apply_compiled(
-        self, idx: int, instance: Instance
-    ) -> Dict[Key, Value]:
-        """One compiled rule application; returns its contribution map.
-
-        The map is keyed by head key alone (the rule's head relation is
-        fixed), so the per-match accumulation pays no ``(rel, key)``
-        tuple allocation.
-        """
-        _rule, _body, guards, _variables, _extra = self._plans[idx]
-        entry = self._compiled_rule(idx)
-        contrib: Dict[Key, Value] = {}
-        if self.mode in ("codegen", "batched"):
-            matched = entry.run(guards, instance, contrib)
-            self.stats.valuations += matched
-            self.stats.products += matched
-            return contrib
-        kernel, value_fn, head_key, _head_rel = entry
-        add = self.pops.add
-        matched = [0]
-
-        def emit(valu, slots):
-            matched[0] += 1
-            value = value_fn(valu, slots, instance)
-            key = head_key(valu)
-            if key in contrib:
-                contrib[key] = add(contrib[key], value)
-            else:
-                contrib[key] = value
-
-        kernel.execute(guards, emit)
-        value_fn.flush(self.stats.join)
-        self.stats.valuations += matched[0]
-        self.stats.products += matched[0]
-        return contrib
+    def _apply(
+        self, idx: int, guards: list, instance: Instance,
+        bucket: Dict[Key, Value],
+    ) -> None:
+        """One rule application: ⊕-accumulate plan ``idx``'s matches
+        over ``instance`` into ``bucket`` (keyed by head key alone —
+        the rule's head relation is fixed)."""
+        matched = self.kernel(idx).run(guards, instance, bucket)
+        self.stats.valuations += matched
+        self.stats.products += matched
 
     def ico(self, instance: Instance) -> Instance:
         """One application of the immediate consequence operator."""
@@ -497,9 +378,7 @@ class NaiveEvaluator:
                     bucket[key] = zero
         add = self.pops.add
         poll = self._poll
-        for idx, (rule, body, guards, variables, extra_conjuncts) in enumerate(
-            self._plans
-        ):
+        for idx, (rule, _body, guards, _extra) in enumerate(self._plans):
             if poll is not None:
                 poll()
             bucket = acc.setdefault(rule.head_relation, {})
@@ -523,7 +402,8 @@ class NaiveEvaluator:
                         bool_versions=self._bool_versions,
                         stats=self.stats.join,
                     )
-                    contrib = self._apply_compiled(idx, instance)
+                    contrib = {}
+                    self._apply(idx, guards, instance, contrib)
                     self._contributions[idx] = (versions_now, contrib)
                 if bucket:
                     for key, value in contrib.items():
@@ -540,27 +420,7 @@ class NaiveEvaluator:
                     guards, self.indexes, self._epoch,
                     versions=self._rel_versions,
                 )
-            for valuation, slot_values in enumerate_matches(
-                variables,
-                guards,
-                self.domain,
-                body.condition,
-                self.database.bool_holds,
-                plan=self.plan,
-                stats=self.stats.join,
-                extra_conjuncts=extra_conjuncts,
-            ):
-                self.stats.valuations += 1
-                value = self.evaluator.product_value(
-                    body, valuation, instance, self.idb_names,
-                    slot_values=slot_values,
-                )
-                self.stats.products += 1
-                head_key = tuple(eval_term(t, valuation) for t in rule.head_args)
-                if head_key in bucket:
-                    bucket[head_key] = add(bucket[head_key], value)
-                else:
-                    bucket[head_key] = value
+            self._apply(idx, guards, instance, bucket)
         out = Instance(self.pops)
         out_set = out.set
         for rel, entries in acc.items():
@@ -578,8 +438,17 @@ class NaiveEvaluator:
             trace=trace,
         )
 
-    def run(self, capture_trace: bool = False) -> EvaluationResult:
-        """Iterate the ICO from ``⊥`` until convergence (Algorithm 1).
+    def run(
+        self, capture_trace: bool = False, start: Optional[Instance] = None
+    ) -> EvaluationResult:
+        """Iterate the ICO until convergence (Algorithm 1).
+
+        The chain starts at ``⊥``, or at ``start`` — any ``J`` with
+        ``J ⊑ F(J)`` and ``J ⊑ lfp(F)`` (an iterate of the chain, or
+        the surviving instance of
+        :mod:`repro.core.incremental`'s warm restart), from which it
+        reaches the same least fixpoint; ``steps`` then counts from
+        ``start``.
 
         A tripped budget (wall poll inside :meth:`ico`, or the
         per-iteration size/wall charge) raises
@@ -590,7 +459,7 @@ class NaiveEvaluator:
         attached.
         """
         budget = self.budget
-        current = Instance(self.pops)
+        current = start if start is not None else Instance(self.pops)
         trace: List[Instance] = [current.copy()] if capture_trace else []
         for step in range(self.max_iterations):
             self.stats.iterations += 1

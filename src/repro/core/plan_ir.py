@@ -39,7 +39,7 @@ is planned.  Consumers:
 
 * the interpreted pipeline (:func:`repro.core.planner.execute_ir`, via
   ``enumerate_matches``) walks the IR with generator semantics;
-* the closure kernels (:func:`repro.core.kernels.compile_kernel_ir`)
+* the closure kernels (:func:`repro.core.kernels.compile_kernel`)
   compile each IR node into a nested-closure pipeline;
 * the source-codegen backend (:mod:`repro.core.codegen`) emits one flat
   Python function per IR and ``compile()``-s it.

@@ -47,8 +47,6 @@ own component's relations.
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -64,7 +62,7 @@ from .valuations import is_indexed_plan
 #: The one source of truth for ``schedule=`` choices — consumed by
 #: ``solve()`` validation, the CLI's argparse choices, and the CI
 #: engine-matrix docs (``VALID_ENGINES`` lives in :mod:`.kernels`).
-VALID_SCHEDULES: Tuple[str, ...] = ("auto", "scc", "parallel", "monolithic")
+VALID_SCHEDULES: Tuple[str, ...] = ("auto", "scc", "monolithic")
 
 
 @dataclass
@@ -212,8 +210,7 @@ def _restrict_to_roots(components: Any, roots: Tuple[str, ...]) -> Any:
     "Reachable" runs against the dependency direction: keep every
     component containing a root relation plus, transitively, every
     component it reads (``dependencies``).  Indices are remapped so the
-    filtered :class:`~repro.analysis.graphs.Condensation` stays valid
-    for both the sequential loop and the parallel readiness DAG.
+    filtered :class:`~repro.analysis.graphs.Condensation` stays valid.
     """
     from ..analysis.graphs import Condensation  # local: avoids a cycle
 
@@ -251,8 +248,6 @@ def scheduled_fixpoint(
     plan: str = "indexed",
     total_heads: Optional[bool] = None,
     engine: str = "auto",
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
     workers: int = 1,
     budget: Optional[Budget] = None,
     roots: Optional[Tuple[str, ...]] = None,
@@ -273,17 +268,10 @@ def scheduled_fixpoint(
             keeps the per-POPS default).
         engine: Join/evaluation pipeline for the per-stratum evaluators
             (``"auto"`` → generated kernels on indexed plans).
-        parallel: Evaluate **independent** components of the
-            condensation concurrently (see :func:`_parallel_schedule`);
-            results and reports keep the deterministic schedule order.
-        max_workers: Thread-pool width for ``parallel`` (defaults to
-            the CPU count).
         workers: Shard count for recursive semi-naïve strata — ``> 1``
             runs each such stratum's fixpoint on the sharded
             multi-process engine (:mod:`repro.core.sharded`) with its
             delta hash-partitioned across persistent workers.
-            Orthogonal to ``parallel`` (which overlaps *independent*
-            strata; sharding splits the work *inside* one stratum).
         budget: Optional solve-time :class:`~repro.core.guardrails.Budget`.
             Each stratum evaluator charges its in-flight instance size
             against it; completed strata are committed so the tuple
@@ -328,22 +316,6 @@ def scheduled_fixpoint(
     domain: List[Any] = sorted(
         database.active_domain() | program.constants(), key=repr
     )
-    if parallel and len(components) > 1:
-        return _parallel_schedule(
-            program,
-            database,
-            components,
-            domain,
-            method=method,
-            functions=functions,
-            max_iterations=max_iterations,
-            plan=plan,
-            total_heads=total_heads,
-            engine=engine,
-            max_workers=max_workers,
-            workers=workers,
-            budget=budget,
-        )
     stats = EvalStats()
     indexes = IndexManager(stats=stats.join) if is_indexed_plan(plan) else None
     # Database.__post_init__ re-copies (freezing keys, dropping ⊥), so
@@ -440,224 +412,6 @@ def scheduled_fixpoint(
     snapshot = stats.snapshot()
     snapshot["strata"] = len(reports)
     snapshot["recursive_strata"] = sum(1 for r in reports if r.recursive)
-    if workers > 1:
-        snapshot["shard_workers"] = workers
-    return EvaluationResult(
-        instance=combined,
-        steps=max((r.steps for r in reports), default=0),
-        trace=[],
-        stats=snapshot,
-        strata=reports,
-    )
-
-
-def _component_inputs(program: Program, component: Tuple[str, ...]) -> frozenset:
-    """Every relation name a component's rule bodies may read.
-
-    POPS atoms (including those under interpreted functions), Boolean
-    condition atoms and indicator-bracket atoms all count; presence
-    filtering against the actual database happens at snapshot time.
-    """
-    from .ast import And, BoolAtom, Not, Or
-    from .rules import FuncFactor, Indicator
-
-    names: set = set()
-
-    def walk_condition(cond) -> None:
-        if isinstance(cond, BoolAtom):
-            names.add(cond.relation)
-        elif isinstance(cond, Not):
-            walk_condition(cond.inner)
-        elif isinstance(cond, (And, Or)):
-            for part in cond.parts:
-                walk_condition(part)
-
-    def walk_factor(factor) -> None:
-        if isinstance(factor, Indicator):
-            walk_condition(factor.condition)
-        elif isinstance(factor, FuncFactor):
-            for sub in factor.args:
-                walk_factor(sub)
-
-    members = set(component)
-    for rule in program.rules:
-        if rule.head_relation not in members:
-            continue
-        for body in rule.bodies:
-            for atom, _ in body.atoms():
-                names.add(atom.relation)
-            walk_condition(body.condition)
-            for factor in body.factors:
-                walk_factor(factor)
-    return frozenset(names)
-
-
-def _parallel_schedule(
-    program: Program,
-    database: Database,
-    components,
-    domain: List[Any],
-    method: str,
-    functions: Optional[FunctionRegistry],
-    max_iterations: int,
-    plan: str,
-    total_heads: Optional[bool],
-    engine: str,
-    max_workers: Optional[int],
-    workers: int = 1,
-    budget: Optional[Budget] = None,
-) -> EvaluationResult:
-    """Evaluate independent condensation branches concurrently.
-
-    The coordinator walks the condensation DAG: a component is
-    *ready* once every component it reads from has published its
-    fixpoint, and all ready components run simultaneously on a thread
-    pool.  Isolation keeps this safe without locks in the hot path:
-
-    * every worker gets its **own** :class:`~repro.core.instance.Database`
-      snapshot (built by the coordinator from the already-published
-      frozen stores — nobody mutates shared state mid-flight), its own
-      :class:`~repro.core.naive.EvalStats` and its own
-      :class:`~repro.core.indexes.IndexManager`;
-    * publication (and the next snapshot) happens only on the
-      coordinator thread, after a worker finishes.
-
-    Results, per-stratum reports and the merged counters are assembled
-    in the condensation's deterministic schedule order, so the computed
-    fixpoint is identical to the sequential ``schedule="scc"`` run —
-    the per-worker index caches trade some cross-stratum index reuse
-    (and the adaptive-estimate sharing that rides it) for wall-clock
-    overlap on wide condensations.  On GIL builds of CPython the
-    overlap is bounded by the interpreter lock; the isolation structure
-    is what free-threaded builds need to scale with cores.
-    """
-    pops = database.pops
-    n = len(components.components)
-    frozen: Dict[str, Dict] = {}
-    results: List[Optional[Tuple[Instance, int, EvalStats]]] = [None] * n
-    waiting = {i: set(deps) for i, deps in enumerate(components.dependencies)}
-    inputs = [
-        _component_inputs(program, comp) for comp in components.components
-    ]
-
-    def snapshot_database(i: int) -> Database:
-        # Only the relations component ``i``'s bodies actually read:
-        # Database construction re-freezes every entry it is handed, so
-        # snapshotting the whole store per submission would pay
-        # O(database) per component even on chain-shaped condensations.
-        needed = inputs[i]
-        relations = {
-            rel: frozen.get(rel, database.relations.get(rel))
-            for rel in needed
-            if rel in frozen or rel in database.relations
-        }
-        bool_relations = {
-            rel: database.bool_relations[rel]
-            for rel in needed
-            if rel in database.bool_relations
-        }
-        return Database(
-            pops=pops,
-            relations=relations,
-            bool_relations=bool_relations,
-        )
-
-    def run_component(i: int, working: Database) -> Tuple[int, Instance, int, EvalStats]:
-        sub = _sub_program(program, components.components[i])
-        stats = EvalStats()
-        indexes = (
-            IndexManager(stats=stats.join) if is_indexed_plan(plan) else None
-        )
-        instance, steps = _evaluate_component(
-            sub,
-            working,
-            components.recursive[i],
-            method,
-            functions,
-            max_iterations,
-            plan,
-            total_heads,
-            domain,
-            stats,
-            indexes,
-            engine,
-            workers,
-            budget,
-        )
-        return i, instance, steps, stats
-
-    pool_width = max_workers or os.cpu_count() or 1
-    submitted: set = set()
-    with concurrent.futures.ThreadPoolExecutor(max_workers=pool_width) as pool:
-        futures: Dict[concurrent.futures.Future, int] = {}
-
-        def submit_ready() -> None:
-            for i in range(n):
-                if i in submitted or waiting[i]:
-                    continue
-                submitted.add(i)
-                futures[pool.submit(run_component, i, snapshot_database(i))] = i
-
-        submit_ready()
-        while futures:
-            done, _ = concurrent.futures.wait(
-                futures, return_when=concurrent.futures.FIRST_COMPLETED
-            )
-            for future in done:
-                i = futures.pop(future)
-                try:
-                    _i, instance, steps, stats = future.result()
-                except BudgetExceeded as exc:
-                    for pending in futures:
-                        pending.cancel()
-                    partial = Instance(pops)
-                    for rel, support in frozen.items():
-                        partial.update(rel, support)
-                    inner = exc.partial
-                    if inner is not None:
-                        for rel in components.components[i]:
-                            partial.update(rel, inner.instance.support(rel))
-                    exc.partial = PartialResult(
-                        instance=partial,
-                        steps=inner.steps if inner is not None else 0,
-                        stats={"parallel_workers": pool_width},
-                        strata=[],
-                        delta=inner.delta if inner is not None else None,
-                        trace=inner.trace if inner is not None else [],
-                    )
-                    raise
-                results[i] = (instance, steps, stats)
-                for rel in components.components[i]:
-                    frozen[rel] = dict(instance.support(rel))
-                if budget is not None:
-                    budget.commit_tuples(instance.size())
-                for deps in waiting.values():
-                    deps.discard(i)
-            submit_ready()
-
-    combined = Instance(pops)
-    totals = EvalStats()
-    reports: List[StratumReport] = []
-    for i in range(n):
-        instance, steps, stats = results[i]
-        totals.merge(stats)
-        reports.append(
-            StratumReport(
-                relations=components.components[i],
-                recursive=components.recursive[i],
-                steps=steps,
-                iterations=stats.iterations,
-                rule_applications=stats.rule_applications,
-                valuations=stats.valuations,
-            )
-        )
-        for rel in components.components[i]:
-            combined.update(rel, instance.support(rel))
-
-    snapshot = totals.snapshot()
-    snapshot["strata"] = len(reports)
-    snapshot["recursive_strata"] = sum(1 for r in reports if r.recursive)
-    snapshot["parallel_workers"] = pool_width
     if workers > 1:
         snapshot["shard_workers"] = workers
     return EvaluationResult(

@@ -46,26 +46,18 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..semirings.base import FunctionRegistry, Value
-from .ast import Constant, Variable, eval_term
+from .ast import Constant, Variable
 from .guardrails import Budget, BudgetExceeded, PartialResult, attach_partial
 from .indexes import IndexManager, KeyIndex
 from .instance import Database, Instance, Key
-from .kernels import (
-    KernelCache,
-    VariantValue,
-    compile_kernel,
-    compile_key,
-    resolve_engine_mode,
-)
+from .kernels import BodyKernels
 from .naive import EvalStats, EvaluationResult, NaiveEvaluator
 from .rules import FuncFactor, Program, RelAtom, Rule, SumProduct, factor_atoms
 from .valuations import (
-    FactorEvaluator,
     Guard,
-    enumerate_matches,
     is_indexed_plan,
-    plan_ordering,
     pushable_indicator_conditions,
+    variant_store,
 )
 from .ast import positive_bool_atoms
 
@@ -116,13 +108,8 @@ class SemiNaiveEvaluator:
         self._poll = budget.wall_hook() if budget is not None else None
         self.plan = plan
         self.engine = engine
-        self.mode = resolve_engine_mode(engine, plan)
-        self.compiled = self.mode != "interpreted"
         self.idb_names = program.idb_names()
         self.stats = stats if stats is not None else EvalStats()
-        self.evaluator = FactorEvaluator(
-            self.pops, database, self.functions, stats=self.stats.join
-        )
         if domain is not None:
             self.domain: List = list(domain)
         else:
@@ -139,7 +126,13 @@ class SemiNaiveEvaluator:
         #: ranks after the delta — so the per-iteration ``new.copy()``
         #: that preserves it can be skipped and ``new`` merged in place.
         self._linear = program.is_linear()
-        self._kernels = KernelCache(stats=self.stats.join)
+        #: One kernel per (plan, delta occurrence ``j``).
+        self._kernels = BodyKernels(
+            engine, plan, database, self.functions, self.idb_names,
+            self.domain, stats=self.stats.join, poll=self._poll,
+        )
+        self.mode = self._kernels.mode
+        self.compiled = self.mode != "interpreted"
         #: Compiled-engine guard cache: (plan, j) -> (guards, delta
         #: guards).  Guard lists are structurally iteration-invariant;
         #: only the delta occurrence's index changes per iteration, so
@@ -153,9 +146,6 @@ class SemiNaiveEvaluator:
         #: relation per iteration, shared by every variant whose delta
         #: occurrence reads that relation.
         self._delta_indexes: Dict[str, Tuple[Instance, KeyIndex]] = {}
-        #: The empty IDB the interpreted path evaluates EDB factors
-        #: against (never written).
-        self._empty = Instance(self.pops)
 
     # ------------------------------------------------------------------
     def _validate(self) -> None:
@@ -213,9 +203,9 @@ class SemiNaiveEvaluator:
 
         Guards whose index covers the *same* store the variant reads
         (delta at ``j``, ``new`` before it, EDB relations) carry the
-        stored values into the probe (``carries_value``), so
-        :meth:`_variant_value` skips the second hash lookup; ``old``
-        occurrences probe ``new``'s index and therefore stay key-only.
+        stored values into the probe (``carries_value``), so the
+        kernel skips the second hash lookup; ``old`` occurrences probe
+        ``new``'s index and therefore stay key-only.
         """
         indexed = is_indexed_plan(self.plan)
         guards: List[Guard] = []
@@ -235,13 +225,14 @@ class SemiNaiveEvaluator:
                 )
             )
         sparse = self.pops.is_semiring and self.pops.is_naturally_ordered
+        state = (new, delta, old)
         rank = 0
         for i, factor in enumerate(body.factors):
             if not isinstance(factor, RelAtom):
                 continue
             rel_name = factor.relation
             if i in idb_positions:
-                store = self._store_for(rank, j, delta, new, old)
+                store = variant_store(state, rank, j)
                 rank += 1
                 index = None
                 if indexed:
@@ -372,162 +363,26 @@ class SemiNaiveEvaluator:
             )
         return index
 
-    @staticmethod
-    def _store_for(
-        rank: int, j: int, delta: Instance, new: Instance, old: Instance
-    ) -> Instance:
-        """Pick the store per Eq. 64: new before ``j``, delta at, old after."""
-        if rank < j:
-            return new
-        if rank == j:
-            return delta
-        return old
-
-    def _variant_value(
-        self,
-        body: SumProduct,
-        idb_positions: List[int],
-        j: int,
-        valuation: Dict,
-        delta: Instance,
-        new: Instance,
-        old: Instance,
-        slot_values: Optional[Dict[int, Value]] = None,
-    ) -> Value:
-        """Evaluate one differential variant under a valuation.
-
-        ``slot_values`` holds the values that rode the index probes
-        (only from guards whose index covers the variant's own store —
-        see :meth:`_variant_guards`), saving the per-factor hash
-        lookup.
-        """
-        acc = self.pops.one
-        rank = 0
-        for i, factor in enumerate(body.factors):
-            occurrence = i in idb_positions
-            if slot_values and i in slot_values:
-                value = slot_values[i]
-                self.stats.join.value_probe_hits += 1
-            elif occurrence:
-                store = self._store_for(rank, j, delta, new, old)
-                key = tuple(eval_term(a, valuation) for a in factor.args)
-                value = store.get(factor.relation, key)
-                self.stats.join.factor_lookups += 1
-            else:
-                value = self.evaluator.factor_value(
-                    factor, valuation, self._empty, frozenset()
-                )
-            rank += occurrence
-            acc = self.pops.mul(acc, value)
-        self.stats.products += 1
-        return acc
-
-    def _compiled_variant(
-        self,
-        p_idx: int,
-        j: int,
-        guards: List[Guard],
-        rule: Rule,
-        body: SumProduct,
-        idb_positions: List[int],
-        extra_conjuncts,
-    ):
-        """The cached compiled form of one differential variant.
-
-        Compiled from the first iteration's guards; later iterations
-        pass structurally identical guard lists (same construction) so
-        only the index bindings differ — resolved per invocation.
-        ``mode="closures"`` caches the (kernel, value fn, head
-        extractor) tuple; ``mode="codegen"`` caches one generated flat
-        function with the Eq. 64 store routing compiled into its factor
-        expressions.
-        """
-
-        def build():
-            carried = frozenset(
-                g.slot for g in guards if g.carries_value and g.slot is not None
-            )
-            if self.mode in ("codegen", "batched"):
-                if self.mode == "batched":
-                    from .batched import (
-                        build_batched_rule_kernel as generate_rule_kernel,
-                    )
-                else:
-                    from .codegen import generate_rule_kernel
-                from .plan_ir import build_body_plan
-
-                ir, _indexes = build_body_plan(
-                    guards,
-                    variables=body.enumeration_order(),
-                    condition=body.condition,
-                    extra_conjuncts=extra_conjuncts,
-                    order=plan_ordering(self.plan),
-                    stats=self.stats.join,
-                    n_slots=len(body.factors),
-                )
-                generated = generate_rule_kernel(
-                    ir,
-                    body,
-                    rule.head_args,
-                    self.pops,
-                    self.database,
-                    self.functions,
-                    self.idb_names,
-                    self.database.bool_holds,
-                    carried,
-                    self.domain,
-                    stats=self.stats.join,
-                    variant=(tuple(idb_positions), j),
-                    label=f"{rule.head_relation}.{p_idx}.d{j}",
-                )
-                generated.install_poll(self._poll)
-                return generated
-            kernel = compile_kernel(
-                guards,
-                body.enumeration_order(),
-                self.domain,
-                body.condition,
-                self.database.bool_holds,
-                extra_conjuncts=extra_conjuncts,
-                order=plan_ordering(self.plan),
-                stats=self.stats.join,
-                n_slots=len(body.factors),
-            )
-            kernel.install_poll(self._poll)
-            value_fn = VariantValue(
-                body,
-                idb_positions,
-                j,
-                self.pops,
-                self.database,
-                self.functions,
-                self.database.bool_holds,
-                carried,
-            )
-            head_key = compile_key(rule.head_args)
-            return kernel, value_fn, head_key, rule.head_relation
-
-        return self._kernels.get((p_idx, j), build)
-
     # ------------------------------------------------------------------
-    def _iteration_contributions(
+    def contributions(
         self, delta: Instance, new: Instance, old: Instance
     ) -> Dict[str, Dict[Key, Value]]:
         """One differential iteration's head contributions (Eq. 64/65).
 
         Returns per-head-relation buckets of ⊕-accumulated match
-        values.  Factored out of :meth:`run` so the sharded runtime
-        (:mod:`repro.core.sharded`) can drive the *same* code with a
-        partition of the delta: every full-iteration match contains
-        exactly one delta tuple at its variant's occurrence ``j``, so
-        restricting the delta store to one shard yields exactly that
-        shard's slice of the match set — disjoint across shards, and
-        bucket accumulation order within a shard matches the
-        single-process enumeration order.
+        values (the head relation is fixed per rule, so matches
+        accumulate under their head key alone).  :meth:`run` and the
+        sharded runtime (:mod:`repro.core.sharded`) both drive it, the
+        latter with a partition of the delta: every full-iteration
+        match contains exactly one delta tuple at its variant's
+        occurrence ``j``, so restricting the delta store to one shard
+        yields exactly that shard's slice of the match set — disjoint
+        across shards, and bucket accumulation order within a shard
+        matches the single-process enumeration order.
         """
         contributions: Dict[str, Dict[Key, Value]] = {}
-        add = self.pops.add
         poll = self._poll
+        state = (new, delta, old)
         for p_idx, (
             rule, body, idb_positions, extra_conjuncts
         ) in enumerate(self._plans):
@@ -550,8 +405,6 @@ class SemiNaiveEvaluator:
                         # guards are even built.
                         self.stats.rules_skipped += 1
                         continue
-                self.stats.rule_applications += 1
-                if self.compiled:
                     guards = self._compiled_variant_guards(
                         p_idx, j, body, idb_positions, delta, new, old
                     )
@@ -559,70 +412,22 @@ class SemiNaiveEvaluator:
                     guards = self._variant_guards(
                         body, idb_positions, j, delta, new, old
                     )
-                if self.compiled:
-                    entry = self._compiled_variant(
-                        p_idx, j, guards, rule, body,
-                        idb_positions, extra_conjuncts,
-                    )
-                    if self.mode in ("codegen", "batched"):
-                        bucket = contributions.setdefault(
-                            rule.head_relation, {}
-                        )
-                        matched_n = entry.run(
-                            guards, (new, delta, old), bucket
-                        )
-                        self.stats.valuations += matched_n
-                        self.stats.products += matched_n
-                        continue
-                    kernel, value_fn, head_key, head_rel = entry
-                    stores = (new, delta, old)
-                    matched = [0]
-                    bucket = contributions.setdefault(head_rel, {})
-
-                    def emit(
-                        valu, slots,
-                        _value=value_fn, _head=head_key,
-                        _bucket=bucket, _stores=stores,
-                        _n=matched,
-                    ):
-                        _n[0] += 1
-                        value = _value(valu, slots, _stores)
-                        key = _head(valu)
-                        if key in _bucket:
-                            _bucket[key] = add(_bucket[key], value)
-                        else:
-                            _bucket[key] = value
-
-                    kernel.execute(guards, emit)
-                    value_fn.flush(self.stats.join)
-                    self.stats.valuations += matched[0]
-                    self.stats.products += matched[0]
-                    continue
-                bucket = contributions.setdefault(rule.head_relation, {})
-                for valuation, slot_values in enumerate_matches(
-                    body.enumeration_order(),
-                    guards,
-                    self.domain,
-                    body.condition,
-                    self.database.bool_holds,
-                    plan=self.plan,
-                    stats=self.stats.join,
+                self.stats.rule_applications += 1
+                # Built from the first iteration's guards; later
+                # iterations pass structurally identical lists (same
+                # construction), only the index bindings differ.
+                kernel = self._kernels.get(
+                    (p_idx, j), guards, body, head_args=rule.head_args,
                     extra_conjuncts=extra_conjuncts,
-                ):
-                    self.stats.valuations += 1
-                    value = self._variant_value(
-                        body, idb_positions, j, valuation, delta, new, old,
-                        slot_values=slot_values,
-                    )
-                    head_key = tuple(
-                        eval_term(t, valuation) for t in rule.head_args
-                    )
-                    if head_key in bucket:
-                        bucket[head_key] = self.pops.add(
-                            bucket[head_key], value
-                        )
-                    else:
-                        bucket[head_key] = value
+                    variant=(tuple(idb_positions), j),
+                    label=f"{rule.head_relation}.{p_idx}.d{j}",
+                )
+                matched = kernel.run(
+                    guards, state,
+                    contributions.setdefault(rule.head_relation, {}),
+                )
+                self.stats.valuations += matched
+                self.stats.products += matched
         return contributions
 
     def advance(
@@ -717,8 +522,19 @@ class SemiNaiveEvaluator:
         )
 
     # ------------------------------------------------------------------
-    def run(self, capture_trace: bool = False) -> EvaluationResult:
+    def run(
+        self,
+        capture_trace: bool = False,
+        start: Optional[Tuple[Instance, Instance, Instance]] = None,
+    ) -> EvaluationResult:
         """Run Algorithm 3 to fixpoint.
+
+        ``start`` enters the loop mid-chain with a ``(δ, new, old)``
+        state — ``new = old ⊕ δ``, as :meth:`advance` returns it —
+        instead of bootstrapping from ``⊥``: any later state of this
+        chain, or the warm restart of :mod:`repro.core.incremental`
+        (``new`` and ``old`` are then the evaluator's to merge into).
+        ``steps`` counts from the start state.
 
         A tripped budget raises
         :class:`~repro.core.guardrails.BudgetExceeded` carrying the
@@ -728,35 +544,33 @@ class SemiNaiveEvaluator:
         only after the iteration's contributions are complete.
         """
         budget = self.budget
-        # J⁽¹⁾ = F(0̄) and δ⁽⁰⁾ = J⁽¹⁾ ⊖ 0̄ = J⁽¹⁾ (b ⊖ 0 = b).
-        empty = Instance(self.pops)
-        try:
-            new = self.bootstrap()
-        except BudgetExceeded as exc:
-            attach_partial(exc, self._partial(empty, 0, None, []))
-            raise
-        # δ⁽⁰⁾ must be its own object: ``advance`` merges later deltas
-        # into ``new`` in place, which would grow an aliased δ⁽⁰⁾ under
-        # the variants still scanning it.
-        delta = new.copy()
-        old = empty
         trace: List[Instance] = []
-        if capture_trace:
-            trace = [empty.copy(), new.copy()]
-        if delta.size() == 0:
-            return EvaluationResult(
-                instance=new, steps=1, trace=trace, stats=self.stats.snapshot()
-            )
+        if start is not None:
+            delta, new, old = start
+        else:
+            # J⁽¹⁾ = F(0̄) and δ⁽⁰⁾ = J⁽¹⁾ ⊖ 0̄ = J⁽¹⁾ (b ⊖ 0 = b).
+            old = Instance(self.pops)
+            try:
+                new = self.bootstrap()
+            except BudgetExceeded as exc:
+                attach_partial(exc, self._partial(old, 0, None, []))
+                raise
+            # δ⁽⁰⁾ must be its own object: ``advance`` merges later
+            # deltas into ``new`` in place, which would grow an aliased
+            # δ⁽⁰⁾ under the variants still scanning it.
+            delta = new.copy()
+            if capture_trace:
+                trace = [old.copy(), new.copy()]
+            if delta.size() == 0:
+                return EvaluationResult(
+                    instance=new, steps=1, trace=trace,
+                    stats=self.stats.snapshot(),
+                )
 
         for step in range(1, self.max_iterations):
             self.stats.iterations += 1
-            # Per-relation buckets: the head relation is fixed per rule,
-            # so matches accumulate under their head key alone (no
-            # (rel, key) tuple allocation per match).
             try:
-                contributions = self._iteration_contributions(
-                    delta, new, old
-                )
+                contributions = self.contributions(delta, new, old)
             except BudgetExceeded as exc:
                 attach_partial(exc, self._partial(new, step, delta, trace))
                 raise

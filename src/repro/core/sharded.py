@@ -3,7 +3,7 @@
 True multicore for GIL builds, BigDatalog-style: the coordinator runs
 Algorithm 3's outer loop while ``N`` persistent workers each run the
 **identical** differential iteration
-(:meth:`~repro.core.seminaive.SemiNaiveEvaluator._iteration_contributions`)
+(:meth:`~repro.core.seminaive.SemiNaiveEvaluator.contributions`)
 with the driving delta restricted to the hash partition they own.
 
 Why this is byte-identical to the single-process engines: every match
@@ -12,8 +12,7 @@ variant's occurrence ``j`` — Theorem 6.5), so the owner partition of
 the delta induces a *disjoint* partition of the match set.  Worker
 ``i``'s bucket is the single-process bucket restricted to its matches,
 accumulated in the single-process enumeration order; the coordinator
-⊕-merges the buckets in shard order 0‥N-1 (the same deterministic
-order the parallel-strata scheduler uses), subtracts against the
+⊕-merges the buckets in shard order 0‥N-1, subtracts against the
 master ``new`` store, and applies the resulting delta exactly as
 :meth:`~repro.core.seminaive.SemiNaiveEvaluator.run` would.  The
 per-iteration ``valuations``/``products`` counters partition with the
@@ -307,7 +306,7 @@ def _worker_loop(
             stats = evaluator.stats
             valuations = stats.valuations
             products = stats.products
-            contributions = evaluator._iteration_contributions(
+            contributions = evaluator.contributions(
                 driving, new, old
             )
             payload = [
@@ -843,7 +842,7 @@ class ShardedSemiNaiveEvaluator:
                             restored = True
                 if contributions is None:
                     try:
-                        contributions = master._iteration_contributions(
+                        contributions = master.contributions(
                             delta, new, old
                         )
                     except BudgetExceeded as exc:

@@ -55,7 +55,7 @@ from .ast import (
     eval_term,
     positive_bool_atoms,
 )
-from .indexes import IndexManager, JoinStats, KeyIndex
+from .indexes import NO_VALUE, IndexManager, JoinStats, KeyIndex
 from .instance import Database, Instance, Key
 from .pushdown import naive_schedule, run_fallback
 from .rules import (
@@ -75,6 +75,11 @@ SlotValues = Dict[int, Value]
 _NO_SLOTS: SlotValues = {}
 
 
+#: The single source of truth for the ``plan=`` knob — shared by
+#: :func:`repro.core.engine.solve` and the ``--plan`` CLI choices.
+VALID_PLANS: Tuple[str, ...] = ("indexed", "indexed-greedy", "naive")
+
+
 def is_indexed_plan(plan: str) -> bool:
     """Whether a plan name selects the hash-index probe pipeline.
 
@@ -89,6 +94,39 @@ def is_indexed_plan(plan: str) -> bool:
 def plan_ordering(plan: str) -> str:
     """The :func:`repro.core.planner.build_plan` ordering for a plan."""
     return "greedy" if plan == "indexed-greedy" else "cost"
+
+
+def plan_body(
+    guards: Sequence["Guard"],
+    variables: Sequence[str],
+    condition: Condition,
+    plan: str = "indexed",
+    stats: Optional[JoinStats] = None,
+    extra_conjuncts: Sequence[Condition] = (),
+    bound: Iterable[str] = (),
+    n_slots: int = 0,
+):
+    """Plan one body under an indexed ``plan`` into the Plan IR.
+
+    The one planning call every executor shares: the interpreted
+    pipeline (:func:`enumerate_matches`) makes it per rule
+    application, the compiled backends
+    (:class:`repro.core.kernels.BodyKernels`) once per kernel.
+    Returns :func:`repro.core.plan_ir.build_body_plan`'s ``(ir,
+    per-guard indexes)`` pair.
+    """
+    from .plan_ir import build_body_plan  # local: plan_ir → planner → here
+
+    return build_body_plan(
+        guards,
+        variables=variables,
+        condition=condition,
+        bound=bound,
+        extra_conjuncts=extra_conjuncts,
+        order=plan_ordering(plan),
+        stats=stats,
+        n_slots=n_slots,
+    )
 
 
 @dataclass
@@ -191,17 +229,16 @@ def enumerate_matches(
         # Plan once into the backend-neutral IR, then interpret it —
         # the same IR the closure kernels and the codegen backend
         # compile (see :mod:`repro.core.plan_ir`).
-        from .plan_ir import build_body_plan
         from .planner import execute_ir
 
-        ir, indexes = build_body_plan(
+        ir, indexes = plan_body(
             usable,
-            variables=variables,
-            condition=condition,
-            bound=set(base_valuation),
-            extra_conjuncts=extra_conjuncts,
-            order=plan_ordering(plan),
+            variables,
+            condition,
+            plan=plan,
             stats=stats,
+            extra_conjuncts=extra_conjuncts,
+            bound=base_valuation,
         )
         yield from execute_ir(
             ir,
@@ -430,6 +467,136 @@ class FactorEvaluator:
                     yield self.factor_value(factor, valuation, idb, idb_names)
 
         return self.pops.mul_many(values())
+
+
+def variant_store(state: Tuple[Instance, Instance, Instance], rank: int, j: int):
+    """Eq. 64's store for the IDB occurrence of rank ``rank`` when
+    occurrence ``j`` reads the delta: ``state`` is the ``(new, delta,
+    old)`` triple — new before ``j``, delta at it, old after."""
+    return state[(rank >= j) + (rank > j)]
+
+
+class InterpretedKernel:
+    """The re-planning reference pipeline behind the body-application
+    seam (:class:`repro.core.kernels.BodyKernels`).
+
+    Same contract as the compiled backends — ``run(guards, state,
+    bucket)`` ⊕-accumulates every match's ⊗-product into ``bucket``
+    under its head key and returns the match count; ``execute(guards,
+    emit)`` streams ``emit(valuation, slots)`` per match — but nothing
+    is compiled or kept between applications: each one re-plans the
+    body (:func:`enumerate_matches`) and evaluates factors through
+    :class:`FactorEvaluator`, which is what makes
+    ``engine="interpreted"`` the differential baseline.
+
+    ``variant=(idb_positions, j)`` selects the semi-naïve differential
+    variant (Theorem 6.5): ``state`` is then the ``(new, delta, old)``
+    triple and each IDB occurrence reads the store
+    :func:`variant_store` assigns it; every other factor evaluates
+    with EDB semantics (empty IDB).
+    """
+
+    def __init__(
+        self,
+        body: SumProduct,
+        head_args: Optional[Tuple],
+        pops: POPS,
+        database: Database,
+        functions: Optional[FunctionRegistry],
+        idb_names: frozenset,
+        fallback_domain: Sequence[Any],
+        plan: str,
+        stats: Optional[JoinStats] = None,
+        extra_conjuncts: Sequence[Condition] = (),
+        variant: Optional[Tuple[Sequence[int], int]] = None,
+    ):
+        self._body = body
+        self._head_args = head_args
+        self._pops = pops
+        self._bool_lookup = database.bool_holds
+        self._idb_names = idb_names
+        self._domain = fallback_domain
+        self._plan = plan
+        self._stats = stats
+        self._extra = extra_conjuncts
+        self._variant = variant
+        self._variables = body.enumeration_order()
+        self._evaluator = FactorEvaluator(pops, database, functions, stats=stats)
+        #: The empty IDB a variant's non-occurrence factors evaluate
+        #: against (never written).
+        self._empty = Instance(pops)
+
+    def install_poll(self, poll) -> None:
+        """No prologue to arm: the evaluators poll once per
+        application, before they call :meth:`run`."""
+
+    def _matches(self, guards: Sequence[Guard]):
+        return enumerate_matches(
+            self._variables,
+            guards,
+            self._domain,
+            self._body.condition,
+            self._bool_lookup,
+            plan=self._plan,
+            stats=self._stats,
+            extra_conjuncts=self._extra,
+        )
+
+    def execute(self, guards: Sequence[Guard], emit: Callable) -> None:
+        n_slots = len(self._body.factors)
+        for valuation, slot_values in self._matches(guards):
+            slots = [NO_VALUE] * n_slots
+            for i, value in slot_values.items():
+                slots[i] = value
+            emit(valuation, slots)
+
+    def run(self, guards: Sequence[Guard], state, bucket: Dict[Key, Value]) -> int:
+        body, head_args, add = self._body, self._head_args, self._pops.add
+        product_value = self._evaluator.product_value
+        idb_names, plain = self._idb_names, self._variant is None
+        matched = 0
+        for valuation, slot_values in self._matches(guards):
+            matched += 1
+            if plain:
+                value = product_value(
+                    body, valuation, state, idb_names, slot_values=slot_values
+                )
+            else:
+                value = self._variant_value(valuation, state, slot_values)
+            head_key = tuple(eval_term(t, valuation) for t in head_args)
+            if head_key in bucket:
+                bucket[head_key] = add(bucket[head_key], value)
+            else:
+                bucket[head_key] = value
+        return matched
+
+    def _variant_value(
+        self, valuation: Valuation, state, slot_values: SlotValues
+    ) -> Value:
+        """One differential variant's ⊗-product; ``slot_values`` come
+        only from guards whose index covers the variant's own store."""
+        idb_positions, j = self._variant
+        stats = self._stats
+        acc = self._pops.one
+        rank = 0
+        for i, factor in enumerate(self._body.factors):
+            occurrence = i in idb_positions
+            if i in slot_values:
+                value = slot_values[i]
+                if stats is not None:
+                    stats.value_probe_hits += 1
+            elif occurrence:
+                key = tuple(eval_term(a, valuation) for a in factor.args)
+                value = variant_store(state, rank, j).get(factor.relation, key)
+                if stats is not None:
+                    stats.factor_lookups += 1
+            else:
+                value = self._evaluator.factor_value(
+                    factor, valuation, self._empty, frozenset()
+                )
+            rank += occurrence
+            acc = self._pops.mul(acc, value)
+        return acc
 
 
 def body_guards(

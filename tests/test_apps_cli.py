@@ -165,7 +165,7 @@ class TestCli:
         assert code == 0
         assert "T(a, c) = 4.0" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("schedule", ["scc", "parallel", "monolithic"])
+    @pytest.mark.parametrize("schedule", ["scc", "monolithic"])
     def test_run_schedule_flag(self, tc_files, capsys, schedule):
         program, edb = tc_files
         code = main([
@@ -307,7 +307,7 @@ class TestValidListsDeduped:
         )
 
         assert VALID_SCHEDULES is scheduler_schedules
-        assert VALID_SCHEDULES == ("auto", "scc", "parallel", "monolithic")
+        assert VALID_SCHEDULES == ("auto", "scc", "monolithic")
 
     def test_solve_names_valid_schedules(self):
         from repro import core, workloads
@@ -322,9 +322,42 @@ class TestValidListsDeduped:
         with pytest.raises(ValueError, match="monolithic"):
             core.solve(program, db, schedule="bogus")
 
+    def test_valid_plans_single_source(self):
+        from repro.core import VALID_PLANS
+        from repro.core.valuations import (
+            VALID_PLANS as valuations_plans,
+            is_indexed_plan,
+        )
+
+        assert VALID_PLANS is valuations_plans
+        assert VALID_PLANS == ("indexed", "indexed-greedy", "naive")
+        assert [p for p in VALID_PLANS if not is_indexed_plan(p)] == ["naive"]
+
+    @pytest.mark.parametrize(
+        "knob,names", [("method", "seminaive"), ("plan", "indexed-greedy")]
+    )
+    def test_solve_rejects_unknown_method_and_plan_up_front(
+        self, knob, names, monkeypatch
+    ):
+        from repro import core
+        from repro.core import engine
+        from repro.semirings import TROP
+
+        def no_preflight(*_args, **_kwargs):
+            raise AssertionError("validated only after the pre-flight ran")
+
+        monkeypatch.setattr(engine, "run_preflight", no_preflight)
+        db = core.Database(pops=TROP, relations={"E": {("a", "b"): 1.0}})
+        program = core.parse_program(
+            "T(X, Y) :- E(X, Y) | T(X, Z) * E(Z, Y).\n"
+        )
+        for query in (None, "T(a,?)"):
+            with pytest.raises(ValueError, match=f"unknown {knob}.*{names}"):
+                core.solve(program, db, query=query, **{knob: "bogus"})
+
     def test_cli_choices_track_the_lists(self):
         from repro.cli import build_parser
-        from repro.core import VALID_ENGINES, VALID_SCHEDULES
+        from repro.core import VALID_ENGINES, VALID_PLANS, VALID_SCHEDULES
 
         parser = build_parser()
         run_parser = next(
@@ -334,6 +367,10 @@ class TestValidListsDeduped:
         by_dest = {a.dest: a for a in run_parser._actions}
         assert tuple(by_dest["schedule"].choices) == VALID_SCHEDULES
         assert tuple(by_dest["engine"].choices) == tuple(VALID_ENGINES)
+        assert by_dest["plan"].choices is VALID_PLANS
+        serve_parser = parser._subparsers._group_actions[0].choices["serve"]
+        serve_dest = {a.dest: a for a in serve_parser._actions}
+        assert serve_dest["plan"].choices is VALID_PLANS
 
 
 class TestServeCli:

@@ -115,7 +115,7 @@ def _weighted_db(n=12, p=0.3, seed=7):
 
 class TestBatchedDifferentials:
     @pytest.mark.parametrize("method", ["naive", "seminaive"])
-    @pytest.mark.parametrize("schedule", ["monolithic", "scc", "parallel"])
+    @pytest.mark.parametrize("schedule", ["monolithic", "scc"])
     def test_apsp_all_schedules(self, method, schedule):
         db = _weighted_db()
         results = {

@@ -1,4 +1,4 @@
-"""Compiled join kernels, delta-driven activation, parallel strata.
+"""Compiled join kernels and delta-driven activation.
 
 Covers the compiled evaluation pipeline end to end:
 
@@ -13,8 +13,6 @@ Covers the compiled evaluation pipeline end to end:
   bodies with unchanged inputs reuse their cached contribution,
   semi-naïve variants with empty delta stores are dropped outright —
   with identical fixpoints;
-* ``schedule="parallel"``: independent condensation branches evaluate
-  concurrently with deterministic reports and identical fixpoints;
 * the ``engine=`` knob's validation and the grounded/hybrid wiring.
 """
 
@@ -36,7 +34,6 @@ from repro.core.rules import (
     Rule,
     SumProduct,
 )
-from repro.core.scheduler import scheduled_fixpoint
 from repro.semirings import BOOL, LIFTED_REAL, REAL_PLUS, THREE, TROP
 
 ENGINES = ("compiled", "interpreted")
@@ -53,7 +50,7 @@ def _line_db(n=10, pops=TROP):
 
 class TestCompiledDifferentials:
     @pytest.mark.parametrize("method", ["naive", "seminaive"])
-    @pytest.mark.parametrize("schedule", ["monolithic", "scc", "parallel"])
+    @pytest.mark.parametrize("schedule", ["monolithic", "scc"])
     def test_sssp_line(self, method, schedule):
         db = _line_db(12)
         compiled = solve(
@@ -413,9 +410,9 @@ def _wide_program():
     return Program(rules=rules, edbs={"A": 1, "E": 2})
 
 
-class TestParallelSchedule:
+class TestWideCondensation:
     @pytest.mark.parametrize("method", ["naive", "seminaive"])
-    def test_parallel_equals_monolithic(self, method):
+    def test_scc_equals_monolithic(self, method):
         prog = _wide_program()
         db = Database(
             pops=TROP,
@@ -424,37 +421,9 @@ class TestParallelSchedule:
                 "E": dict(workloads.line_edges(8)),
             },
         )
-        par = solve(prog, db, method=method, schedule="parallel")
         mono = solve(prog, db, method=method, schedule="monolithic")
         scc = solve(prog, db, method=method, schedule="scc")
-        assert par.instance.equals(mono.instance)
         assert scc.instance.equals(mono.instance)
-        assert par.stats["strata"] == scc.stats["strata"]
-        assert par.stats["parallel_workers"] >= 1
-        # Reports keep the deterministic condensation order.
-        assert [r.relations for r in par.strata] == [
-            r.relations for r in scc.strata
-        ]
-
-    def test_parallel_worker_isolation_counters(self):
-        prog = _wide_program()
-        db = Database(
-            pops=TROP,
-            relations={"A": {(0,): 0.0}, "E": dict(workloads.line_edges(6))},
-        )
-        par = scheduled_fixpoint(prog, db, parallel=True, max_workers=4)
-        seq = scheduled_fixpoint(prog, db)
-        assert par.instance.equals(seq.instance)
-        # Total fixpoint progress is schedule-independent.
-        assert par.stats["iterations"] == seq.stats["iterations"]
-        assert (
-            par.stats["rule_applications"] == seq.stats["rule_applications"]
-        )
-
-    def test_parallel_trace_capture_rejected(self):
-        db = _line_db(4)
-        with pytest.raises(ValueError):
-            solve(programs.sssp(0), db, schedule="parallel", capture_trace=True)
 
 
 # ---------------------------------------------------------------------------
@@ -571,17 +540,6 @@ class TestCompiledInvariance:
         interpreted = solve(prog, db, engine="interpreted", max_iterations=400)
         compiled = solve(prog, db, engine="compiled", max_iterations=400)
         assert compiled.instance.equals(interpreted.instance)
-
-    @settings(max_examples=25, deadline=None)
-    @given(_program_spec)
-    def test_parallel_schedule_invariance(self, spec):
-        prog = _build_program(spec, acyclic=False)
-        db = _database(TROP, [1.0, 2.0, 4.0])
-        mono = solve(
-            prog, db, schedule="monolithic", max_iterations=400
-        )
-        par = solve(prog, db, schedule="parallel", max_iterations=400)
-        assert par.instance.equals(mono.instance)
 
 
 class TestTotalHeadsCompiled:

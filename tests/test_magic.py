@@ -245,7 +245,7 @@ class TestModernEngineSurface:
         edges = workloads.random_weighted_digraph(8, 0.3, seed=3)
         return Database(pops=TROP, relations={"E": dict(edges)})
 
-    @pytest.mark.parametrize("schedule", ["scc", "parallel", "monolithic"])
+    @pytest.mark.parametrize("schedule", ["scc", "monolithic"])
     @pytest.mark.parametrize(
         "engine", ["interpreted", "compiled", "codegen", "batched"]
     )
@@ -323,7 +323,7 @@ class TestDemandPathSurface:
             },
         )
 
-    @pytest.mark.parametrize("schedule", ["scc", "parallel"])
+    @pytest.mark.parametrize("schedule", ["scc"])
     @pytest.mark.parametrize(
         "engine", ["interpreted", "compiled", "codegen", "batched"]
     )

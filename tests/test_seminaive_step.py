@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import programs
-from repro.core import Database, Instance, SemiNaiveEvaluator
+from repro.core import Database, Instance, NaiveEvaluator, SemiNaiveEvaluator
 from repro.core.guardrails import Budget, BudgetExceeded
 from repro.semirings import (
     BOOL,
@@ -83,7 +83,7 @@ def reference_chain(evaluator):
     delta, old = new.copy(), Instance(evaluator.pops)
     deltas = []
     for step in range(1, 200):
-        buckets = evaluator._iteration_contributions(delta, new, old)
+        buckets = evaluator.contributions(delta, new, old)
         old = new
         delta, new = reference_step(evaluator, buckets, new)
         deltas.append(delta.as_dict())
@@ -179,3 +179,101 @@ def test_wall_trip_partial_is_a_fully_applied_iterate(program, engine):
     else:
         raise AssertionError("run never finished under the poll budget")
     assert trips > len(chain)  # tripped inside iterations, not only between
+
+
+# ---------------------------------------------------------------------------
+# Warm start: ``run(start=…)`` enters the one loop mid-chain.
+# ---------------------------------------------------------------------------
+
+
+def _cycle_db():
+    edges = {(i, i + 1): float(i % 3 + 1) for i in range(6)}
+    edges[(6, 2)] = 1.0
+    return Database(pops=TROP, relations={"E": edges})
+
+
+def _recorded_states(prog, db, engine):
+    """A cold run plus a private copy of the ``(δ, new, old)`` state
+    after the bootstrap and after every ``advance``."""
+    evaluator = SemiNaiveEvaluator(prog, db, engine=engine)
+    states = []
+    bootstrap, advance = evaluator.bootstrap, evaluator.advance
+
+    def recording_bootstrap():
+        new = bootstrap()
+        states.append((new.copy(), new.copy(), Instance(evaluator.pops)))
+        return new
+
+    def recording_advance(buckets, new):
+        old = new.copy()
+        delta, merged = advance(buckets, new)
+        states.append((delta.copy(), merged.copy(), old))
+        return delta, merged
+
+    evaluator.bootstrap = recording_bootstrap
+    evaluator.advance = recording_advance
+    return evaluator.run(), states
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("program", ["linear_tc", "quadratic_tc"])
+def test_seminaive_warm_start_from_every_state_of_a_cold_run(program, engine):
+    prog, db = PROGRAMS[program](), _cycle_db()
+    cold, states = _recorded_states(prog, db, engine)
+    assert len(states) > 3
+    # The last recorded state has δ = 0: the step that saw the fixpoint.
+    for before, (delta, new, old) in enumerate(states[:-1]):
+        warm = SemiNaiveEvaluator(prog, db, engine=engine).run(
+            start=(delta.copy(), new.copy(), old.copy())
+        )
+        assert warm.instance.as_dict() == cold.instance.as_dict(), before
+        assert before + warm.steps == cold.steps, before
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("program", ["linear_tc", "quadratic_tc"])
+def test_naive_warm_start_from_every_iterate_of_a_cold_run(program, engine):
+    prog, db = PROGRAMS[program](), _cycle_db()
+    cold = NaiveEvaluator(prog, db, engine=engine).run(capture_trace=True)
+    assert cold.steps > 3
+    for t, iterate in enumerate(cold.trace[: cold.steps + 1]):
+        warm = NaiveEvaluator(prog, db, engine=engine).run(start=iterate.copy())
+        assert warm.instance.as_dict() == cold.instance.as_dict(), t
+        assert t + warm.steps == cold.steps, t
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("method", ["naive", "seminaive"])
+def test_budget_trip_in_a_warm_continuation_carries_a_sound_partial(
+    method, engine
+):
+    """A trip inside ``run(start=…)`` is the loop's own structured
+    refusal: the partial is a fully applied iterate ⊑ the fixpoint."""
+    prog, db = PROGRAMS["quadratic_tc"](), _cycle_db()
+    cold, states = _recorded_states(prog, db, engine)
+    delta, new, old = states[1]
+    fixpoint = cold.instance
+    trips = 0
+    for trip in range(1, 500):
+        budget = TripAt(trip)
+        try:
+            if method == "naive":
+                NaiveEvaluator(prog, db, engine=engine, budget=budget).run(
+                    start=new.copy()
+                )
+            else:
+                SemiNaiveEvaluator(prog, db, engine=engine, budget=budget).run(
+                    start=(delta.copy(), new.copy(), old.copy())
+                )
+        except BudgetExceeded as exc:
+            trips += 1
+            partial = exc.partial.instance
+            assert partial.size() >= new.size(), trip
+            for rel in partial.relations():
+                for key, value in partial.support(rel).items():
+                    assert TROP.leq(value, fixpoint.get(rel, key)), (trip, key)
+        else:
+            break
+    else:
+        raise AssertionError("warm run never finished under the poll budget")
+    assert trips > 2

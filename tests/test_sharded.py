@@ -238,7 +238,7 @@ class TestShardedDifferentials:
     def test_apsp_trop(self, workers):
         _assert_sharded_matches(programs.apsp(), _weighted_db(), workers)
 
-    @pytest.mark.parametrize("schedule", ["monolithic", "scc", "parallel"])
+    @pytest.mark.parametrize("schedule", ["monolithic", "scc"])
     def test_apsp_all_schedules(self, schedule):
         _assert_sharded_matches(
             programs.apsp(), _weighted_db(), 2, schedule=schedule
