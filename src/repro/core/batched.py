@@ -824,8 +824,9 @@ class BatchedKernel:
     def _edb_factor_col(self, relation: str, key_fn) -> Tuple[Callable, int]:
         bottom = self._pops.bottom
         database = self._database
-        if relation in database.relations:
-            store_get = database.relations[relation].get
+        store = database.raw_support(relation)
+        if store is not None:
+            store_get = store.get
 
             def col(cols, n, state, _kf=key_fn, _g=store_get, _b=bottom):
                 return [_g(k, _b) for k in _kf(cols, n)]

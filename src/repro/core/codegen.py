@@ -393,8 +393,9 @@ class _SourceGen:
         self, relation: str, rel: str, key: str
     ) -> Tuple[str, int]:
         bottom = self.ref(self.pops.bottom, "bot")
-        if relation in self.database.relations:
-            get = self.ref(self.database.relations[relation].get, f"s_{relation}")
+        store = self.database.raw_support(relation)
+        if store is not None:
+            get = self.ref(store.get, f"s_{relation}")
             return f"{get}({key}, {bottom})", 1
         if relation in self.database.bool_relations:
             store = self.ref(self.database.bool_relations[relation], f"b_{relation}")

@@ -579,6 +579,22 @@ def _validate_query(program: Program, q: DemandQuery) -> None:
         )
 
 
+def _analyse(
+    program: Program, q: DemandQuery, pops: POPS
+) -> Tuple[DemandVerdict, _Rewrite]:
+    """The verdict and the rewrite of one validated query: the
+    structural walk runs once and serves both."""
+    reasons = _pops_reasons(pops)
+    walk = _walk(program, q, pops)
+    reasons.extend(dict.fromkeys(walk.problems))  # dedup, keep order
+    verdict = DemandVerdict(
+        supported=not reasons,
+        reasons=tuple(reasons),
+        adornments=tuple(walk.adornments),
+    )
+    return verdict, walk
+
+
 def demand_verdict(
     program: Program, query: QueryLike, pops: POPS
 ) -> DemandVerdict:
@@ -590,14 +606,7 @@ def demand_verdict(
     """
     q = normalize_query(query)
     _validate_query(program, q)
-    reasons = _pops_reasons(pops)
-    walk = _walk(program, q, pops)
-    reasons.extend(dict.fromkeys(walk.problems))  # dedup, keep order
-    return DemandVerdict(
-        supported=not reasons,
-        reasons=tuple(reasons),
-        adornments=tuple(walk.adornments),
-    )
+    return _analyse(program, q, pops)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -620,32 +629,38 @@ def demand_rewrite(
     :func:`demand_solve`, which does).
     """
     q = normalize_query(query)
-    verdict = demand_verdict(program, q, database.pops)
+    _validate_query(program, q)
+    return _rewrite(program, q, database)
+
+
+def _rewrite(
+    program: Program, q: DemandQuery, database: Database
+) -> Tuple[Program, Database, DemandVerdict]:
+    """:func:`demand_rewrite` of a validated query.
+
+    Each support view is the key set of an EDB relation the database
+    already holds, so the augmented database is derived from it: the
+    view shares the relation's store and its index, nothing is copied
+    and nothing re-validated.
+    """
+    verdict, walk = _analyse(program, q, database.pops)
     if not verdict.supported:
         raise DemandError(verdict.describe())
-    walk = _walk(program, q, database.pops)
     bool_edbs = dict(program.bool_edbs)
-    bool_relations = dict(database.bool_relations)
+    views: Dict[str, str] = {}
     for relation in sorted(walk.views):
         arity = program.edbs.get(relation)
         if arity is None:
-            support = database.relations.get(relation, {})
+            support = database.support(relation)
             arity = len(next(iter(support))) if support else 0
         bool_edbs[_view_name(relation)] = arity
-        bool_relations[_view_name(relation)] = set(
-            database.relations.get(relation, {})
-        )
+        views[_view_name(relation)] = relation
     rewritten = Program(
         rules=walk.rules,
         edbs=dict(program.edbs),
         bool_edbs=bool_edbs,
     )
-    augmented = Database(
-        pops=database.pops,
-        relations=dict(database.relations),
-        bool_relations=bool_relations,
-    )
-    return rewritten, augmented, verdict
+    return rewritten, database.derive(key_views=views), verdict
 
 
 def strip_demand_relations(instance: Instance) -> Tuple[Instance, int]:
@@ -712,9 +727,7 @@ def demand_solve(
         )
     else:
         try:
-            rewritten, augmented, verdict = demand_rewrite(
-                program, q, database
-            )
+            rewritten, augmented, verdict = _rewrite(program, q, database)
         except (DemandError, ProgramError) as exc:
             fallback_reason = str(exc)
     if rewritten is None:

@@ -61,21 +61,27 @@ class HybridEvaluator:
     ):
         self.program = program
         self.threshold_rules = list(threshold_rules)
-        self.database = database
         self.pops = database.pops
         self.max_iterations = max_iterations
         self.plan = plan
         self.engine = engine
         self.bool_idb_names = {r.head_relation for r in self.threshold_rules}
-        # Boolean IDB facts are injected into the database's Boolean
-        # store so that conditions and indicators see them transparently.
-        # (The naïve evaluator's Boolean guard indexes are versioned by
-        # store size, so facts added between iterations are picked up.)
-        for name in self.bool_idb_names:
-            database.bool_relations.setdefault(name, set())
+        # Boolean IDB facts live in this evaluator's own growing stores,
+        # published as Boolean relations of a database derived from the
+        # caller's (which is never written), so conditions and
+        # indicators see them transparently.  The naïve evaluator
+        # re-indexes growing stores by size, so facts added between
+        # iterations are picked up.
+        self._facts: Dict[str, Set[Key]] = {
+            name: set(database.bool_relations.get(name, ()))
+            for name in self.bool_idb_names
+        }
+        self.database = database.derive(
+            bool_relations=self._facts, growing=self._facts
+        )
         self._base = NaiveEvaluator(
             program,
-            database,
+            self.database,
             functions=functions,
             max_iterations=max_iterations,
             plan=plan,
@@ -149,7 +155,7 @@ class HybridEvaluator:
                 head_args=rule.head_args,
                 label=f"threshold.{rule.head_relation}.{idx}",
             ).run(guards, idb, acc)
-            store = self.database.bool_relations[rule.head_relation]
+            store = self._facts[rule.head_relation]
             for key, value in acc.items():
                 if key not in store and rule.predicate(value):
                     new_facts.add((rule.head_relation, key))
@@ -163,7 +169,7 @@ class HybridEvaluator:
             nxt = self._base.ico(current)
             new_facts = self._threshold_step(nxt)
             for rel, key in new_facts:
-                self.database.bool_relations[rel].add(key)
+                self._facts[rel].add(key)
             if not new_facts and nxt.equals(current):
                 return EvaluationResult(
                     instance=current,
@@ -181,4 +187,4 @@ class HybridEvaluator:
 
     def bool_facts(self, relation: str) -> Set[Key]:
         """Return the derived Boolean facts of one threshold IDB."""
-        return set(self.database.bool_relations.get(relation, set()))
+        return set(self.database.bool_relations.get(relation, ()))

@@ -142,9 +142,7 @@ def ground_program(
     idb_names = program.idb_names()
     empty_idb = Instance(pops)
     indexes = IndexManager(stats=stats) if is_indexed_plan(plan) else None
-    domain = sorted(
-        database.active_domain() | program.constants(), key=repr
-    )
+    domain = database.enumeration_domain(program.constants())
     kernels = BodyKernels(
         engine, plan, database, functions, idb_names, domain, stats=stats
     )

@@ -150,12 +150,16 @@ class ApplySummary:
 class IncrementalInstance:
     """A warm fixpoint plus the machinery to maintain it under mutations.
 
-    The instance owns a private copy of the database (mutations must not
-    alias the caller's dicts).  :meth:`apply` classifies a mutation
-    batch, picks the cheapest sound maintenance path, and *assigns*
-    ``self.instance`` once at the end — all intermediate work happens on
-    copies, so concurrent readers (the serve front end) always see a
-    consistent fixpoint without taking the writer's lock.
+    Databases are immutable, so the instance starts from the caller's
+    own (nothing is copied) and :meth:`apply` derives a copy-on-write
+    successor per batch: only the relations the batch touches are
+    copied, every other store — and its index — is shared.  ``apply``
+    classifies the batch, picks the cheapest sound maintenance path
+    and *assigns* ``self.database`` and ``self.instance`` together at
+    the end — all intermediate work happens on the unpublished
+    successor and on copies, so concurrent readers (the serve front
+    end) always see a consistent EDB and fixpoint without taking the
+    writer's lock, and a reader's snapshot never changes under it.
     """
 
     def __init__(
@@ -173,16 +177,7 @@ class IncrementalInstance:
     ):
         self.program = program
         self.pops = database.pops
-        self.database = Database(
-            pops=database.pops,
-            relations={
-                rel: dict(sup) for rel, sup in database.relations.items()
-            },
-            bool_relations={
-                rel: set(keys)
-                for rel, keys in database.bool_relations.items()
-            },
-        )
+        self.database = database
         self.functions = functions
         self.plan = plan
         self.engine = engine
@@ -221,8 +216,8 @@ class IncrementalInstance:
             self.instance = warm_instance
             self._bump_versions(self._all_relations())
         else:
-            self._resolve()
-        self._domain = self._current_domain()
+            self.instance = self._resolve(database)
+        self._domain = self._domain_of(database)
 
     # ------------------------------------------------------------------
     # helpers
@@ -234,10 +229,8 @@ class IncrementalInstance:
             | set(self.database.bool_relations)
         )
 
-    def _current_domain(self) -> Set[Any]:
-        return set(self.database.active_domain()) | set(
-            self.program.constants()
-        )
+    def _domain_of(self, database: Database) -> Set[Any]:
+        return set(database.active_domain()) | set(self.program.constants())
 
     def _bump_versions(self, relations: Iterable[str]) -> None:
         for rel in relations:
@@ -261,13 +254,14 @@ class IncrementalInstance:
     # ------------------------------------------------------------------
     # full solve (initial state + the fallback rung)
     # ------------------------------------------------------------------
-    def _resolve(self) -> None:
+    def _resolve(self, database: Database) -> Instance:
+        """The fixpoint over ``database`` from scratch."""
         from .engine import solve
 
         method = "seminaive" if self._seminaive_ok else "naive"
         result = solve(
             self.program,
-            self.database,
+            database,
             method=method,
             functions=self.functions,
             max_iterations=self.max_iterations,
@@ -275,9 +269,9 @@ class IncrementalInstance:
             engine=self.engine,
             preflight="off",
         )
-        self.instance = result.instance
         self.steps = result.steps
         self.stats["full_solves"] += 1
+        return result.instance
 
     # ------------------------------------------------------------------
     # mutation application
@@ -318,23 +312,41 @@ class IncrementalInstance:
                     f"insert into POPS relation {m.relation!r} needs a value"
                 )
 
-    def _apply_to_database(self, mutations: Sequence[Mutation]) -> None:
+    def _mutated_database(self, mutations: Sequence[Mutation]) -> Database:
+        """The post-batch EDB, derived copy-on-write: each touched
+        relation is copied once and mutated in the copy; the published
+        database is not written."""
         pops = self.pops
+        database = self.database
+        relations: Dict[str, Dict[Key, Any]] = {}
+        bool_relations: Dict[str, Set[Key]] = {}
         for m in mutations:
             if self._is_bool_relation(m.relation):
-                store = self.database.bool_relations.setdefault(
-                    m.relation, set()
-                )
+                store = bool_relations.get(m.relation)
+                if store is None:
+                    store = bool_relations[m.relation] = set(
+                        database.bool_relations.get(m.relation, ())
+                    )
                 if m.op == "insert":
                     store.add(m.key)
                 else:
                     store.discard(m.key)
             else:
-                support = self.database.relations.setdefault(m.relation, {})
+                support = relations.get(m.relation)
+                if support is None:
+                    support = relations[m.relation] = dict(
+                        database.raw_support(m.relation) or {}
+                    )
                 if m.op == "delete" or pops.eq(m.value, pops.bottom):
                     support.pop(m.key, None)
                 else:
                     support[m.key] = m.value
+        return database.derive(
+            relations=relations,
+            bool_relations={
+                rel: frozenset(keys) for rel, keys in bool_relations.items()
+            },
+        )
 
     def apply(self, mutations: Sequence[Any]) -> ApplySummary:
         """Apply a mutation batch, maintaining the fixpoint.
@@ -422,43 +434,45 @@ class IncrementalInstance:
                 fallback = True
 
         before = self.instance
-        self._apply_to_database(effective)
-        new_domain = self._current_domain()
+        database = self._mutated_database(effective)
+        new_domain = self._domain_of(database)
         if self._domain - new_domain:
             # Constants left the active domain: totalization sets and
             # enumeration fallbacks shrink, which no warm state predicts.
             fallback = True
         domain_grew = bool(new_domain - self._domain)
-        self._domain = new_domain
 
         if fallback:
-            self._resolve()
-            self.stats["incremental_fallbacks"] += 1
-            return self._summary(
-                "resolve", before, effective, started,
-                dred_marked, dred_rounds,
-            )
-
-        if j_minus is None:
-            # Insert-only growth: warm-restart straight from the
-            # current fixpoint (the continuation works on copies).
-            j_minus = self.instance
-        affected = (
-            {rel for rel, _key in shrink}
-            | {m.relation for m in grow}
-            | dred_relations
-        )
-        try:
-            if self._seminaive_ok:
-                path = self._continue_seminaive(
-                    j_minus, affected, full_bootstrap=domain_grew
-                )
-            else:
-                path = self._warm_naive(j_minus)
-        except (BudgetExceeded, SemiNaiveError):
-            self._resolve()
-            self.stats["incremental_fallbacks"] += 1
             path = "resolve"
+        else:
+            if j_minus is None:
+                # Insert-only growth: warm-restart straight from the
+                # current fixpoint (the continuation works on copies).
+                j_minus = self.instance
+            affected = (
+                {rel for rel, _key in shrink}
+                | {m.relation for m in grow}
+                | dred_relations
+            )
+            try:
+                if self._seminaive_ok:
+                    path = "seminaive"
+                    instance = self._continue_seminaive(
+                        database, j_minus, affected,
+                        full_bootstrap=domain_grew,
+                    )
+                else:
+                    path = "warm-naive"
+                    instance = self._warm_naive(database, j_minus)
+            except (BudgetExceeded, SemiNaiveError):
+                path = "resolve"
+        if path == "resolve":
+            instance = self._resolve(database)
+            self.stats["incremental_fallbacks"] += 1
+        # Publish the successor EDB with its fixpoint; until here every
+        # reader saw the previous pair.
+        self.database, self.instance = database, instance
+        self._domain = new_domain
         return self._summary(
             path, before, effective, started, dred_marked, dred_rounds
         )
@@ -721,11 +735,13 @@ class IncrementalInstance:
     # ------------------------------------------------------------------
     def _continue_seminaive(
         self,
+        database: Database,
         j_minus: Instance,
         affected: Set[str],
         full_bootstrap: bool,
-    ) -> str:
-        """Restart the semi-naïve chain from ``J⁻``.
+    ) -> Instance:
+        """Restart the semi-naïve chain from ``J⁻`` over the mutated
+        ``database``; returns the new fixpoint.
 
         Bootstrap: one naïve ICO application restricted to the rules of
         head relations whose bodies mention an affected relation (a
@@ -744,7 +760,7 @@ class IncrementalInstance:
         )
         evaluator = SemiNaiveEvaluator(
             self.program,
-            self.database,
+            database,
             functions=self.functions,
             max_iterations=self.max_iterations,
             plan=self.plan,
@@ -769,8 +785,7 @@ class IncrementalInstance:
             if not rules:
                 # No rule reads a mutated relation: the fixpoint is
                 # exactly the surviving instance.
-                self.instance = j_minus
-                return "seminaive"
+                return j_minus
             restricted = Program(
                 rules=rules,
                 edbs=dict(self.program.edbs),
@@ -779,7 +794,7 @@ class IncrementalInstance:
             )
         bootstrap = NaiveEvaluator(
             restricted,
-            self.database,
+            database,
             functions=self.functions,
             max_iterations=1,
             plan=self.plan,
@@ -797,16 +812,15 @@ class IncrementalInstance:
             j_minus.copy(),
         )
         if delta.size() == 0:
-            self.instance = new
-            return "seminaive"
+            return new
         result = evaluator.run(start=(delta, new, j_minus))
-        self.instance = result.instance
         self.steps = result.steps
         self.stats["warm_iterations"] += result.steps
-        return "seminaive"
+        return result.instance
 
-    def _warm_naive(self, j_minus: Instance) -> str:
-        """Warm restart without ⊖: iterate the naïve ICO from ``J⁻``."""
+    def _warm_naive(self, database: Database, j_minus: Instance) -> Instance:
+        """Warm restart without ⊖: iterate the naïve ICO from ``J⁻``
+        over the mutated ``database``; returns the new fixpoint."""
         budget = (
             Budget(max_wall_s=self.rederive_wall_s)
             if self.rederive_wall_s is not None
@@ -814,7 +828,7 @@ class IncrementalInstance:
         )
         evaluator = NaiveEvaluator(
             self.program,
-            self.database,
+            database,
             functions=self.functions,
             max_iterations=self.max_iterations,
             plan=self.plan,
@@ -822,7 +836,6 @@ class IncrementalInstance:
             budget=budget,
         )
         result = evaluator.run(start=j_minus)
-        self.instance = result.instance
         self.steps = result.steps
         self.stats["warm_iterations"] += result.steps + 1
-        return "warm-naive"
+        return result.instance

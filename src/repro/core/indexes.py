@@ -17,12 +17,15 @@ structure that turns those scans into O(1) hash probes:
   alongside the key (fed from a support ``Mapping``), so factor
   evaluation can ride the probe instead of paying a second hash lookup
   per factor — see ``FactorEvaluator.product_value``.
-* :class:`IndexManager` — a versioned cache of named indexes, so
-  evaluators share one index per EDB relation across every rule body
-  and every fixpoint iteration (the support never changes), and can
-  cheaply invalidate by bumping the version when it does.  Rebuilt
-  indexes inherit (decayed) probe observations from their predecessor,
-  keeping selectivity estimates adaptive across iterations.
+* :class:`IndexManager` — one solve's cache of named indexes.  EDB
+  relations are indexed once per :class:`~repro.core.instance.Database`
+  (the database owns a frozen ``KeyIndex`` per relation and shares it
+  with every solve over it); the manager hands each solve its own
+  read-only :meth:`KeyIndex.view` of it, so probe observations — and
+  the plans they steer — stay per solve.  IDB and delta indexes are
+  versioned: rebuilt when the caller's version moves, inheriting
+  (decayed) probe observations from their predecessor so selectivity
+  estimates stay adaptive across iterations.
 * :class:`JoinStats` — probe/scan/fallback/pushdown counters for the
   join core, surfaced through ``EvalStats`` so benchmarks (E2, E12,
   E21, E23) can report the saving of indexed over naïve enumeration.
@@ -252,6 +255,10 @@ class KeyIndex:
     position map that :meth:`add` maintains is built on its first
     call: the per-iteration delta index and the EDB indexes, which are
     never added to, never pay for it.
+
+    An index a database owns is *frozen*: solves read it only through
+    :meth:`view`, which shares its entries and the mask tables already
+    built, and publishes the ones it builds itself.
     """
 
     __slots__ = (
@@ -260,6 +267,7 @@ class KeyIndex:
         "_maps",
         "_observed",
         "_distinct",
+        "_published",
         "stats",
         "has_values",
     )
@@ -279,9 +287,41 @@ class KeyIndex:
         #: Exact distinct projection counts for unbuilt masks (cleared
         #: whenever a new key lands — see :meth:`estimate`).
         self._distinct: Dict[Mask, int] = {}
+        #: A view's link to the frozen index's mask tables (``None`` on
+        #: an ordinary index) — see :meth:`view`.
+        self._published: Optional[Dict[Mask, Dict]] = None
         self.stats = stats
         self.has_values = False
         self.extend(keys)
+
+    def view(self, stats: Optional[JoinStats] = None) -> "KeyIndex":
+        """A read-only view of this (frozen) index for one solve.
+
+        The view shares the entries, the exact distinct counts and every
+        mask table already built; a table it builds first is built in
+        full, then published for every later view.  Its own ``_maps``
+        hold only the masks *it* has used and its probe observations
+        start empty, so :meth:`estimate` — and with it the join order —
+        and the ``index_builds`` / probe counters of ``stats`` read
+        exactly as on an index freshly built for this solve, except that
+        a published table counts no build.  :meth:`add` and
+        :meth:`extend` refuse: the entries are shared.
+        """
+        view = KeyIndex.__new__(KeyIndex)
+        view._entries = self._entries
+        view._pos = None
+        view._maps = {}
+        view._observed = {}
+        view._distinct = self._distinct
+        view._published = self._maps
+        view.stats = stats
+        view.has_values = self.has_values
+        return view
+
+    @property
+    def frozen(self) -> bool:
+        """Whether this is a :meth:`view` of a database-owned index."""
+        return self._published is not None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -304,6 +344,8 @@ class KeyIndex:
         hook the semi-naïve engine calls when it applies a delta:
         O(#built masks) per new key instead of a rebuild.
         """
+        if self._published is not None:
+            raise TypeError("a view of a frozen index is read-only")
         key = tuple(key)
         positions = self._pos
         if positions is None:
@@ -331,6 +373,8 @@ class KeyIndex:
 
     def extend(self, keys: Union[Mapping[Key, Any], Iterable[Key]]) -> int:
         """Insert many keys (a ``Mapping`` carries values); count new ones."""
+        if self._published is not None:
+            raise TypeError("a view of a frozen index is read-only")
         if not self._entries and not self._maps:
             # Bulk load into an empty index: supports are dicts/sets of
             # already-frozen tuples, so the per-key membership and
@@ -363,16 +407,22 @@ class KeyIndex:
     def _table(self, mask: Mask) -> Dict[Tuple[Hashable, ...], List[Entry]]:
         table = self._maps.get(mask)
         if table is None:
-            table = {}
-            for entry in self._entries:
-                key = entry[0]
-                if mask and mask[-1] >= len(key):
-                    continue  # arity-mismatched key; executor skips it
-                proj = tuple(key[i] for i in mask)
-                table.setdefault(proj, []).append(entry)
+            published = self._published
+            if published is not None:
+                table = published.get(mask)
+            if table is None:
+                table = {}
+                for entry in self._entries:
+                    key = entry[0]
+                    if mask and mask[-1] >= len(key):
+                        continue  # arity-mismatched key; executor skips it
+                    proj = tuple(key[i] for i in mask)
+                    table.setdefault(proj, []).append(entry)
+                if self.stats is not None:
+                    self.stats.index_builds += 1
+                if published is not None:
+                    published[mask] = table  # only ever fully built
             self._maps[mask] = table
-            if self.stats is not None:
-                self.stats.index_builds += 1
         return table
 
     def mask_table(self, mask: Mask) -> Dict[Tuple[Hashable, ...], List[Entry]]:
@@ -495,15 +545,16 @@ class _Entry:
 
 
 class IndexManager:
-    """A versioned cache of named :class:`KeyIndex` objects.
+    """One solve's cache of named :class:`KeyIndex` objects.
 
     Evaluators register one index per key source (EDB relation, live
-    IDB instance, …) under a hashable name.  ``get`` rebuilds only when
-    the caller-supplied version changed — the rebuilt index inherits
-    the predecessor's decayed probe observations, so estimates keep
-    adapting across fixpoint iterations; ``extend`` maintains an entry
-    incrementally (the semi-naïve delta hook) without touching the
-    version.
+    IDB instance, …) under a hashable name.  EDB stores are indexed by
+    their database; :meth:`frozen` wraps that index in this solve's
+    view.  ``get`` rebuilds only when the caller-supplied version
+    changed — the rebuilt index inherits the predecessor's decayed
+    probe observations, so estimates keep adapting across fixpoint
+    iterations; ``extend`` maintains an entry incrementally (the
+    semi-naïve delta hook) without touching the version.
     """
 
     def __init__(self, stats: Optional[JoinStats] = None):
@@ -532,6 +583,22 @@ class IndexManager:
         if entry is not None:
             index.inherit_observations(entry.index)
         self._entries[name] = _Entry(index=index, version=version)
+        return index
+
+    def frozen(
+        self, name: Hashable, shared: Optional[KeyIndex]
+    ) -> Optional[KeyIndex]:
+        """This manager's :meth:`KeyIndex.view` of a database-owned
+        index, made once per ``name`` and kept while ``name`` names the
+        same shared index (``None`` passes through: the database has no
+        frozen index for that store)."""
+        if shared is None:
+            return None
+        entry = self._entries.get(name)
+        if entry is not None and entry.version is shared:
+            return entry.index
+        index = shared.view(self.stats)
+        self._entries[name] = _Entry(index=index, version=shared)
         return index
 
     def peek(self, name: Hashable) -> Optional[KeyIndex]:

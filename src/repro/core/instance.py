@@ -16,18 +16,60 @@ as the total functions of the formal semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, Mapping, Set, Tuple
+from types import MappingProxyType
+from typing import (
+    AbstractSet,
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..semirings.base import POPS, Value
+from .indexes import KeyIndex
 
 Key = Tuple[Any, ...]
+
+#: The store of a relation a database does not hold.
+_NO_STORE: Mapping[Key, Value] = MappingProxyType({})
+_NO_KEYS: FrozenSet[Key] = frozenset()
 
 
 def _freeze_key(key: Iterable[Any]) -> Key:
     return tuple(key)
 
 
-@dataclass
+class _IndexCell:
+    """One store's frozen :class:`~repro.core.indexes.KeyIndex`, built
+    on first demand.
+
+    Every database holding the store holds the same cell
+    (:meth:`Database.derive` hands untouched relations' cells on), so a
+    store is indexed at most once and the mask tables solves publish
+    into its index serve all of them.  Two threads racing on the first
+    build each get a complete index; the last one stays.
+    """
+
+    __slots__ = ("store", "index")
+
+    def __init__(self, store: Any):
+        self.store = store
+        self.index: Optional[KeyIndex] = None
+
+    def get(self) -> KeyIndex:
+        index = self.index
+        if index is None:
+            index = self.index = KeyIndex(self.store)
+        return index
+
+
+@dataclass(frozen=True)
 class Database:
     """The EDB input: POPS relations ``I`` and Boolean relations ``I_B``.
 
@@ -36,49 +78,204 @@ class Database:
         relations: ``{name: {key_tuple: value}}`` — only non-``⊥``
             entries should be stored (``⊥`` entries are dropped).
         bool_relations: ``{name: set(key_tuple)}`` — standard relations.
+
+    A database is immutable.  Construction copies and validates the
+    stores once (tuple keys, ``⊥`` dropped); afterwards ``relations``
+    maps each name to a read-only mapping and ``bool_relations`` to a
+    frozen key set, and writing through either raises ``TypeError``.
+    Everything derived from the stores is computed at most once per
+    object and shared by every solve over it: :meth:`active_domain`,
+    and per relation the frozen index of :meth:`index` /
+    :meth:`bool_index`.  To change an EDB, build a new database or
+    maintain it through :class:`~repro.core.incremental.IncrementalInstance`;
+    engines derive changed databases with :meth:`derive`.
     """
 
     pops: POPS
-    relations: Dict[str, Dict[Key, Value]] = field(default_factory=dict)
-    bool_relations: Dict[str, Set[Key]] = field(default_factory=dict)
+    relations: Mapping[str, Mapping[Key, Value]] = field(default_factory=dict)
+    bool_relations: Mapping[str, AbstractSet[Key]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        cleaned: Dict[str, Dict[Key, Value]] = {}
-        for name, rel in self.relations.items():
-            cleaned[name] = {
-                _freeze_key(k): v
-                for k, v in rel.items()
-                if not self.pops.eq(v, self.pops.bottom)
-            }
-        self.relations = cleaned
-        self.bool_relations = {
-            name: {_freeze_key(k) for k in rel}
-            for name, rel in self.bool_relations.items()
+        eq, bottom = self.pops.eq, self.pops.bottom
+        self._install(
+            {
+                name: {
+                    _freeze_key(k): v
+                    for k, v in rel.items()
+                    if not eq(v, bottom)
+                }
+                for name, rel in self.relations.items()
+            },
+            {
+                name: frozenset(_freeze_key(k) for k in rel)
+                for name, rel in self.bool_relations.items()
+            },
+            cells={},
+            growing=frozenset(),
+        )
+
+    def _install(
+        self,
+        stores: Dict[str, Dict[Key, Value]],
+        bool_stores: Dict[str, AbstractSet[Key]],
+        cells: Dict[Tuple[str, str], _IndexCell],
+        growing: FrozenSet[str],
+    ) -> None:
+        """Set the private state (the dataclass is frozen)."""
+        for kind, by_name in (("edb", stores), ("bool", bool_stores)):
+            for name, store in by_name.items():
+                if (kind, name) not in cells:
+                    cells[kind, name] = _IndexCell(store)
+        put = object.__setattr__
+        put(self, "_stores", stores)
+        put(self, "_bool_stores", bool_stores)
+        put(self, "_cells", cells)
+        put(self, "_growing", growing)
+        put(self, "_domain", None)
+        put(self, "_ordered", None)
+        put(
+            self,
+            "relations",
+            MappingProxyType(
+                {name: MappingProxyType(s) for name, s in stores.items()}
+            ),
+        )
+        put(self, "bool_relations", MappingProxyType(bool_stores))
+
+    def derive(
+        self,
+        relations: Optional[Mapping[str, Dict[Key, Value]]] = None,
+        bool_relations: Optional[Mapping[str, AbstractSet[Key]]] = None,
+        key_views: Optional[Mapping[str, str]] = None,
+        growing: Iterable[str] = (),
+    ) -> "Database":
+        """The one constructor for a changed database.
+
+        The result shares this database's stores — and with each store
+        its frozen index — for every relation not named here.
+        ``relations`` / ``bool_relations`` add or replace stores, taken
+        as they are: tuple keys, no ``⊥`` values, never written again
+        (nothing is re-validated).  ``key_views`` adds Boolean relations
+        that are the key set of one of this database's POPS relations,
+        sharing its store and its index.  ``growing`` names Boolean
+        stores the caller keeps adding facts to (the hybrid evaluator's
+        threshold relations): they get no frozen index, so evaluators
+        re-index them as they grow.  A result that only adds key views
+        reuses this database's active domain.  This database is not
+        touched and keeps no reference to the result.
+        """
+        relations = relations or {}
+        bool_relations = bool_relations or {}
+        stores = dict(self._stores)
+        stores.update(relations)
+        bool_stores = dict(self._bool_stores)
+        bool_stores.update(bool_relations)
+        cells = {
+            name: cell
+            for name, cell in self._cells.items()
+            if name[1] not in (relations if name[0] == "edb" else bool_relations)
         }
+        for view, relation in (key_views or {}).items():
+            bool_stores[view] = self._stores.get(relation, _NO_STORE).keys()
+            cells["bool", view] = self._cell("edb", relation)
+        derived = object.__new__(Database)
+        object.__setattr__(derived, "pops", self.pops)
+        derived._install(
+            stores,
+            bool_stores,
+            cells,
+            growing=(self._growing - set(bool_relations)) | frozenset(growing),
+        )
+        if not (relations or bool_relations):
+            # Key views add no constant: share the domain and its order.
+            object.__setattr__(derived, "_domain", self.active_domain())
+            object.__setattr__(derived, "_ordered", self._ordered_domain())
+        return derived
 
     # ------------------------------------------------------------------
     def value(self, relation: str, key: Key) -> Value:
         """Return ``I[R(key)]`` with missing atoms mapping to ``⊥``."""
-        return self.relations.get(relation, {}).get(key, self.pops.bottom)
+        return self._stores.get(relation, _NO_STORE).get(key, self.pops.bottom)
 
     def bool_holds(self, relation: str, key: Key) -> bool:
         """Return whether the Boolean atom holds in ``I_B``."""
-        return key in self.bool_relations.get(relation, set())
+        return key in self._bool_stores.get(relation, _NO_KEYS)
 
     def support(self, relation: str) -> Mapping[Key, Value]:
         """Return the stored (non-``⊥``) entries of a POPS relation."""
-        return self.relations.get(relation, {})
+        return self.relations.get(relation, _NO_STORE)
+
+    def raw_support(self, relation: str) -> Optional[Dict[Key, Value]]:
+        """The store :meth:`support` wraps read-only (``None`` when the
+        relation is not stored): compiled kernels bind its ``get`` on
+        their hot path and never write it."""
+        return self._stores.get(relation)
 
     def active_domain(self) -> FrozenSet[Any]:
-        """Return ``ADom(I)``: constants in the support of any relation."""
-        dom: Set[Any] = set()
-        for rel in self.relations.values():
-            for key in rel:
-                dom.update(key)
-        for rel in self.bool_relations.values():
-            for key in rel:
-                dom.update(key)
-        return frozenset(dom)
+        """Return ``ADom(I)``: constants in the support of any relation.
+
+        Computed on the first call; a growing store contributes the
+        facts it held then.
+        """
+        dom = self._domain
+        if dom is None:
+            constants: Set[Any] = set()
+            for rel in self._stores.values():
+                for key in rel:
+                    constants.update(key)
+            for keys in self._bool_stores.values():
+                for key in keys:
+                    constants.update(key)
+            dom = frozenset(constants)
+            object.__setattr__(self, "_domain", dom)
+        return dom
+
+    def enumeration_domain(self, constants: Iterable[Any] = ()) -> List[Any]:
+        """``ADom(I) ∪ constants`` sorted by ``repr``: the domain every
+        evaluator enumerates over.  The sort of ``ADom(I)`` is done once
+        per database; constants outside it are merged in per call."""
+        ordered = self._ordered_domain()
+        dom = self.active_domain()
+        extra = [c for c in set(constants) if c not in dom]
+        if not extra:
+            return list(ordered)
+        return sorted(ordered + extra, key=repr)
+
+    def _ordered_domain(self) -> List[Any]:
+        ordered = self._ordered
+        if ordered is None:
+            ordered = sorted(self.active_domain(), key=repr)
+            object.__setattr__(self, "_ordered", ordered)
+        return ordered
+
+    @property
+    def growing(self) -> FrozenSet[str]:
+        """Boolean relations whose stores are still growing (see
+        :meth:`derive`)."""
+        return self._growing
+
+    def index(self, relation: str) -> KeyIndex:
+        """The frozen, value-carrying index over ``support(relation)``.
+
+        Built on the first call and shared by every solve over this
+        database (and every database derived from it that keeps the
+        store); solves probe it through
+        :meth:`~repro.core.indexes.IndexManager.frozen` views.
+        """
+        return self._cell("edb", relation).get()
+
+    def bool_index(self, relation: str) -> Optional[KeyIndex]:
+        """The frozen key index over a Boolean relation, like
+        :meth:`index` — ``None`` for a growing store."""
+        if relation in self._growing:
+            return None
+        return self._cell("bool", relation).get()
+
+    def _cell(self, kind: str, relation: str) -> _IndexCell:
+        cell = self._cells.get((kind, relation))
+        if cell is None:  # not stored: index the empty store
+            cell = self._cells.setdefault((kind, relation), _IndexCell(_NO_STORE))
+        return cell
 
 
 class Instance:

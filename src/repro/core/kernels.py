@@ -251,8 +251,8 @@ def _compile_factor(
                 ),
                 1,
             )
-        if relation in database.relations:
-            store = database.relations[relation]
+        store = database.raw_support(relation)
+        if store is not None:
             bottom = pops.bottom
             return (
                 lambda valu, idb: store.get(

@@ -214,11 +214,8 @@ class NaiveEvaluator:
         if domain is not None:
             self.domain: List[Any] = list(domain)
         else:
-            self.domain = sorted(
-                database.active_domain()
-                | program.constants()
-                | set(extra_domain),
-                key=repr,
+            self.domain = database.enumeration_domain(
+                program.constants() | set(extra_domain)
             )
         if total_heads is None:
             total_heads = not (
@@ -303,10 +300,10 @@ class NaiveEvaluator:
         means every carried value is still exactly what the store
         holds, not merely that the key set is unchanged.
 
-        Boolean stores (which only grow — the hybrid evaluator adds
-        threshold facts between iterations) are versioned by size under
-        the same counters, so condition-atom guard indexes stop being
-        re-validated per iteration too.
+        The database's growing Boolean stores (the hybrid evaluator
+        adds threshold facts between iterations; every other store is
+        frozen) are versioned by size under the same counters, so their
+        guard indexes are rebuilt only when a fact appeared.
 
         The version counters advanced here are what delta-driven
         activation keys its contribution cache on: a rule body whose
@@ -325,8 +322,8 @@ class NaiveEvaluator:
             else:
                 self._rel_versions[rel] = self._rel_versions.get(rel, 0) + 1
         self._last_seen = instance
-        for rel, store in self.database.bool_relations.items():
-            size = len(store)
+        for rel in self.database.growing:
+            size = len(self.database.bool_relations[rel])
             if self._bool_sizes.get(rel) != size:
                 self._bool_sizes[rel] = size
                 self._bool_versions[rel] = self._bool_versions.get(rel, 0) + 1

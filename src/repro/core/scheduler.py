@@ -11,15 +11,16 @@ program one **stratum** at a time instead:
    components topologically.
 2. **Evaluate per component.**  Every component sees the relations of
    earlier components as **frozen**: their fixpoint values are
-   published into a working :class:`~repro.core.instance.Database` as
-   ordinary POPS EDB relations, so their (value-carrying) indexes are
-   built once and then probed read-only across *every* iteration of
-   every later stratum — one shared
-   :class:`~repro.core.indexes.IndexManager` carries them across
-   strata.  Non-recursive components (singleton SCCs without a
-   self-loop) skip the fixpoint loop entirely: one ICO application
-   from ``⊥`` *is* their least fixpoint, so their rules apply exactly
-   once per run instead of once per global iteration.  Recursive
+   published as ordinary POPS EDB relations of a database derived
+   (:meth:`~repro.core.instance.Database.derive`) from the last one,
+   so their (value-carrying) indexes are built once and then probed
+   read-only across *every* iteration of every later stratum — one
+   shared :class:`~repro.core.indexes.IndexManager` carries the
+   solve's views of them across strata.  Non-recursive components
+   (singleton SCCs without a self-loop) skip the fixpoint loop
+   entirely: one ICO application from ``⊥`` *is* their least
+   fixpoint, so their rules apply exactly once per run instead of
+   once per global iteration.  Recursive
    components run the ordinary naïve or semi-naïve fixpoint of their
    sub-program.
 3. **Merge** the per-stratum instances into the final least fixpoint.
@@ -256,8 +257,8 @@ def scheduled_fixpoint(
 
     Args:
         program: The datalog° program.
-        database: The EDB instance (never mutated; frozen strata
-            accumulate in a working copy).
+        database: The EDB instance (frozen strata accumulate in
+            databases derived from it).
         method: Fixpoint engine for recursive components — ``"naive"``
             or ``"seminaive"``.  Non-recursive components always
             evaluate with a single ICO application.
@@ -313,18 +314,13 @@ def scheduled_fixpoint(
     # The monolithic engines enumerate over the whole program's domain;
     # pinning it here keeps totalized heads and fallback enumeration
     # identical stratum-by-stratum.
-    domain: List[Any] = sorted(
-        database.active_domain() | program.constants(), key=repr
-    )
+    domain: List[Any] = database.enumeration_domain(program.constants())
     stats = EvalStats()
     indexes = IndexManager(stats=stats.join) if is_indexed_plan(plan) else None
-    # Database.__post_init__ re-copies (freezing keys, dropping ⊥), so
-    # the stores can be handed over directly without pre-copying.
-    working = Database(
-        pops=pops,
-        relations=database.relations,
-        bool_relations=database.bool_relations,
-    )
+    # Each finished stratum is published into a database derived from
+    # the last: the EDB stores and their indexes are shared, never
+    # copied.
+    working = database
     combined = Instance(pops)
     reports: List[StratumReport] = []
 
@@ -398,11 +394,11 @@ def scheduled_fixpoint(
             )
         )
         # Freeze the component: publish its fixpoint as POPS EDB
-        # relations for every later stratum (their indexes are built
-        # once in the shared manager and reused read-only).
-        for rel in component:
-            support = dict(instance.support(rel))
-            working.relations[rel] = support
+        # relations for every later stratum (each indexed once by the
+        # derived database and probed read-only from then on).
+        frozen = {rel: dict(instance.support(rel)) for rel in component}
+        working = working.derive(relations=frozen)
+        for rel, support in frozen.items():
             combined.update(rel, support)
         if budget is not None:
             # Completed strata count permanently toward the tuple

@@ -113,9 +113,7 @@ class SemiNaiveEvaluator:
         if domain is not None:
             self.domain: List = list(domain)
         else:
-            self.domain = sorted(
-                database.active_domain() | program.constants(), key=repr
-            )
+            self.domain = database.enumeration_domain(program.constants())
         self.indexes = (
             indexes if indexes is not None else IndexManager(stats=self.stats.join)
         )
@@ -192,7 +190,8 @@ class SemiNaiveEvaluator:
         """Guards for the variant where occurrence ``j`` reads the delta.
 
         Under ``plan="indexed"`` each guard carries a persistent index:
-        EDB/Boolean supports are cached for the whole run; the delta's
+        EDB/Boolean supports probe the database's frozen indexes
+        (:meth:`~repro.core.instance.Database.index`); the delta's
         index is rebuilt once per iteration (:meth:`_delta_index`); and
         both ``new``- and ``old``-store occurrences probe the *new*
         index, built here on first demand and maintained incrementally
@@ -208,11 +207,14 @@ class SemiNaiveEvaluator:
         ``new``'s index and therefore stay key-only.
         """
         indexed = is_indexed_plan(self.plan)
+        database, indexes = self.database, self.indexes
         guards: List[Guard] = []
         for atom in positive_bool_atoms(body.condition):
-            rel = self.database.bool_relations.get(atom.relation, set())
+            rel = database.bool_relations.get(atom.relation, frozenset())
             index = (
-                self.indexes.get(("bool", atom.relation), rel, version=len(rel))
+                indexes.frozen(
+                    ("bool", atom.relation), database.bool_index(atom.relation)
+                )
                 if indexed
                 else None
             )
@@ -252,12 +254,12 @@ class SemiNaiveEvaluator:
                         carries_value=store is not old,
                     )
                 )
-            elif rel_name in self.database.bool_relations:
+            elif rel_name in database.bool_relations:
                 if self.pops.is_semiring:
-                    rel = self.database.bool_relations[rel_name]
+                    rel = database.bool_relations[rel_name]
                     index = (
-                        self.indexes.get(
-                            ("bool", rel_name), rel, version=len(rel)
+                        indexes.frozen(
+                            ("bool", rel_name), database.bool_index(rel_name)
                         )
                         if indexed
                         else None
@@ -271,11 +273,9 @@ class SemiNaiveEvaluator:
                         )
                     )
             elif sparse:
-                support = self.database.support(rel_name)
+                support = database.support(rel_name)
                 index = (
-                    self.indexes.get(
-                        ("edb", rel_name), support, version=len(support)
-                    )
+                    indexes.frozen(("edb", rel_name), database.index(rel_name))
                     if indexed
                     else None
                 )

@@ -7,8 +7,8 @@ the same fixpoint into a long-running service:
   (:class:`~repro.core.journal.DurableInstance`) in memory, applies
   mutation batches through the write-ahead journal under a writer
   lock, and answers reads lock-free against the immutable published
-  instance (the incremental engine swaps ``instance`` atomically, so
-  readers never see a half-applied state);
+  database and instance (the incremental engine swaps both in at the
+  end of a batch, so readers never see a half-applied state);
 * point queries are O(1) against the fixpoint support; pattern scans
   (``None`` wildcards) probe lazily built value-carrying
   :class:`~repro.core.indexes.KeyIndex` masks, rebuilt only when the
@@ -183,21 +183,19 @@ class DatalogService:
         (:mod:`repro.core.demand`) against the journaled EDB, so the
         work done is proportional to the demanded answers; programs
         outside the supported fragment fall back to a full solve
-        inside :func:`~repro.core.demand.demand_solve`.
+        inside :func:`~repro.core.demand.demand_solve`.  The solve runs
+        on the database published when it started — immutable, so a
+        concurrent mutation can neither change it nor be half-seen.
         """
         self._check_relation(relation)
         key = tuple(key)
-        inc = self.durable.inc
-        warm = (
-            relation not in self.program.idbs
-            or (relation in inc._idb_names and inc.instance.support(relation))
-        )
-        if warm:
+        if self._materialized(relation):
             self.stats["demand_queries_warm"] += 1
             return self.query(relation, key)
         self.stats["demand_queries"] += 1
         from .engine import solve
 
+        inc = self.durable.inc
         try:
             result = solve(
                 self.program,
@@ -209,6 +207,14 @@ class DatalogService:
         except ValueError as exc:
             raise ServeError(400, "bad-query", str(exc)) from exc
         return result.instance.get(relation, key)
+
+    def _materialized(self, relation: str) -> bool:
+        """Whether the warm state already answers reads of ``relation``
+        (an EDB, or an IDB with stored atoms)."""
+        inc = self.durable.inc
+        return relation not in self.program.idbs or bool(
+            relation in inc._idb_names and inc.instance.support(relation)
+        )
 
     def scan(
         self,

@@ -622,22 +622,21 @@ def body_guards(
         allow_idb_guards: Disable to force fallback enumeration for IDB
             atoms (used by grounding, where IDBs stay symbolic).
         indexes: Optional :class:`~repro.core.indexes.IndexManager`;
-            when given, guards over POPS EDB relations carry a
-            persistent index shared across rule bodies and fixpoint
-            iterations (those supports are immutable for an evaluator's
-            lifetime).  Boolean-store and IDB guards stay late-bound —
-            their stores can grow mid-run (hybrid evaluator, fixpoint
-            iteration), so evaluators refresh their indexes per
-            iteration via :func:`refresh_guard_indexes`.
+            when given, guards over EDB stores carry this manager's
+            view of the index the database owns (:meth:`Database.index
+            <repro.core.instance.Database.index>` — built once per
+            database, shared across rule bodies, fixpoint iterations
+            and solves).  IDB guards and guards over a growing Boolean
+            store (the hybrid evaluator's threshold facts) stay
+            late-bound: evaluators refresh their indexes per iteration
+            via :func:`refresh_guard_indexes`.
     """
 
     def _edb_guard(args: Tuple, relation: str, slot: Optional[int]) -> Guard:
         support = database.support(relation)
         index = None
         if indexes is not None:
-            index = indexes.get(
-                ("edb", relation), support, version=len(support)
-            )
+            index = indexes.frozen(("edb", relation), database.index(relation))
         return Guard(
             args=args,
             keys=lambda s=support: s,
@@ -648,10 +647,12 @@ def body_guards(
         )
 
     def _bool_guard(args: Tuple, relation: str) -> Guard:
-        rel = database.bool_relations.get(relation, set())
-        return Guard(
-            args=args, keys=lambda r=rel: r, name=f"bool:{relation}"
-        )
+        rel = database.bool_relations.get(relation, frozenset())
+        name = f"bool:{relation}"
+        index = None
+        if indexes is not None:
+            index = indexes.frozen(("bool", name), database.bool_index(relation))
+        return Guard(args=args, keys=lambda r=rel: r, name=name, index=index)
 
     guards: List[Guard] = []
     for atom in positive_bool_atoms(body.condition):
@@ -704,16 +705,16 @@ def refresh_guard_indexes(
     global epoch: a relation the last delta did not touch keeps its
     existing index (and its accumulated probe observations) instead of
     being rebuilt — the caller counts those skips in
-    ``JoinStats.rebuild_skips``.  Boolean-store guards are versioned by
-    store size (the sets only ever grow — the hybrid evaluator adds
-    threshold facts mid-run) so they rebuild exactly when a fact
+    ``JoinStats.rebuild_skips``.  A growing Boolean store (the hybrid
+    evaluator adds threshold facts mid-run; its sets only ever grow) is
+    versioned by size, so its index rebuilds exactly when a fact
     appeared.  When ``bool_versions`` maps the relation to a change
     counter (maintained by the evaluator's per-iteration store-size
-    check), an unchanged condition-atom store keeps its index without
-    even re-materializing the store — previously these guards were
-    re-validated every iteration whether or not a fact had appeared —
-    and the skip is counted in ``stats.rebuild_skips``.  EDB guards
-    already carry a persistent index.
+    check), an unchanged store keeps its index without even
+    re-materializing the store, and the skip is counted in
+    ``stats.rebuild_skips``.  Guards over frozen Boolean stores carry
+    the database's index: never refreshed, each skip counted the same
+    way.  EDB guards carry the database's index too.
     """
     for guard in guards:
         if guard.name.startswith("idb:"):
@@ -724,7 +725,10 @@ def refresh_guard_indexes(
             )
         elif guard.name.startswith("bool:"):
             relation = guard.name[5:]
-            if bool_versions is not None and relation in bool_versions:
+            if guard.index is not None and guard.index.frozen:
+                if stats is not None and bool_versions is not None:
+                    stats.rebuild_skips += 1
+            elif bool_versions is not None and relation in bool_versions:
                 # The evaluator's change counter stands in for the
                 # store size: an unchanged store returns the cached
                 # index without touching the store at all (guard.keys

@@ -99,15 +99,11 @@ def solve_stratified(
 ) -> StratifiedResult:
     """Evaluate strata in order, publishing each stratum's IDBs.
 
-    The input database is not mutated; published relations accumulate
-    in a working copy.
+    Published relations accumulate in databases derived from the input
+    one, which is never written.
     """
     validate_strata(strata, database)
-    working = Database(
-        pops=database.pops,
-        relations={r: dict(v) for r, v in database.relations.items()},
-        bool_relations={r: set(v) for r, v in database.bool_relations.items()},
-    )
+    working = database
     combined = Instance(database.pops)
     results: List[EvaluationResult] = []
     for program in strata:
@@ -118,10 +114,16 @@ def solve_stratified(
             max_iterations=max_iterations,
         )
         results.append(result)
-        for rel in program.idbs:
-            support = dict(result.instance.support(rel))
-            working.relations[rel] = support
-            working.bool_relations[rel] = set(support)
+        published = {
+            rel: dict(result.instance.support(rel)) for rel in program.idbs
+        }
+        working = working.derive(
+            relations=published,
+            bool_relations={
+                rel: frozenset(support) for rel, support in published.items()
+            },
+        )
+        for rel, support in published.items():
             for key, value in support.items():
                 combined.set(rel, key, value)
     return StratifiedResult(instance=combined, per_stratum=results)

@@ -132,6 +132,28 @@ class TestCompanyControl:
         assert {("b", "c"), ("b", "d"), ("c", "d")} <= control
 
 
+class TestHybridLeavesCallerDatabase:
+    def test_threshold_facts_stay_in_the_evaluator(self):
+        """Derived threshold facts live in the evaluator's derived
+        database: the caller's ``db`` is unchanged after a run, so a
+        second run over it starts from the same EDB."""
+        program, threshold, db = company_control_setup(
+            {("a", "b"): 0.6, ("b", "c"): 0.3}
+        )
+        relations = {rel: dict(s) for rel, s in db.relations.items()}
+        bool_relations = {rel: set(k) for rel, k in db.bool_relations.items()}
+        first = HybridEvaluator(program, [threshold], db)
+        first.run()
+        assert "C" not in db.bool_relations
+        assert {rel: dict(s) for rel, s in db.relations.items()} == relations
+        assert {
+            rel: set(k) for rel, k in db.bool_relations.items()
+        } == bool_relations
+        second = HybridEvaluator(program, [threshold], db)
+        second.run()
+        assert first.bool_facts("C") == second.bool_facts("C") == {("a", "b")}
+
+
 class TestKeysToValues:
     def test_shortest_length_from_bool_relation(self):
         prog = programs.shortest_length_from_bool()

@@ -277,9 +277,9 @@ class TestApplyAbort:
         good_fp = fingerprint(dur.instance)
 
         def half_applied_failure(muts):
-            # Worst case: the database is mutated, then the maintenance
-            # path (e.g. the full re-solve fallback) blows up.
-            dur.inc._apply_to_database(muts)
+            # Worst case: the mutated database is published, then the
+            # maintenance path (e.g. the full re-solve fallback) blows up.
+            dur.inc.database = dur.inc._mutated_database(muts)
             raise RuntimeError("synthetic non-convergence")
 
         monkeypatch.setattr(dur.inc, "apply", half_applied_failure)

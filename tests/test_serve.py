@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -152,6 +153,73 @@ class TestBoundQueries:
         with pytest.raises(ServeError) as err:
             service.query_bound("Nope", ("d",))
         assert err.value.status == 404
+
+    def test_concurrent_bound_reads_see_acknowledged_states(
+        self, tmp_path, monkeypatch
+    ):
+        """Demand-path reads racing ``mutate`` never raise (the solve
+        reads an immutable database, never the writer's stores) and
+        every answer is the from-scratch fixpoint at some acknowledged
+        sequence number.  The EDB is large enough (~2k edges) that a
+        solve iterating it overlaps the writer's mutations."""
+        program = programs.sssp(0)
+        edges = dict(workloads.random_weighted_digraph(150, 0.1, seed=3))
+        nodes = [0, 7, 42, 99, 149]
+
+        def fixpoint(edb):
+            db = core.Database(pops=TROP, relations={"E": dict(edb)})
+            result = core.solve(program, db, method="seminaive")
+            return {n: result.instance.get("L", (n,)) for n in nodes}
+
+        service = DatalogService(
+            program, TROP, str(tmp_path),
+            database=core.Database(pops=TROP, relations={"E": dict(edges)}),
+            checkpoint_every=100, query_wall_s=5.0,
+        )
+        monkeypatch.setattr(service, "_materialized", lambda relation: False)
+        batches = [
+            [Mutation("insert", "E", (0, n), 0.5) for n in nodes[1:]],
+            [Mutation("delete", "E", (0, n)) for n in nodes[1:]],
+            [Mutation("insert", "E", (n, n + 1000), 1.0) for n in range(40)],
+            [Mutation("delete", "E", (n, n + 1000)) for n in range(40)],
+        ] * 3
+        acknowledged = [fixpoint(edges)]
+        answers, errors = [], []
+        done = threading.Event()
+
+        def reader():
+            try:
+                while not done.is_set():
+                    for n in nodes:
+                        answers.append((n, service.query_bound("L", (n,))))
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave readers and writer finely
+        for t in threads:
+            t.start()
+        try:
+            for batch in batches:
+                service.mutate(batch)
+                for m in batch:
+                    if m.op == "insert":
+                        edges[m.key] = m.value
+                    else:
+                        edges.pop(m.key, None)
+                acknowledged.append(fixpoint(edges))
+        finally:
+            done.set()
+            for t in threads:
+                t.join(timeout=30)
+            sys.setswitchinterval(interval)
+            service.close()
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert answers
+        for n, value in answers:
+            assert any(state[n] == value for state in acknowledged), (n, value)
 
     def test_http_bound_param(self, service):
         server = make_server(service, port=0)
