@@ -28,15 +28,13 @@ def _fmt(v):
     return "1" if v else "0"
 
 
-def test_e06_three_valued_trace(benchmark, joincore_log):
+def test_e06_three_valued_trace(benchmark, counters):
     result = benchmark(
-        lambda: joincore_log.timed(
-            "e06/winmove-fig4-THREE",
-            lambda: negation.win_move_datalogo(
-                workloads.fig_4_edges(), capture_trace=True
-            ),
+        lambda: negation.win_move_datalogo(
+            workloads.fig_4_edges(), capture_trace=True
         )
     )
+    counters.record("e06/winmove-fig4-THREE", result.stats)
     measured = [
         (f"W({t})",) + tuple(_fmt(snap.get("Win", (n,))) for n in "abcdef")
         for t, snap in enumerate(result.trace)

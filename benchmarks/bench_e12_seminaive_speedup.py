@@ -11,8 +11,6 @@ assert identical fixpoints plus a real work reduction.
 
 from __future__ import annotations
 
-import time
-
 from conftest import emit_table, sized
 
 from repro import core, programs, semirings, workloads
@@ -78,7 +76,7 @@ def test_e12_work_ratio_table(benchmark, quick):
         assert s_ <= n_ * 1.6  # and never catastrophically lose
 
 
-def test_e12_indexed_join_core_vs_seed(benchmark, quick, joincore_log):
+def test_e12_indexed_join_core_vs_seed(benchmark, quick, counters):
     """Indexed planning vs the seed's scan join, on E12's largest size.
 
     ``keys_examined`` counts every candidate key the join core touched
@@ -90,33 +88,17 @@ def test_e12_indexed_join_core_vs_seed(benchmark, quick, joincore_log):
     edges = workloads.line_edges(n)
     db = core.Database(pops=semirings.TROP, relations={"E": dict(edges)})
 
-    # Warm the codegen backend's process-wide source → code cache so
-    # the recorded walls measure the steady state, not first-call
-    # compile() (see bench_e22's engine-pipeline ablation).  Closure
-    # kernels cache per evaluator only — nothing to warm there.
-    for method in ("naive", "seminaive"):
-        core.solve(programs.sssp(0), db, method=method, engine="codegen")
-
     def run_all():
         rows = []
         for method in ("naive", "seminaive"):
-            indexed = joincore_log.timed(
-                f"e12/sssp-line({n})-{method}/indexed",
-                lambda m=method: core.solve(
-                    programs.sssp(0), db, method=m, plan="indexed"
-                ),
-                rounds=5,
+            indexed = core.solve(
+                programs.sssp(0), db, method=method, plan="indexed"
             )
-            # The generated-source pipeline, recorded side by side so
-            # the trajectory carries the per-engine wall series (the
-            # default `indexed` record runs the closure kernels).
-            codegen = joincore_log.timed(
-                f"e12/sssp-line({n})-{method}/codegen",
-                lambda m=method: core.solve(
-                    programs.sssp(0), db, method=m, engine="codegen"
-                ),
-                rounds=5,
+            counters.record(f"e12/sssp-line({n})-{method}/indexed", indexed.stats)
+            codegen = core.solve(
+                programs.sssp(0), db, method=method, engine="codegen"
             )
+            counters.record(f"e12/sssp-line({n})-{method}/codegen", codegen.stats)
             seed = core.solve(programs.sssp(0), db, method=method, plan="naive")
             assert indexed.instance.equals(seed.instance)
             assert codegen.instance.equals(seed.instance)
@@ -148,7 +130,7 @@ def test_e12_seminaive_runtime(benchmark, quick):
     benchmark(lambda: core.solve(programs.sssp(0), db, method="seminaive"))
 
 
-def test_e12_scheduled_strata(benchmark, quick, joincore_log, schedule_log):
+def test_e12_scheduled_strata(benchmark, quick, counters):
     """SCC scheduling vs the monolithic fixpoint on layered SSSP.
 
     The layered program condenses into source → distance → output
@@ -165,15 +147,8 @@ def test_e12_scheduled_strata(benchmark, quick, joincore_log, schedule_log):
     def run_all():
         rows = []
         for method in ("naive", "seminaive"):
-            start = time.perf_counter()
             scc = core.solve(prog, db, method=method, schedule="scc")
-            wall = time.perf_counter() - start
-            joincore_log.record(
-                f"e12/layered-line({n})-{method}/scc", wall, scc.stats
-            )
-            schedule_log.record_result(
-                f"e12/layered-line({n})-{method}/scc", wall, scc
-            )
+            counters.record(f"e12/layered-line({n})-{method}/scc", scc.stats)
             mono = core.solve(prog, db, method=method, schedule="monolithic")
             assert scc.instance.equals(mono.instance)
             rows.append(

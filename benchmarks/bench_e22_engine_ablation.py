@@ -13,8 +13,7 @@ DESIGN.md calls out two engine decisions worth ablating:
 3. **The execution-pipeline tiers** — the interpreted (re-planned
    generator) pipeline vs the closure kernels vs the generated-source
    kernels (``engine="codegen"``), same fixpoints by construction; the
-   per-engine wall times are recorded side by side into the joincore
-   trajectory so the codegen speedup is gated longitudinally.
+   per-engine wall times are compared side by side at full size.
 
 All halves assert result equality, so this doubles as a semantics
 check of the optimizations.
@@ -100,13 +99,12 @@ def test_e22_sparse_vs_grounded_pipeline(benchmark):
 _ENGINES = ("interpreted", "compiled", "codegen", "batched")
 
 
-def test_e22_engine_pipeline_ablation(benchmark, quick, joincore_log):
+def test_e22_engine_pipeline_ablation(benchmark, quick, counters):
     """Interpreted vs closure vs generated-source vs batched kernels.
 
     One APSP workload, four execution pipelines, identical fixpoints.
-    Each (method, engine) wall time is recorded under
-    ``e22/apsp(n)-{method}/{engine}`` so the trajectory plots render the
-    per-engine series side by side and the regression gate watches the
+    Each (method, engine) run's counters are recorded under
+    ``e22/apsp(n)-{method}/{engine}``, so the counter gate watches the
     codegen records' ``codegen_kernels`` floor and the batched records'
     ``batch_joins`` floor.  At full size the generated-source kernels
     must beat the closure kernels' wall time and the batched columnar
@@ -145,11 +143,7 @@ def test_e22_engine_pipeline_ablation(benchmark, quick, joincore_log):
                         walls[engine], time.perf_counter() - start
                     )
                 results[engine] = result
-                joincore_log.record(
-                    f"e22/apsp({n})-{method}/{engine}",
-                    walls[engine],
-                    result.stats,
-                )
+                counters.record(f"e22/apsp({n})-{method}/{engine}", result.stats)
             assert results["codegen"].instance.equals(
                 results["interpreted"].instance
             )

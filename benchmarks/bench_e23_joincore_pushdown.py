@@ -15,8 +15,8 @@ Quantifies the three layers added on top of indexed join planning:
   zero secondary hash lookups (``factor_lookups == 0``).
 
 All measurements assert byte-identical fixpoints against the untouched
-``plan="naive"`` baseline and feed ``--json`` (see
-``benchmarks/conftest.py``) for the CI regression gate.
+``plan="naive"`` baseline and feed ``--counters`` (see
+``benchmarks/conftest.py``) for the CI counter gate.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def _compare_plans(prog, db, method="naive", **kwargs):
     return indexed, naive
 
 
-def test_e23_pushdown_three_and_lifted(benchmark, quick, joincore_log):
+def test_e23_pushdown_three_and_lifted(benchmark, quick, counters):
     """Fallback-product work on ⊥-distinguishing POPS, seed vs pushdown."""
     n = sized(quick, 12, 6)
     prog = conditional_pops_program()
@@ -83,14 +83,10 @@ def test_e23_pushdown_three_and_lifted(benchmark, quick, joincore_log):
             ("R⊥", semirings.LIFTED_REAL, 1.0),
         ):
             db = _pops_db(pops, n, value)
-            indexed = joincore_log.timed(
-                f"e23/conditional-{label}/indexed",
-                lambda d=db: core.solve(prog, d, plan="indexed"),
-            )
-            naive = joincore_log.timed(
-                f"e23/conditional-{label}/naive",
-                lambda d=db: core.solve(prog, d, plan="naive"),
-            )
+            indexed = core.solve(prog, db, plan="indexed")
+            naive = core.solve(prog, db, plan="naive")
+            counters.record(f"e23/conditional-{label}/indexed", indexed.stats)
+            counters.record(f"e23/conditional-{label}/naive", naive.stats)
             assert indexed.instance.equals(naive.instance)
             rows.append(
                 (
@@ -114,7 +110,7 @@ def test_e23_pushdown_three_and_lifted(benchmark, quick, joincore_log):
         assert eq_bindings > 0
 
 
-def test_e23_sssp_indicator_extraction(benchmark, quick, joincore_log):
+def test_e23_sssp_indicator_extraction(benchmark, quick, counters):
     """SSSP's ``[x = source]`` bracket binds the source directly."""
     n = sized(quick, 28, 12)
     edges = workloads.line_edges(n)
@@ -123,12 +119,10 @@ def test_e23_sssp_indicator_extraction(benchmark, quick, joincore_log):
     def run_all():
         rows = []
         for method in ("naive", "seminaive"):
-            indexed = joincore_log.timed(
-                f"e23/sssp-line({n})-{method}/indexed",
-                lambda m=method: core.solve(
-                    programs.sssp(0), db, method=m, plan="indexed"
-                ),
+            indexed = core.solve(
+                programs.sssp(0), db, method=method, plan="indexed"
             )
+            counters.record(f"e23/sssp-line({n})-{method}/indexed", indexed.stats)
             seed = core.solve(programs.sssp(0), db, method=method, plan="naive")
             assert indexed.instance.equals(seed.instance)
             rows.append(
@@ -156,19 +150,14 @@ def test_e23_sssp_indicator_extraction(benchmark, quick, joincore_log):
         assert probe_hits > 0
 
 
-def test_e23_apsp_zero_secondary_lookups(benchmark, quick, joincore_log):
+def test_e23_apsp_zero_secondary_lookups(benchmark, quick, counters):
     """Fully guarded tropical APSP: factor evaluation rides the probes."""
     n = sized(quick, 5, 3)
     edges = workloads.grid_edges(n, n)
     db = core.Database(pops=semirings.TROP, relations={"E": dict(edges)})
 
-    def run():
-        return joincore_log.timed(
-            f"e23/apsp-grid({n}x{n})/indexed",
-            lambda: core.solve(programs.apsp(), db, plan="indexed"),
-        )
-
-    result = benchmark(run)
+    result = benchmark(lambda: core.solve(programs.apsp(), db, plan="indexed"))
+    counters.record(f"e23/apsp-grid({n}x{n})/indexed", result.stats)
     seed = core.solve(programs.apsp(), db, plan="naive")
     assert result.instance.equals(seed.instance)
     assert result.stats["factor_lookups"] == 0

@@ -6,10 +6,9 @@ partition-local joins plus a repartition exchange that ships *delta
 tuples* only (:mod:`repro.core.sharded`).  This benchmark measures the
 warm wall time of the sharded APSP fixpoint at 1/2/4 workers against
 the single-process batched engine, asserts byte-identical fixpoints,
-and records the exchange counters into the sharded trajectory
-(``--sharded-json``), where ``exchange_tuples``/``exchange_rounds``
-gate as floors: a drop to zero means the delta-shipping exchange
-silently stopped running.
+and records the exchange counters (``--counters``), where
+``exchange_tuples``/``exchange_rounds`` gate as floors: a drop to zero
+means the delta-shipping exchange silently stopped running.
 
 The scaling wall (4 workers ≥ 2× single-process) is only asserted on
 machines with ≥ 4 CPUs at full size — on a 1-core container the pool
@@ -30,12 +29,11 @@ from repro.semirings import TROP
 _WORKER_COUNTS = (2, 4)
 
 
-def test_e24_sharded_scaling(benchmark, quick, sharded_log):
+def test_e24_sharded_scaling(benchmark, quick, counters):
     """APSP fixpoint: single-process batched vs sharded at 2/4 workers.
 
     Records ``e24/apsp(n)-seminaive/{batched,sharded-w2,sharded-w4}``
-    so the trajectory plots render the scaling series side by side and
-    the regression gate watches the exchange floors.
+    so the counter gate watches the exchange floors.
     """
     n = sized(quick, 20, 10)
     p = sized(quick, 0.22, 0.3)
@@ -75,11 +73,7 @@ def test_e24_sharded_scaling(benchmark, quick, sharded_log):
                     walls[variant], time.perf_counter() - start
                 )
             results[variant] = result
-            sharded_log.record(
-                f"e24/apsp({n})-seminaive/{variant}",
-                walls[variant],
-                result.stats,
-            )
+            counters.record(f"e24/apsp({n})-seminaive/{variant}", result.stats)
         return walls, results
 
     walls, results = benchmark.pedantic(run_all, rounds=1, iterations=1)

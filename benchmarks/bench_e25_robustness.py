@@ -8,10 +8,9 @@ CRC retransmit, and only a persistent fault walks the degradation
 ladder (restart → demote → warned single-process fallback).  This
 benchmark drives each rung with the deterministic ``DATALOGO_FAULT``
 harness, asserts byte-identical fixpoints and exact counter outcomes,
-and records the recovery walls next to the fault-free baseline into
-the robustness trajectory (``--robust-json``), where the self-healing
-counters gate as floors: a drop to zero means the recovery path
-silently stopped being exercised.
+and records each scenario's counters (``--counters``), where the
+self-healing counters gate as floors: a drop to zero means the
+recovery path silently stopped being exercised.
 
 The second scenario measures the budget guardrail: a known-divergent
 program (cyclic bill-of-material over ℕ, taxonomy case (i)) under
@@ -65,12 +64,11 @@ def _timed(fn, rounds=3):
     return wall, result
 
 
-def test_e25_fault_recovery(benchmark, quick, robust_log, monkeypatch):
+def test_e25_fault_recovery(benchmark, quick, counters, monkeypatch):
     """Each fault kind against the sharded APSP fixpoint at 2 workers
     (the ladder scenario at 4): byte-identical results, exact recovery
-    counters, recovery walls recorded as
-    ``e25/apsp(n)-w2/{clean,crash-restart,stall-restart,
-    corrupt-retransmit,ladder-fallback}``.
+    counters, recorded as ``e25/apsp(n)-w2/{clean,crash-restart,
+    stall-restart,corrupt-retransmit,ladder-fallback}``.
     """
     n = sized(quick, 16, 10)
     edges = workloads.random_weighted_digraph(n, 0.3, seed=7)
@@ -145,9 +143,7 @@ def test_e25_fault_recovery(benchmark, quick, robust_log, monkeypatch):
         assert result.stats["products"] == base.stats["products"]
         for counter, value in expected.items():
             assert result.stats[counter] == value, (variant, counter)
-        robust_log.record(
-            f"e25/apsp({n})-w2/{variant}", wall, result.stats
-        )
+        counters.record(f"e25/apsp({n})-w2/{variant}", result.stats)
         rows.append(
             (
                 variant,
@@ -167,7 +163,7 @@ def test_e25_fault_recovery(benchmark, quick, robust_log, monkeypatch):
     )
 
 
-def test_e25_budget_partial(benchmark, quick, robust_log):
+def test_e25_budget_partial(benchmark, quick, counters):
     """A divergent program under an iteration budget: the structured
     trip carries the ``may-diverge`` pre-flight verdict and a usable
     partial prefix whose size gates as a floor."""
@@ -196,9 +192,8 @@ def test_e25_budget_partial(benchmark, quick, robust_log):
     assert partial is not None and partial.steps == budget
     partial_tuples = partial.instance.size()
     assert partial_tuples > 0
-    robust_log.record(
+    counters.record(
         f"e25/bom-budget({budget})/partial",
-        wall,
         {
             "budget_trips": 1,
             "partial_tuples": partial_tuples,

@@ -1,21 +1,20 @@
 """E26 — the crash-safe service: sustained qps, tail latency, recovery.
 
-Three scenarios drive every serve subsystem and record its trajectory
-(``--serve-json``, gated by ``check_joincore_regression.py``):
+Three scenarios drive every serve subsystem and record their
+deterministic counters (``--counters``, gated by ``check_counters.py``;
+serve throughput and latency are measured by the repo benchmark's
+``serve_read``/``serve_write`` workloads, not gated here):
 
 * **mixed read/write** — a warm TROP shortest-path service under an
   interleaved workload (point queries : scans : mutation batches at
-  roughly 16:4:1).  Records sustained ``qps`` (floor-gated, loose
-  tolerance) and ``p50_us``/``p99_us`` (trajectory-charted, not
-  hard-gated: single-shot tail latency on shared runners is noise).
-  The deterministic counters — ``cache_hits`` (version-vector
+  roughly 16:4:1).  Prints sustained qps and p50/p99 latency.  The
+  deterministic counters — ``cache_hits`` (version-vector
   memoization) and ``dred_deletions`` (the pure-DRed deletion path) —
-  gate as exact floors.
+  gate as floors.
 * **crash recovery** — kills the service mid-mutation at the
-  ``apply`` fault site, then measures the timed reopen: last
-  checkpoint + journal-suffix replay.  ``journal_replays`` /
-  ``checkpoint_writes`` / ``recoveries`` gate as floors; the recovery
-  wall lands in ``wall_s`` for the trajectory charts.
+  ``apply`` fault site, then times the reopen: last checkpoint +
+  journal-suffix replay.  ``journal_replays`` / ``checkpoint_writes``
+  / ``recoveries`` gate as floors.
 * **budgeted fallback** — a THREE-valued closure service (THREE is
   not naturally ordered, so every shrink degrades to a counted full
   re-solve): ``incremental_fallbacks`` gates that the escape hatch
@@ -50,7 +49,7 @@ def _percentile(samples, q: float) -> float:
     return ordered[idx]
 
 
-def test_e26_mixed_read_write_qps(quick, serve_log, tmp_path):
+def test_e26_mixed_read_write_qps(quick, counters, tmp_path):
     n_nodes = sized(quick, 60, 24)
     ops = sized(quick, 2100, 420)
     db = _graph_db(n_nodes)
@@ -93,18 +92,7 @@ def test_e26_mixed_read_write_qps(quick, serve_log, tmp_path):
         qps = ops / wall
         p50_us = _percentile(latencies, 0.50) * 1e6
         p99_us = _percentile(latencies, 0.99) * 1e6
-        stats = {
-            "qps": int(qps),
-            "p50_us": int(p50_us),
-            "p99_us": int(p99_us),
-            "ops": ops,
-            "cache_hits": snap["cache_hits"],
-            "cache_misses": snap["cache_misses"],
-            "dred_deletions": snap["dred_deletions"],
-            "mutation_batches": snap["mutation_batches"],
-            "checkpoint_writes": snap["checkpoint_writes"],
-        }
-        serve_log.record("e26/serve/mixed-read-write", wall, stats)
+        counters.record("e26/serve/mixed-read-write", snap)
         emit_table(
             "E26 mixed read/write service (TROP sssp)",
             ["metric", "value"],
@@ -120,7 +108,7 @@ def test_e26_mixed_read_write_qps(quick, serve_log, tmp_path):
         )
 
 
-def test_e26_crash_recovery(quick, serve_log, tmp_path):
+def test_e26_crash_recovery(quick, counters, tmp_path):
     n_nodes = sized(quick, 40, 20)
     batches = sized(quick, 24, 10)
     db = _graph_db(n_nodes, seed=11)
@@ -152,15 +140,14 @@ def test_e26_crash_recovery(quick, serve_log, tmp_path):
     ref = core.solve(program, recovered.database, method="seminaive")
     assert fingerprint(recovered.instance) == fingerprint(ref.instance)
     snap = recovered.stats_snapshot()
-    stats = {
-        "journal_replays": snap["journal_replays"],
-        "journal_skips": snap["journal_skips"],
-        "checkpoint_writes": dur.stats["checkpoint_writes"],
-        "recoveries": snap["recoveries"],
-        "seq": snap["seq"],
-        "warm_tuples": snap["warm_tuples"],
-    }
-    serve_log.record("e26/serve/crash-recovery", recovery_wall, stats)
+    counters.record(
+        "e26/serve/crash-recovery",
+        {
+            "journal_replays": snap["journal_replays"],
+            "checkpoint_writes": dur.stats["checkpoint_writes"],
+            "recoveries": snap["recoveries"],
+        },
+    )
     recovered.close()
     emit_table(
         "E26 crash-during-mutation recovery (TROP)",
@@ -174,7 +161,7 @@ def test_e26_crash_recovery(quick, serve_log, tmp_path):
     )
 
 
-def test_e26_budgeted_fallback(quick, serve_log, tmp_path):
+def test_e26_budgeted_fallback(quick, counters, tmp_path):
     deletes = sized(quick, 6, 3)
     edges = {("a", "b"): True, ("b", "c"): True, ("c", "d"): False,
              ("d", "a"): True, ("a", "c"): True}
@@ -184,14 +171,12 @@ def test_e26_budgeted_fallback(quick, serve_log, tmp_path):
     with DatalogService(
         program, THREE, str(tmp_path), database=db
     ) as service:
-        start = time.perf_counter()
         for i in range(deletes):
             key = keys[i % len(keys)]
             service.mutate([Mutation("delete", "E", key, None)])
             service.mutate(
                 [Mutation("insert", "E", key, edges[key])]
             )
-        wall = time.perf_counter() - start
         snap = service.stats_snapshot()
         # THREE is not naturally ordered: every delete must have taken
         # the counted full re-solve escape hatch — and stayed exact.
@@ -200,12 +185,7 @@ def test_e26_budgeted_fallback(quick, serve_log, tmp_path):
         assert fingerprint(service.durable.instance) == fingerprint(
             ref.instance
         )
-        stats = {
-            "incremental_fallbacks": snap["incremental_fallbacks"],
-            "full_solves": snap["full_solves"],
-            "mutation_batches": snap["mutation_batches"],
-        }
-        serve_log.record("e26/serve/budgeted-fallback", wall, stats)
+        counters.record("e26/serve/budgeted-fallback", snap)
         emit_table(
             "E26 budgeted fallback (THREE closure)",
             ["metric", "value"],

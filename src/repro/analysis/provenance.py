@@ -13,14 +13,12 @@ number of distinct derivation trees using that bag.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
-from ..core.ast import eval_term
 from ..core.grounding import ground_program
-from ..core.instance import Database, Instance, Key
+from ..core.instance import Database, Key
 from ..core.polynomial import VarId
-from ..core.rules import Program, RelAtom
-from ..core.valuations import Guard, enumerate_matches
+from ..core.rules import Program
 from ..semirings.free import FREE, FreeElement
 
 
@@ -81,190 +79,6 @@ def provenance(
         for var, value in state.items()
         if not FREE.eq(value, FREE.zero)
     }
-
-
-def immediate_support_counts(
-    program: Program,
-    database: Database,
-    instance: Instance,
-    domain: Optional[Sequence[Any]] = None,
-) -> Dict[Tuple[str, Key], int]:
-    """Count the *immediate* derivations of every stored IDB atom.
-
-    For each (rule, body) and each satisfying valuation over the fixpoint
-    ``instance`` (IDB atoms) and ``database`` (EDB/Boolean atoms), the
-    head atom gains one support.  This is the one-step slice of the
-    provenance polynomial's derivation count.
-
-    **Caveat**: for recursive programs these counts include *cyclic*
-    supports (a derivation of an atom through atoms that themselves
-    depend on it, e.g. ``T(b,a)`` via ``T(b,a) ⊗ E(a,a)``), so a
-    positive count does not certify that a grounded derivation exists.
-    Deletion-time pruning must therefore use
-    :func:`wellfounded_support_counts`, which counts only derivations
-    grounded strictly below the head's first-derivation level.
-    """
-    idbs = program.idb_names()
-    if domain is None:
-        extra: set = set()
-        for rel in instance.relations():
-            for key in instance.support_keys(rel):
-                extra.update(key)
-        domain = sorted(
-            database.active_domain() | program.constants() | extra, key=repr
-        )
-    counts: Dict[Tuple[str, Key], int] = {}
-    for rule in program.rules:
-        for body in rule.bodies:
-            guards = []
-            for factor in body.factors:
-                if not isinstance(factor, RelAtom):
-                    continue
-                rel = factor.relation
-                if rel in idbs:
-                    guards.append(
-                        Guard(
-                            args=factor.args,
-                            keys=lambda s=instance, r=rel: s.support(r),
-                            name=f"idb:{rel}",
-                        )
-                    )
-                elif rel in database.bool_relations:
-                    guards.append(
-                        Guard(
-                            args=factor.args,
-                            keys=lambda s=database.bool_relations[rel]: s,
-                            name=f"bool:{rel}",
-                        )
-                    )
-                else:
-                    guards.append(
-                        Guard(
-                            args=factor.args,
-                            keys=lambda d=database, r=rel: d.support(r),
-                            name=f"edb:{rel}",
-                        )
-                    )
-            for valuation, _slots in enumerate_matches(
-                body.enumeration_order(),
-                guards,
-                domain,
-                body.condition,
-                database.bool_holds,
-                plan="naive",
-            ):
-                head_key = tuple(
-                    eval_term(t, valuation) for t in rule.head_args
-                )
-                atom = (rule.head_relation, head_key)
-                counts[atom] = counts.get(atom, 0) + 1
-    return counts
-
-
-def wellfounded_support_counts(
-    program: Program,
-    database: Database,
-    instance: Instance,
-    domain: Optional[Sequence[Any]] = None,
-) -> Tuple[Dict[Tuple[str, Key], int], Dict[Tuple[str, Key], int]]:
-    """Count the *grounded* immediate derivations of every derivable atom.
-
-    Returns ``(counts, levels)``: ``levels`` maps each derivable IDB
-    atom to its first-derivation level (the semi-naïve round at which a
-    bottom-up evaluation first produces it), and ``counts`` to the
-    number of immediate derivations **all of whose IDB body atoms sit at
-    a strictly lower level** — its well-founded supports.
-
-    Unlike :func:`immediate_support_counts`, cyclic supports are never
-    counted: any derivation of an atom with a body atom at the same or a
-    higher level first requires the head (or a peer discovered no
-    earlier) to exist, so it cannot ground the atom on its own.  This is
-    the certificate DRed-style over-deletion needs — an atom whose
-    well-founded count stays positive after discounting destroyed
-    derivations provably survives the deletion.
-
-    Every well-founded derivation of a level-``k`` atom has maximum body
-    level exactly ``k − 1`` (a lower maximum would have produced the
-    head earlier), so one enumeration pass per level, each reading only
-    the atoms levelled so far, counts every grounded support exactly
-    once.  Sound only over naturally ordered semirings, which is the
-    only regime the incremental engine's DRed path runs in.
-    """
-    idbs = program.idb_names()
-    if domain is None:
-        extra: set = set()
-        for rel in instance.relations():
-            for key in instance.support_keys(rel):
-                extra.update(key)
-        domain = sorted(
-            database.active_domain() | program.constants() | extra, key=repr
-        )
-    levels: Dict[Tuple[str, Key], int] = {}
-    counts: Dict[Tuple[str, Key], int] = {}
-    #: Per-relation keys levelled in *previous* rounds — the guard
-    #: snapshot each round enumerates against.
-    known: Dict[str, set] = {}
-    level = 0
-    while True:
-        level += 1
-        round_counts: Dict[Tuple[str, Key], int] = {}
-        for rule in program.rules:
-            for body in rule.bodies:
-                guards = []
-                for factor in body.factors:
-                    if not isinstance(factor, RelAtom):
-                        continue
-                    rel = factor.relation
-                    if rel in idbs:
-                        guards.append(
-                            Guard(
-                                args=factor.args,
-                                keys=lambda s=known, r=rel: s.get(r, ()),
-                                name=f"idb:{rel}",
-                            )
-                        )
-                    elif rel in database.bool_relations:
-                        guards.append(
-                            Guard(
-                                args=factor.args,
-                                keys=lambda s=database.bool_relations[
-                                    rel
-                                ]: s,
-                                name=f"bool:{rel}",
-                            )
-                        )
-                    else:
-                        guards.append(
-                            Guard(
-                                args=factor.args,
-                                keys=lambda d=database, r=rel: d.support(r),
-                                name=f"edb:{rel}",
-                            )
-                        )
-                for valuation, _slots in enumerate_matches(
-                    body.enumeration_order(),
-                    guards,
-                    domain,
-                    body.condition,
-                    database.bool_holds,
-                    plan="naive",
-                ):
-                    head_key = tuple(
-                        eval_term(t, valuation) for t in rule.head_args
-                    )
-                    atom = (rule.head_relation, head_key)
-                    if atom in levels:
-                        # Levelled in an earlier round: this match was
-                        # already counted there (its bodies were all
-                        # known then too).
-                        continue
-                    round_counts[atom] = round_counts.get(atom, 0) + 1
-        if not round_counts:
-            return counts, levels
-        for atom, count in round_counts.items():
-            levels[atom] = level
-            counts[atom] = count
-            known.setdefault(atom[0], set()).add(atom[1])
 
 
 def derivation_count(element: FreeElement) -> int:

@@ -18,20 +18,14 @@ The paper's semiring framing makes this precise:
   atoms, and restarts the chain from the surviving instance ``J⁻``:
   every surviving atom's value is exactly the ⊕-sum of its surviving
   derivation trees, hence ``J⁻ ⊑ F′(J⁻)`` and ``J⁻ ⊑ lfp(F′)`` — the
-  same warm-restart lemma applies.  When every EDB value is the
-  multiplicative unit and ``1 ⊕ 1 = 1`` (Boolean-like spaces), the
-  well-founded provenance support counts
-  (:func:`repro.analysis.provenance.wellfounded_support_counts`) prune
-  the over-deletion: an atom with a surviving *grounded* immediate
-  derivation — every IDB body atom strictly below the head's
-  first-derivation level, so cyclic self-supports never count — is
-  provably unaffected and is skipped (``dred_support_skips``).
+  same warm-restart lemma applies.
 * **Everything else** — non-naturally-ordered spaces (``THREE``, lifted
   orders: an EDB mutation is not monotone in the knowledge order, so no
   warm restart is sound), Boolean-relation mutations (they gate
-  conditions non-monotonically), domain shrinkage, or a blown DRed/
-  re-derivation budget — degrades honestly to a full re-solve, counted
-  in ``stats["incremental_fallbacks"]``.
+  conditions non-monotonically), domain shrinkage, a blown DRed marking
+  cap (``dred_cap``) or a continuation that exceeds ``max_iterations``
+  — degrades honestly to a full re-solve, counted in
+  ``stats["incremental_fallbacks"]``.
 
 The maintained fixpoint is **byte-identical** to ``solve()`` from
 scratch on the mutated EDB (the hypothesis suite in
@@ -46,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..semirings.base import FunctionRegistry
-from .guardrails import Budget, BudgetExceeded
+from .guardrails import BudgetExceeded
 from .instance import Database, Instance, Key
 from .io import decode_value, encode_value
 from .naive import NaiveEvaluator, _relation_equal
@@ -171,7 +165,6 @@ class IncrementalInstance:
         engine: str = "auto",
         max_iterations: int = 100_000,
         dred_cap: Optional[int] = None,
-        rederive_wall_s: Optional[float] = None,
         warm_instance: Optional[Instance] = None,
         warm_steps: int = 0,
     ):
@@ -186,7 +179,6 @@ class IncrementalInstance:
         #: fixpoint (a DRed pass that erases more than the whole warm
         #: instance is doing strictly more work than a re-solve).
         self.dred_cap = dred_cap
-        self.rederive_wall_s = rederive_wall_s
         #: Per-relation change counters: the serve layer's cache keys.
         self.versions: Dict[str, int] = {}
         self.stats: Dict[str, int] = {
@@ -196,7 +188,6 @@ class IncrementalInstance:
             "incremental_fallbacks": 0,
             "dred_rounds": 0,
             "dred_deletions": 0,
-            "dred_support_skips": 0,
             "warm_iterations": 0,
             "full_solves": 0,
         }
@@ -513,43 +504,14 @@ class IncrementalInstance:
     # ------------------------------------------------------------------
     # DRed over-deletion
     # ------------------------------------------------------------------
-    def _uniform_one(self) -> bool:
-        """Whether the support-count shortcut is sound.
-
-        When every stored EDB value is the unit and ``1 ⊕ 1 = 1 ⊗ 1 =
-        1``, *every* derived value is the unit, so an atom with a
-        surviving immediate derivation keeps exactly its old value —
-        counting supports replaces re-deriving it.  (Boolean-like
-        spaces; general TROP fails this: surviving paths may be longer.)
-        """
-        pops = self.pops
-        one = pops.one
-        try:
-            if not (
-                pops.eq(pops.add(one, one), one)
-                and pops.eq(pops.mul(one, one), one)
-            ):
-                return False
-        except Exception:  # noqa: BLE001 — exotic spaces opt out
-            return False
-        for support in self.database.relations.values():
-            for value in support.values():
-                if not pops.eq(value, one):
-                    return False
-        return True
-
     def _overdelete(
         self, shrink: Sequence[Tuple[str, Key]]
     ) -> Tuple[Instance, int, int, Set[str]]:
         """Mark-and-erase every IDB atom with a derivation through a
         shrunk fact, bottom-up against the *pre-mutation* database and
         fixpoint.  Returns the surviving instance ``J⁻`` plus marking
-        telemetry.  Over-marking is always sound (re-derivation restores
-        anything erased too eagerly); support counts only ever *skip*
-        marking when a surviving well-founded derivation provably
-        exists — cyclic supports are excluded from both the counts and
-        the decrements, so an atom whose only remaining "support" is a
-        derivation through itself still gets marked.
+        telemetry.  Over-marking is always sound: re-derivation restores
+        anything erased too eagerly.
         """
         pops = self.pops
         database = self.database
@@ -557,17 +519,6 @@ class IncrementalInstance:
         cap = self.dred_cap
         if cap is None:
             cap = max(256, 2 * self.instance.size())
-        counts: Optional[Dict[Tuple[str, Key], int]] = None
-        levels: Dict[Tuple[str, Key], int] = {}
-        if self._uniform_one():
-            from ..analysis.provenance import wellfounded_support_counts
-
-            counts, levels = wellfounded_support_counts(
-                self.program,
-                database,
-                self.instance,
-                domain=sorted(self._domain, key=repr),
-            )
         domain = sorted(self._domain, key=repr)
         marked_total = 0
         rounds = 0
@@ -606,32 +557,6 @@ class IncrementalInstance:
                                 pops.bottom,
                             ):
                                 continue
-                            if counts is not None:
-                                atom = (rule.head_relation, head_key)
-                                head_level = levels.get(atom)
-                                if head_level is not None:
-                                    if not self._grounded_below(
-                                        factors,
-                                        valuation,
-                                        head_level,
-                                        levels,
-                                    ):
-                                        # A cyclic support (some body
-                                        # atom at/above the head's
-                                        # level) was never counted:
-                                        # destroying it cannot shrink
-                                        # the grounded count.
-                                        self.stats[
-                                            "dred_support_skips"
-                                        ] += 1
-                                        continue
-                                    remaining = counts.get(atom, 0) - 1
-                                    counts[atom] = remaining
-                                    if remaining > 0:
-                                        self.stats[
-                                            "dred_support_skips"
-                                        ] += 1
-                                        continue
                             hits.setdefault(
                                 rule.head_relation, set()
                             ).add(head_key)
@@ -651,33 +576,6 @@ class IncrementalInstance:
         self.stats["dred_rounds"] += rounds
         self.stats["dred_deletions"] += marked_total
         return working, marked_total, rounds, marked_relations
-
-    def _grounded_below(
-        self,
-        factors: Tuple,
-        valuation: Dict[str, Any],
-        head_level: int,
-        levels: Dict[Tuple[str, Key], int],
-    ) -> bool:
-        """Whether a matched derivation is one of the head's counted,
-        well-founded supports: every IDB body atom sits strictly below
-        the head's first-derivation level.  Derivations failing this are
-        cyclic (they presuppose the head or a same-round peer) and were
-        excluded from the support counts, so the marking pass must
-        neither decrement for them nor treat them as destroyed
-        evidence."""
-        for factor in factors:
-            if not isinstance(factor, RelAtom):
-                continue
-            if factor.relation not in self._idb_names:
-                continue
-            body_key = tuple(
-                eval_term(t, valuation) for t in factor.args
-            )
-            body_level = levels.get((factor.relation, body_key))
-            if body_level is None or body_level >= head_level:
-                return False
-        return True
 
     def _dred_guards(
         self,
@@ -753,11 +651,6 @@ class IncrementalInstance:
         full program.  The differential loop is
         :meth:`SemiNaiveEvaluator.run`, entered mid-chain.
         """
-        budget = (
-            Budget(max_wall_s=self.rederive_wall_s)
-            if self.rederive_wall_s is not None
-            else None
-        )
         evaluator = SemiNaiveEvaluator(
             self.program,
             database,
@@ -765,7 +658,6 @@ class IncrementalInstance:
             max_iterations=self.max_iterations,
             plan=self.plan,
             engine=self.engine,
-            budget=budget,
         )
         if full_bootstrap:
             restricted = self.program
@@ -802,7 +694,6 @@ class IncrementalInstance:
             stats=evaluator.stats,
             indexes=evaluator.indexes,
             engine=self.engine,
-            budget=budget,
         )
         image = bootstrap.ico(j_minus)
         # δ⁽⁰⁾ = F(J⁻) ⊖ J⁻, applied to a copy: a failed continuation
@@ -821,11 +712,6 @@ class IncrementalInstance:
     def _warm_naive(self, database: Database, j_minus: Instance) -> Instance:
         """Warm restart without ⊖: iterate the naïve ICO from ``J⁻``
         over the mutated ``database``; returns the new fixpoint."""
-        budget = (
-            Budget(max_wall_s=self.rederive_wall_s)
-            if self.rederive_wall_s is not None
-            else None
-        )
         evaluator = NaiveEvaluator(
             self.program,
             database,
@@ -833,7 +719,6 @@ class IncrementalInstance:
             max_iterations=self.max_iterations,
             plan=self.plan,
             engine=self.engine,
-            budget=budget,
         )
         result = evaluator.run(start=j_minus)
         self.steps = result.steps

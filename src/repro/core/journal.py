@@ -319,7 +319,6 @@ class DurableInstance:
         engine: str = "auto",
         max_iterations: int = 100_000,
         dred_cap: Optional[int] = None,
-        rederive_wall_s: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
     ):
         if checkpoint_every < 1:
@@ -349,7 +348,6 @@ class DurableInstance:
             engine=engine,
             max_iterations=max_iterations,
             dred_cap=dred_cap,
-            rederive_wall_s=rederive_wall_s,
         )
         #: Cleared when a failed apply cannot be rolled back; every
         #: subsequent write raises :class:`JournalError` rather than

@@ -99,7 +99,6 @@ class DatalogService:
         plan: str = "indexed",
         engine: str = "auto",
         dred_cap: Optional[int] = None,
-        rederive_wall_s: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
     ):
         self.durable = DurableInstance(
@@ -112,7 +111,6 @@ class DatalogService:
             plan=plan,
             engine=engine,
             dred_cap=dred_cap,
-            rederive_wall_s=rederive_wall_s,
             fault_plan=fault_plan,
         )
         self.program = program
