@@ -1,7 +1,8 @@
 """E18 (extension) — stratified datalog° with negation-as-failure.
 
 Section 7 recalls stratified negation as the practical workhorse; we
-evaluate a two-stratum reach/unreached program at growing sizes,
+evaluate a reach/unreached program (``Unreached`` negates ``Reach``, so
+``solve()``'s SCC scheduler puts them in two strata) at growing sizes,
 asserting agreement with the well-founded model (which is total on
 stratifiable programs).
 """
@@ -20,18 +21,18 @@ from repro.core import (
     RelAtom,
     Rule,
     SumProduct,
+    solve,
     terms,
 )
 from repro.negation import (
     GroundNormalProgram,
     NormalRule,
     alternating_fixpoint,
-    solve_stratified,
 )
 from repro.semirings import BOOL
 
 
-def reach_unreached_strata():
+def reach_unreached():
     reach = Rule(
         "Reach",
         terms(["X"]),
@@ -57,9 +58,8 @@ def reach_unreached_strata():
             ),
         ),
     )
-    return (
-        Program(rules=[reach], bool_edbs={"Src": 1, "Node": 1, "E": 2}),
-        Program(rules=[unreached], bool_edbs={"Node": 1, "Reach": 1}),
+    return Program(
+        rules=[reach, unreached], bool_edbs={"Src": 1, "Node": 1, "E": 2}
     )
 
 
@@ -74,8 +74,7 @@ def run_instance(n: int, p: float, seed: int):
             "Src": {(0,)},
         },
     )
-    s1, s2 = reach_unreached_strata()
-    return edges, nodes, solve_stratified([s1, s2], db)
+    return edges, nodes, solve(reach_unreached(), db)
 
 
 def test_e18_agrees_with_well_founded(benchmark):

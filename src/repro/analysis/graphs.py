@@ -14,7 +14,7 @@ dependency graph used for stratification checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Set, Tuple
 
 from ..core.polynomial import PolynomialSystem, VarId
@@ -140,14 +140,20 @@ def split_recursive(
 
 
 def predicate_graph(program: Program) -> DiGraph:
-    """Predicate-level dependency graph: body IDB → head IDB edges."""
+    """Predicate-level dependency graph: body IDB → head IDB edges.
+
+    An IDB read in a condition is an edge too: the condition reads the
+    key set of its finished fixpoint, so its component must come first.
+    """
     idbs = program.idb_names()
     edges: Set[Tuple[Node, Node]] = set()
     for rule in program.rules:
         for body in rule.bodies:
-            for atom, _ in body.atoms():
-                if atom.relation in idbs:
-                    edges.add((atom.relation, rule.head_relation))
+            reads = [atom.relation for atom, _ in body.atoms()]
+            reads += [atom.relation for atom, _ in body.bool_reads()]
+            for relation in reads:
+                if relation in idbs:
+                    edges.add((relation, rule.head_relation))
     return DiGraph.from_edges(edges, nodes=idbs)
 
 
@@ -184,18 +190,7 @@ class Condensation:
 
     components: List[Tuple[str, ...]]
     recursive: List[bool]
-    dependencies: List[FrozenSet[int]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.dependencies:
-            # Two-field construction (the historical signature): default
-            # to the conservative chain — every component depends on all
-            # earlier ones.  That is always sound for the topological
-            # order; an all-empty default would instead claim total
-            # independence, the one wrong answer.
-            self.dependencies = [
-                frozenset(range(i)) for i in range(len(self.components))
-            ]
+    dependencies: List[FrozenSet[int]]
 
     def __len__(self) -> int:
         return len(self.components)

@@ -43,8 +43,11 @@ relation) and no zero divisors (``supp`` distributes over ``⊗``), on
 programs whose sideways prefixes are **EDB-only** (an IDB atom feeding
 a later occurrence's bindings — e.g. the quadratic ``T(X,Z)·T(Z,Y)`` —
 would need the evolving IDB *support* as a view, which is no longer a
-static Boolean relation).  Everything outside the fragment falls back
-to full evaluation with a counted ``stats["demand_fallbacks"]``.
+static Boolean relation) and whose reached conditions read no IDB (a
+stratified negation ``¬D(X)`` reads ``D``'s whole fixpoint, which a
+demanded part does not provide).  Everything outside the fragment
+falls back to full evaluation with a counted
+``stats["demand_fallbacks"]``.
 
 Demanded atoms keep their full-evaluation values byte-for-byte (the
 classic magic-set correctness argument, which the ``supp``-homomorphism
@@ -495,6 +498,15 @@ def _walk(program: Program, query: DemandQuery, pops: POPS) -> _Rewrite:
                 v.name for t in head_bound for v in term_variables(t)
             }
             for body in rule.bodies:
+                stratified = sorted(
+                    {a.relation for a, _ in body.bool_reads()} & idbs
+                )
+                if stratified:
+                    out.problems.append(
+                        f"{context}: a condition reads the IDB(s) "
+                        f"{stratified} (stratified negation), which needs "
+                        "their whole fixpoint, not a demanded part"
+                    )
                 guard = RelAtom(magic_rel, head_bound)
                 occurrence_at = [
                     i

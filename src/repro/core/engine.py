@@ -36,7 +36,7 @@ from .kernels import VALID_ENGINES
 from .linear import linear_lfp
 from .naive import EvaluationResult, naive_fixpoint
 from .rules import Program
-from .scheduler import VALID_SCHEDULES, scheduled_fixpoint
+from .scheduler import VALID_SCHEDULES, check_stratified, scheduled_fixpoint
 from .seminaive import seminaive_fixpoint
 from .valuations import VALID_PLANS
 
@@ -96,7 +96,15 @@ def solve(
             is one-shot).  Both schedules compute the same fixpoint;
             an SCC-scheduled run reports ``steps`` as the deepest
             stratum's step count and carries per-stratum reports on
-            ``result.strata``.
+            ``result.strata``.  A program whose conditions read an IDB
+            (stratified negation, §7: ``¬D(X)`` reads ``D``'s finished
+            fixpoint) runs only under ``"scc"``, which publishes each
+            frozen stratum's support as a Boolean relation; the
+            monolithic schedule, ``capture_trace`` and the grounding
+            methods refuse it, and a condition that reads an IDB of
+            its own component raises
+            :class:`~repro.core.scheduler.StratificationError` before
+            pre-flight.
         engine: Evaluation pipeline for the join core — ``"auto"``
             (the default) is ``"codegen"`` whenever the plan is
             indexed: each (rule, body) plan is lowered to generated
@@ -227,6 +235,22 @@ def solve(
             f"methods; method={method!r} grounds one-shot — use "
             "method='naive' or 'seminaive'"
         )
+    condition_reads = check_stratified(program)
+    if condition_reads:
+        refused = None
+        if method not in ("naive", "seminaive"):
+            refused = f"method={method!r}"
+        elif capture_trace:
+            refused = "capture_trace"
+        elif schedule == "monolithic":
+            refused = "schedule='monolithic'"
+        if refused is not None:
+            raise ValueError(
+                f"conditions read the IDB(s) {sorted(condition_reads)}, "
+                "which only the SCC scheduler publishes (as each "
+                f"stratum's finished fixpoint); {refused} has no strata "
+                "— use method='naive' or 'seminaive' with schedule='scc'"
+            )
     verdict = run_preflight(program, database) if preflight == "auto" else None
     budget: Optional[Budget] = None
     if max_wall_s is not None or max_tuples is not None or verdict is not None:

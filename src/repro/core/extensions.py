@@ -9,25 +9,33 @@ natural orders of ``R+`` and ``B``, so the joint least fixpoint exists
 Section-5 bounds do not apply syntactically — only Knaster–Tarski /
 Kleene does).
 
-:class:`HybridEvaluator` runs the joint naïve iteration: POPS rules are
-ordinary datalog° rules whose conditions may mention *Boolean IDBs*
-(resolved against the growing Boolean store), and Boolean IDBs are
-defined by :class:`ThresholdRule`: a sum-product over the POPS plus a
-monotone predicate on its value.
+POPS rules are ordinary datalog° rules whose conditions may mention
+*Boolean IDBs*, and Boolean IDBs are defined by :class:`ThresholdRule`:
+a sum-product over the POPS plus a monotone predicate on its value.
+:class:`HybridEvaluator` computes the joint least fixpoint as an outer
+loop over :func:`~repro.core.engine.solve`.  Each round publishes the
+Boolean facts derived so far as frozen Boolean relations of a database
+derived from the caller's (which is never written), and solves the POPS
+program plus one auxiliary rule per threshold body; a threshold fact is
+added when its auxiliary value passes the predicate.  The loop stops
+when a round adds no fact.  By Bekić's lemma that pair is the least
+joint fixpoint: every round's facts stay below the least fixpoint's
+(the program and the predicates are monotone), and the last round's
+instance and facts are a joint fixpoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
 from ..fixpoint.iteration import DivergenceError
 from ..semirings.base import FunctionRegistry, Value
 from .ast import Term
+from .engine import solve
 from .instance import Database, Instance, Key
-from .naive import EvaluationResult, NaiveEvaluator
-from .rules import Program, SumProduct
-from .valuations import body_guards, is_indexed_plan, refresh_guard_indexes
+from .naive import EvaluationResult
+from .rules import Program, Rule, SumProduct
 
 
 @dataclass(frozen=True)
@@ -61,130 +69,73 @@ class HybridEvaluator:
     ):
         self.program = program
         self.threshold_rules = list(threshold_rules)
-        self.pops = database.pops
+        self.database = database
+        self.functions = functions
         self.max_iterations = max_iterations
         self.plan = plan
         self.engine = engine
-        self.bool_idb_names = {r.head_relation for r in self.threshold_rules}
-        # Boolean IDB facts live in this evaluator's own growing stores,
-        # published as Boolean relations of a database derived from the
-        # caller's (which is never written), so conditions and
-        # indicators see them transparently.  The naïve evaluator
-        # re-indexes growing stores by size, so facts added between
-        # iterations are picked up.
         self._facts: Dict[str, Set[Key]] = {
-            name: set(database.bool_relations.get(name, ()))
-            for name in self.bool_idb_names
+            rule.head_relation: set(
+                database.bool_relations.get(rule.head_relation, ())
+            )
+            for rule in self.threshold_rules
         }
-        self.database = database.derive(
-            bool_relations=self._facts, growing=self._facts
+        #: One auxiliary IDB per threshold body, holding its value.
+        self._aux = [
+            f"__threshold_{idx}" for idx in range(len(self.threshold_rules))
+        ]
+        self._joint = Program(
+            rules=list(program.rules)
+            + [
+                Rule(aux, rule.head_args, (rule.body,))
+                for aux, rule in zip(self._aux, self.threshold_rules)
+            ],
+            edbs=dict(program.edbs),
+            bool_edbs=dict(program.bool_edbs),
+            idbs=dict(program.idbs),
         )
-        self._base = NaiveEvaluator(
-            program,
-            self.database,
-            functions=functions,
-            max_iterations=max_iterations,
-            plan=plan,
-            engine=engine,
-        )
-        self.compiled = self._base.compiled
-        # Compiled-engine state: cached per-threshold-rule guards
-        # (late-bound through the base evaluator's current instance,
-        # so caching them is sound; their indexes are refreshed per
-        # iteration against the base's change counters instead of
-        # being rebuilt from scratch).  Threshold kernels live in the
-        # base evaluator's kernel cache.
-        self._threshold_guards: Dict[int, list] = {}
 
-    # ------------------------------------------------------------------
-    def _rule_guards(self, idx: int, rule: ThresholdRule) -> list:
-        """Build (or reuse) the guard list of one threshold body.
+    def run(self) -> EvaluationResult:
+        """Solve rounds until no threshold fact is added.
 
-        Guards read the base evaluator's *current* instance through the
-        late-bound supplier, so the list itself is iteration-invariant;
-        the compiled path caches it and merely refreshes the indexes —
-        previously every iteration rebuilt guards *and* ephemeral
-        indexes for relations that had not changed at all.
+        The result is the last round's: its instance restricted to the
+        program's IDBs, its ``steps`` and its ``stats`` plus
+        ``stats["threshold_rounds"]``.
         """
-        if self.compiled:
-            guards = self._threshold_guards.get(idx)
-            if guards is not None:
-                return guards
-        guards = body_guards(
-            rule.body,
-            self.pops,
-            self.database,
-            self.program.idb_names(),
-            self._base._idb_supplier,
-            indexes=(
-                self._base.indexes if is_indexed_plan(self.plan) else None
-            ),
-        )
-        if self.compiled:
-            self._threshold_guards[idx] = guards
-        return guards
-
-    def _threshold_step(self, idb: Instance) -> Set[Tuple[str, Key]]:
-        """Evaluate every threshold rule, returning new Boolean facts."""
-        new_facts: Set[Tuple[str, Key]] = set()
-        base = self._base
-        if self.compiled:
-            # Threshold bodies read the *freshly derived* instance, one
-            # step ahead of the base ICO's input: advance the change
-            # counters so the shared IDB guard indexes refresh to it
-            # (and so the base's next ICO sees these stores as already
-            # seen, keeping its contribution cache exact).
-            base._bump_changed_relations(idb)
-        for idx, rule in enumerate(self.threshold_rules):
-            guards = self._rule_guards(idx, rule)
-            acc: Dict[Key, Value] = {}
-            base._current = idb
-            if self.compiled:
-                refresh_guard_indexes(
-                    guards,
-                    base.indexes,
-                    base._epoch,
-                    versions=base._rel_versions,
-                    bool_versions=base._bool_versions,
-                    stats=base.stats.join,
-                )
-            # The match count is dropped: threshold bodies count
-            # neither valuations nor products, on any engine.
-            base._kernels.get(
-                ("threshold", idx), guards, rule.body,
-                head_args=rule.head_args,
-                label=f"threshold.{rule.head_relation}.{idx}",
-            ).run(guards, idb, acc)
-            store = self._facts[rule.head_relation]
-            for key, value in acc.items():
-                if key not in store and rule.predicate(value):
-                    new_facts.add((rule.head_relation, key))
-        return new_facts
-
-    def run(self, capture_trace: bool = False) -> EvaluationResult:
-        """Iterate the joint ICO until both stores are stationary."""
-        current = Instance(self.pops)
-        trace: List[Instance] = [current.copy()] if capture_trace else []
-        for step in range(self.max_iterations):
-            nxt = self._base.ico(current)
-            new_facts = self._threshold_step(nxt)
-            for rel, key in new_facts:
-                self._facts[rel].add(key)
-            if not new_facts and nxt.equals(current):
-                return EvaluationResult(
-                    instance=current,
-                    steps=step,
-                    trace=trace,
-                    stats=self._base.stats.snapshot(),
-                )
-            if capture_trace:
-                trace.append(nxt.copy())
-            current = nxt
+        for rounds in range(1, self.max_iterations + 1):
+            result = solve(
+                self._joint,
+                self.database.derive(
+                    bool_relations={
+                        rel: frozenset(keys) for rel, keys in self._facts.items()
+                    }
+                ),
+                method="naive",
+                functions=self.functions,
+                max_iterations=self.max_iterations,
+                plan=self.plan,
+                engine=self.engine,
+                preflight="off",
+            )
+            added = False
+            for aux, rule in zip(self._aux, self.threshold_rules):
+                facts = self._facts[rule.head_relation]
+                for key, value in result.instance.support(aux).items():
+                    if key not in facts and rule.predicate(value):
+                        facts.add(key)
+                        added = True
+            if not added:
+                instance = Instance(self.database.pops)
+                for rel in self.program.idbs:
+                    instance.update(rel, result.instance.support(rel))
+                result.instance = instance
+                result.stats["threshold_rounds"] = rounds
+                return result
         raise DivergenceError(
             f"hybrid evaluation did not converge within "
-            f"{self.max_iterations} iterations"
+            f"{self.max_iterations} rounds"
         )
 
     def bool_facts(self, relation: str) -> Set[Key]:
         """Return the derived Boolean facts of one threshold IDB."""
-        return set(self.database.bool_relations.get(relation, ()))
+        return set(self._facts.get(relation, ()))

@@ -21,8 +21,9 @@ The paper's semiring framing makes this precise:
   same warm-restart lemma applies.
 * **Everything else** — non-naturally-ordered spaces (``THREE``, lifted
   orders: an EDB mutation is not monotone in the knowledge order, so no
-  warm restart is sound), Boolean-relation mutations (they gate
-  conditions non-monotonically), domain shrinkage, a blown DRed marking
+  warm restart is sound), Boolean-relation mutations and programs whose
+  conditions read an IDB (both gate conditions non-monotonically),
+  domain shrinkage, a blown DRed marking
   cap (``dred_cap``) or a continuation that exceeds ``max_iterations``
   — degrades honestly to a full re-solve, counted in
   ``stats["incremental_fallbacks"]``.
@@ -196,6 +197,9 @@ class IncrementalInstance:
         self._naturally_ordered = bool(
             self.pops.is_semiring and self.pops.is_naturally_ordered
         )
+        #: Conditions that read an IDB (stratified negation) make the
+        #: ICO non-monotone in that IDB: no warm restart is sound.
+        self._stratified = bool(program.condition_idbs())
         self._seminaive_ok = False
         if getattr(self.pops, "supports_minus", False):
             try:
@@ -404,11 +408,13 @@ class IncrementalInstance:
 
         # Pick the path.  Non-naturally-ordered spaces (THREE, lifted
         # orders) admit no sound warm restart: the knowledge order makes
-        # EDB mutations non-monotone.  Boolean-relation changes gate
+        # EDB mutations non-monotone.  Boolean-relation changes, and
+        # any change under a condition that reads an IDB, gate
         # conditions both ways.  Shrink without ⊖ has no differential
         # continuation.
         fallback = (
             bool_changes > 0
+            or self._stratified
             or not self._naturally_ordered
             or (bool(shrink) and not self._seminaive_ok)
         )

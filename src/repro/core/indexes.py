@@ -318,11 +318,6 @@ class KeyIndex:
         view.has_values = self.has_values
         return view
 
-    @property
-    def frozen(self) -> bool:
-        """Whether this is a :meth:`view` of a database-owned index."""
-        return self._published is not None
-
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._entries)
@@ -585,15 +580,10 @@ class IndexManager:
         self._entries[name] = _Entry(index=index, version=version)
         return index
 
-    def frozen(
-        self, name: Hashable, shared: Optional[KeyIndex]
-    ) -> Optional[KeyIndex]:
+    def frozen(self, name: Hashable, shared: KeyIndex) -> KeyIndex:
         """This manager's :meth:`KeyIndex.view` of a database-owned
         index, made once per ``name`` and kept while ``name`` names the
-        same shared index (``None`` passes through: the database has no
-        frozen index for that store)."""
-        if shared is None:
-            return None
+        same shared index."""
         entry = self._entries.get(name)
         if entry is not None and entry.version is shared:
             return entry.index

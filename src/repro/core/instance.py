@@ -111,7 +111,6 @@ class Database:
                 for name, rel in self.bool_relations.items()
             },
             cells={},
-            growing=frozenset(),
         )
 
     def _install(
@@ -119,7 +118,6 @@ class Database:
         stores: Dict[str, Dict[Key, Value]],
         bool_stores: Dict[str, AbstractSet[Key]],
         cells: Dict[Tuple[str, str], _IndexCell],
-        growing: FrozenSet[str],
     ) -> None:
         """Set the private state (the dataclass is frozen)."""
         for kind, by_name in (("edb", stores), ("bool", bool_stores)):
@@ -130,7 +128,6 @@ class Database:
         put(self, "_stores", stores)
         put(self, "_bool_stores", bool_stores)
         put(self, "_cells", cells)
-        put(self, "_growing", growing)
         put(self, "_domain", None)
         put(self, "_ordered", None)
         put(
@@ -147,7 +144,6 @@ class Database:
         relations: Optional[Mapping[str, Dict[Key, Value]]] = None,
         bool_relations: Optional[Mapping[str, AbstractSet[Key]]] = None,
         key_views: Optional[Mapping[str, str]] = None,
-        growing: Iterable[str] = (),
     ) -> "Database":
         """The one constructor for a changed database.
 
@@ -156,13 +152,11 @@ class Database:
         ``relations`` / ``bool_relations`` add or replace stores, taken
         as they are: tuple keys, no ``⊥`` values, never written again
         (nothing is re-validated).  ``key_views`` adds Boolean relations
-        that are the key set of one of this database's POPS relations,
-        sharing its store and its index.  ``growing`` names Boolean
-        stores the caller keeps adding facts to (the hybrid evaluator's
-        threshold relations): they get no frozen index, so evaluators
-        re-index them as they grow.  A result that only adds key views
-        reuses this database's active domain.  This database is not
-        touched and keeps no reference to the result.
+        that are the key set of one of the result's POPS relations
+        (this database's, or one ``relations`` adds), sharing its store
+        and its index.  A result that only adds key views reuses this
+        database's active domain.  This database is not touched and
+        keeps no reference to the result.
         """
         relations = relations or {}
         bool_relations = bool_relations or {}
@@ -176,16 +170,15 @@ class Database:
             if name[1] not in (relations if name[0] == "edb" else bool_relations)
         }
         for view, relation in (key_views or {}).items():
-            bool_stores[view] = self._stores.get(relation, _NO_STORE).keys()
-            cells["bool", view] = self._cell("edb", relation)
+            store = stores.get(relation, _NO_STORE)
+            cell = cells.get(("edb", relation))
+            if cell is None:
+                cell = cells["edb", relation] = _IndexCell(store)
+            bool_stores[view] = store.keys()
+            cells["bool", view] = cell
         derived = object.__new__(Database)
         object.__setattr__(derived, "pops", self.pops)
-        derived._install(
-            stores,
-            bool_stores,
-            cells,
-            growing=(self._growing - set(bool_relations)) | frozenset(growing),
-        )
+        derived._install(stores, bool_stores, cells)
         if not (relations or bool_relations):
             # Key views add no constant: share the domain and its order.
             object.__setattr__(derived, "_domain", self.active_domain())
@@ -212,11 +205,8 @@ class Database:
         return self._stores.get(relation)
 
     def active_domain(self) -> FrozenSet[Any]:
-        """Return ``ADom(I)``: constants in the support of any relation.
-
-        Computed on the first call; a growing store contributes the
-        facts it held then.
-        """
+        """Return ``ADom(I)``: constants in the support of any relation,
+        computed on the first call."""
         dom = self._domain
         if dom is None:
             constants: Set[Any] = set()
@@ -248,12 +238,6 @@ class Database:
             object.__setattr__(self, "_ordered", ordered)
         return ordered
 
-    @property
-    def growing(self) -> FrozenSet[str]:
-        """Boolean relations whose stores are still growing (see
-        :meth:`derive`)."""
-        return self._growing
-
     def index(self, relation: str) -> KeyIndex:
         """The frozen, value-carrying index over ``support(relation)``.
 
@@ -264,11 +248,9 @@ class Database:
         """
         return self._cell("edb", relation).get()
 
-    def bool_index(self, relation: str) -> Optional[KeyIndex]:
+    def bool_index(self, relation: str) -> KeyIndex:
         """The frozen key index over a Boolean relation, like
-        :meth:`index` — ``None`` for a growing store."""
-        if relation in self._growing:
-            return None
+        :meth:`index`."""
         return self._cell("bool", relation).get()
 
     def _cell(self, kind: str, relation: str) -> _IndexCell:

@@ -21,19 +21,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..semirings.base import FunctionRegistry, Value
-from .ast import And, BoolAtom, Condition, Not, Or
 from .guardrails import Budget, BudgetExceeded, PartialResult, attach_partial
 from .indexes import IndexManager, JoinStats
 from .instance import Database, Instance, Key
 from .kernels import BodyKernels
-from .rules import (
-    FuncFactor,
-    Indicator,
-    Program,
-    RelAtom,
-    Rule,
-    SumProduct,
-)
+from .rules import Program, Rule, SumProduct
 from .valuations import (
     body_guards,
     is_indexed_plan,
@@ -61,11 +53,11 @@ class EvalStats:
 
     ``rules_skipped`` counts the rule applications the compiled engine
     avoided outright via delta-driven activation: a body none of whose
-    input relations (IDB atoms *and* Boolean condition stores) were
-    touched by the last delta re-uses its cached contribution instead
-    of re-joining; a semi-naïve differential variant whose
-    delta-occurrence relation received no delta facts is dropped
-    before its guards are even built.
+    IDB inputs were touched by the last delta (every other store is
+    frozen for the evaluator's lifetime) re-uses its cached
+    contribution instead of re-joining; a semi-naïve differential
+    variant whose delta-occurrence relation received no delta facts is
+    dropped before its guards are even built.
     """
 
     iterations: int = 0
@@ -135,39 +127,6 @@ def _relation_equal(pops, current, previous) -> bool:
 _ABSENT = object()
 
 
-def _condition_bool_relations(cond: Condition, out: set) -> None:
-    if isinstance(cond, BoolAtom):
-        out.add(cond.relation)
-    elif isinstance(cond, Not):
-        _condition_bool_relations(cond.inner, out)
-    elif isinstance(cond, (And, Or)):
-        for part in cond.parts:
-            _condition_bool_relations(part, out)
-
-
-def body_bool_relations(body: SumProduct, database: Database) -> frozenset:
-    """Boolean stores a body reads: condition atoms, indicator brackets
-    and Boolean relations used as factors.  These are mutable mid-run
-    only under the hybrid evaluator (threshold facts), but delta-driven
-    activation must treat them as inputs everywhere it skips."""
-    out: set = set()
-    _condition_bool_relations(body.condition, out)
-
-    def walk(factor) -> None:
-        if isinstance(factor, Indicator):
-            _condition_bool_relations(factor.condition, out)
-        elif isinstance(factor, FuncFactor):
-            for sub in factor.args:
-                walk(sub)
-        elif isinstance(factor, RelAtom):
-            if factor.relation in database.bool_relations:
-                out.add(factor.relation)
-
-    for factor in body.factors:
-        walk(factor)
-    return frozenset(out)
-
-
 class NaiveEvaluator:
     """Rule-at-a-time naïve evaluation (Algorithm 1)."""
 
@@ -229,8 +188,6 @@ class NaiveEvaluator:
         self._current: Instance = Instance(self.pops)
         self._last_seen: Optional[Instance] = None
         self._rel_versions: Dict[str, int] = {}
-        self._bool_versions: Dict[str, int] = {}
-        self._bool_sizes: Dict[str, int] = {}
         self._plans = self._build_plans()
         # One kernel per plan for the evaluator's lifetime (= one
         # stratum under the SCC scheduler); for the compiled engines
@@ -242,18 +199,18 @@ class NaiveEvaluator:
         )
         self.mode = self._kernels.mode
         self.compiled = self.mode != "interpreted"
+        #: Per plan: the IDB relations its body reads.  Boolean stores
+        #: are frozen for the evaluator's lifetime, so IDBs are a
+        #: body's only inputs that change between iterations.
         self._plan_deps = [
-            (
-                tuple(
-                    sorted(
-                        {
-                            atom.relation
-                            for atom, _ in body.atoms()
-                            if atom.relation in self.idb_names
-                        }
-                    )
-                ),
-                tuple(sorted(body_bool_relations(body, self.database))),
+            tuple(
+                sorted(
+                    {
+                        atom.relation
+                        for atom, _ in body.atoms()
+                        if atom.relation in self.idb_names
+                    }
+                )
             )
             for _rule, body, _guards, _extra in self._plans
         ]
@@ -300,11 +257,6 @@ class NaiveEvaluator:
         means every carried value is still exactly what the store
         holds, not merely that the key set is unchanged.
 
-        The database's growing Boolean stores (the hybrid evaluator
-        adds threshold facts between iterations; every other store is
-        frozen) are versioned by size under the same counters, so their
-        guard indexes are rebuilt only when a fact appeared.
-
         The version counters advanced here are what delta-driven
         activation keys its contribution cache on: a rule body whose
         dependency versions are unchanged since its last evaluation
@@ -322,19 +274,11 @@ class NaiveEvaluator:
             else:
                 self._rel_versions[rel] = self._rel_versions.get(rel, 0) + 1
         self._last_seen = instance
-        for rel in self.database.growing:
-            size = len(self.database.bool_relations[rel])
-            if self._bool_sizes.get(rel) != size:
-                self._bool_sizes[rel] = size
-                self._bool_versions[rel] = self._bool_versions.get(rel, 0) + 1
 
     def _dep_versions(self, idx: int) -> Tuple:
         """The current version vector of one plan's input relations."""
-        idb_deps, bool_deps = self._plan_deps[idx]
-        return (
-            tuple(self._rel_versions.get(rel, 0) for rel in idb_deps),
-            tuple(self._bool_versions.get(rel, 0) for rel in bool_deps),
-        )
+        versions = self._rel_versions
+        return tuple(versions.get(rel, 0) for rel in self._plan_deps[idx])
 
     def kernel(self, idx: int):
         """The kernel of plan ``idx`` (see
@@ -380,10 +324,9 @@ class NaiveEvaluator:
                 poll()
             bucket = acc.setdefault(rule.head_relation, {})
             if self.compiled:
-                # Delta-driven activation: a body whose input relations
-                # (IDB atoms and Boolean condition stores) were all
-                # untouched since its last evaluation — their version
-                # counters match the ones stamped on the cached
+                # Delta-driven activation: a body whose IDB inputs were
+                # all untouched since its last evaluation — their
+                # version counters match the ones stamped on the cached
                 # contribution — evaluates to exactly that previous
                 # contribution; reuse it instead of joining.
                 versions_now = self._dep_versions(idx)
@@ -396,7 +339,6 @@ class NaiveEvaluator:
                     refresh_guard_indexes(
                         guards, self.indexes, self._epoch,
                         versions=self._rel_versions,
-                        bool_versions=self._bool_versions,
                         stats=self.stats.join,
                     )
                     contrib = {}

@@ -41,8 +41,10 @@ from typing import (
 
 from .ast import (
     And,
+    BoolAtom,
     Condition,
     Not,
+    Or,
     Term,
     TrueCond,
     term_variables,
@@ -161,6 +163,26 @@ def factor_atoms(factor: Factor) -> Iterator[Tuple[RelAtom, bool]]:
                 yield (atom, True)
 
 
+def _condition_reads(
+    cond: Condition, negated: bool
+) -> Iterator[Tuple[BoolAtom, bool]]:
+    if isinstance(cond, BoolAtom):
+        yield (cond, negated)
+    elif isinstance(cond, Not):
+        yield from _condition_reads(cond.inner, not negated)
+    elif isinstance(cond, (And, Or)):
+        for part in cond.parts:
+            yield from _condition_reads(part, negated)
+
+
+def _indicator_reads(factor: Factor) -> Iterator[Tuple[BoolAtom, bool]]:
+    if isinstance(factor, Indicator):
+        yield from _condition_reads(factor.condition, False)
+    elif isinstance(factor, FuncFactor):
+        for sub in factor.args:
+            yield from _indicator_reads(sub)
+
+
 # ---------------------------------------------------------------------------
 # Sum-products and rules
 # ---------------------------------------------------------------------------
@@ -188,6 +210,15 @@ class SumProduct:
         """Yield every RelAtom with its ``under_function`` flag."""
         for f in self.factors:
             yield from factor_atoms(f)
+
+    def bool_reads(self) -> Iterator[Tuple[BoolAtom, bool]]:
+        """Yield ``(atom, negated)`` for every Boolean atom a condition
+        of the body reads: its own ``Φ`` and every :class:`Indicator`,
+        including those under a :class:`FuncFactor`.  ``negated`` is
+        true under an odd number of negations."""
+        yield from _condition_reads(self.condition, False)
+        for f in self.factors:
+            yield from _indicator_reads(f)
 
     def enumeration_order(self) -> List[str]:
         """Deterministic variable order for valuation enumeration.
@@ -339,6 +370,23 @@ class Program:
         idbs = self.idb_names()
         return all(rule.idb_occurrences(idbs) <= 1 for rule in self.rules)
 
+    def condition_idbs(self) -> FrozenSet[str]:
+        """IDBs some body reads in a condition.
+
+        Conditions see Boolean stores only, so a condition reads an IDB
+        as the key set of its finished fixpoint: the stratum scheduler
+        publishes that view when the IDB's component is frozen, which is
+        stratified negation (§7) when the read is negated.
+        """
+        idbs = self.idb_names()
+        return frozenset(
+            atom.relation
+            for rule in self.rules
+            for body in rule.bodies
+            for atom, _negated in body.bool_reads()
+            if atom.relation in idbs
+        )
+
     def constants(self) -> FrozenSet[Any]:
         """Return all key constants mentioned by the program."""
         from .ast import Constant, KeyFunc
@@ -353,7 +401,7 @@ class Program:
                     walk_term(a)
 
         def walk_condition(c: Condition) -> None:
-            from .ast import BoolAtom, Compare
+            from .ast import Compare
 
             if isinstance(c, BoolAtom):
                 for a in c.args:
@@ -363,15 +411,9 @@ class Program:
                 walk_term(c.right)
             elif isinstance(c, Not):
                 walk_condition(c.inner)
-            elif isinstance(c, (And,)):
+            elif isinstance(c, (And, Or)):
                 for p in c.parts:
                     walk_condition(p)
-            else:
-                from .ast import Or as OrCond
-
-                if isinstance(c, OrCond):
-                    for p in c.parts:
-                        walk_condition(p)
 
         def walk_factor(f: Factor) -> None:
             if isinstance(f, RelAtom):

@@ -30,10 +30,15 @@ Soundness: the condensation makes the grounded system block-triangular
 iteration may be performed block-by-block, each block iterated to its
 least fixpoint with the earlier blocks held at theirs.  This is the
 same argument the paper applies to stratified multi-space programs
-(Section 4.5) and :mod:`repro.negation.stratified` applies to
-negation; here it is applied *inside* a single program purely for
-performance.  Every stratum evaluator is pinned to the **whole
-program's** domain (active domain plus all constants), so head
+(Section 4.5), and it is what makes the scheduler a stratifier for
+negation (Section 7): a body may read an IDB in a *condition* —
+``{ D(X) | Node(X) ∧ ¬D(X) }`` — because that read is a dependency
+edge of the condensation, and freezing the IDB's component also
+publishes its support as a Boolean relation of the same name (a key
+view of the frozen store, nothing copied).  A condition that reads an
+IDB of its own component has no finished fixpoint to read and raises
+:class:`StratificationError`.  Every stratum evaluator is pinned to
+the **whole program's** domain (active domain plus all constants), so head
 totalization over ``GA(τ, D₀)`` and fallback enumeration behave
 byte-for-byte like the monolithic run; ``schedule="monolithic"``
 (:func:`repro.core.engine.solve`) keeps the seed whole-program
@@ -49,7 +54,7 @@ own component's relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..semirings.base import FunctionRegistry
 from .guardrails import Budget, BudgetExceeded, PartialResult
@@ -64,6 +69,42 @@ from .valuations import is_indexed_plan
 #: ``solve()`` validation, the CLI's argparse choices, and the CI
 #: engine-matrix docs (``VALID_ENGINES`` lives in :mod:`.kernels`).
 VALID_SCHEDULES: Tuple[str, ...] = ("auto", "scc", "monolithic")
+
+
+class StratificationError(ValueError):
+    """Raised when a condition reads an IDB of its own component."""
+
+
+def check_stratified(
+    program: Program, components: Any = None
+) -> FrozenSet[str]:
+    """Return the IDBs the program reads in conditions, after checking
+    that each sits in a strictly lower component than every body that
+    reads it (``components`` is the program's condensation, computed
+    here when not given)."""
+    reads = program.condition_idbs()
+    if not reads:
+        return reads
+    if components is None:
+        from ..analysis.graphs import condensation  # local: avoids a cycle
+
+        components = condensation(program)
+    component_of = {
+        rel: comp for comp in components.components for rel in comp
+    }
+    for rule in program.rules:
+        own = component_of[rule.head_relation]
+        for body in rule.bodies:
+            for atom, negated in body.bool_reads():
+                if component_of.get(atom.relation) == own:
+                    raise StratificationError(
+                        f"{rule.head_relation} "
+                        f"{'negates' if negated else 'reads'} "
+                        f"{atom.relation} in a condition within their own "
+                        f"component {list(own)}; a condition may only "
+                        "read IDBs of strictly lower strata"
+                    )
+    return reads
 
 
 @dataclass
@@ -309,6 +350,7 @@ def scheduled_fixpoint(
         )
     pops = database.pops
     components = condensation(program)
+    condition_reads = check_stratified(program, components)
     if roots is not None:
         components = _restrict_to_roots(components, roots)
     # The monolithic engines enumerate over the whole program's domain;
@@ -395,9 +437,16 @@ def scheduled_fixpoint(
         )
         # Freeze the component: publish its fixpoint as POPS EDB
         # relations for every later stratum (each indexed once by the
-        # derived database and probed read-only from then on).
+        # derived database and probed read-only from then on), and the
+        # support of each one a later condition reads as a Boolean
+        # relation of the same name: a key view sharing store and index.
         frozen = {rel: dict(instance.support(rel)) for rel in component}
-        working = working.derive(relations=frozen)
+        working = working.derive(
+            relations=frozen,
+            key_views={
+                rel: rel for rel in component if rel in condition_reads
+            },
+        )
         for rel, support in frozen.items():
             combined.update(rel, support)
         if budget is not None:

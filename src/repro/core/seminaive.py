@@ -254,7 +254,12 @@ class SemiNaiveEvaluator:
                         carries_value=store is not old,
                     )
                 )
-            elif rel_name in database.bool_relations:
+            elif (
+                rel_name in database.bool_relations
+                and rel_name not in database.relations
+            ):
+                # A POPS relation wins over a same-named Boolean one
+                # (a frozen stratum publishes both views of an IDB).
                 if self.pops.is_semiring:
                     rel = database.bool_relations[rel_name]
                     index = (

@@ -626,8 +626,8 @@ def body_guards(
             view of the index the database owns (:meth:`Database.index
             <repro.core.instance.Database.index>` — built once per
             database, shared across rule bodies, fixpoint iterations
-            and solves).  IDB guards and guards over a growing Boolean
-            store (the hybrid evaluator's threshold facts) stay
+            and solves).  So do guards over Boolean stores, which are
+            frozen for an evaluator's lifetime.  IDB guards stay
             late-bound: evaluators refresh their indexes per iteration
             via :func:`refresh_guard_indexes`.
     """
@@ -690,7 +690,6 @@ def refresh_guard_indexes(
     indexes: IndexManager,
     epoch: Hashable,
     versions: Optional[Dict[str, Hashable]] = None,
-    bool_versions: Optional[Dict[str, Hashable]] = None,
     stats: Optional[JoinStats] = None,
 ) -> None:
     """Point dynamic guards at up-to-date indexes before an iteration.
@@ -705,16 +704,11 @@ def refresh_guard_indexes(
     global epoch: a relation the last delta did not touch keeps its
     existing index (and its accumulated probe observations) instead of
     being rebuilt — the caller counts those skips in
-    ``JoinStats.rebuild_skips``.  A growing Boolean store (the hybrid
-    evaluator adds threshold facts mid-run; its sets only ever grow) is
-    versioned by size, so its index rebuilds exactly when a fact
-    appeared.  When ``bool_versions`` maps the relation to a change
-    counter (maintained by the evaluator's per-iteration store-size
-    check), an unchanged store keeps its index without even
-    re-materializing the store, and the skip is counted in
-    ``stats.rebuild_skips``.  Guards over frozen Boolean stores carry
-    the database's index: never refreshed, each skip counted the same
-    way.  EDB guards carry the database's index too.
+    ``JoinStats.rebuild_skips``.  Boolean stores are frozen for an
+    evaluator's lifetime, so Boolean guards carry the database's index
+    (:func:`body_guards`) and are never refreshed; when ``stats`` is
+    given, each such skip is counted in ``stats.rebuild_skips``.  EDB
+    guards carry the database's index too.
     """
     for guard in guards:
         if guard.name.startswith("idb:"):
@@ -723,28 +717,5 @@ def refresh_guard_indexes(
             guard.index = indexes.get(
                 ("idb", guard.name), guard.keys, version=version
             )
-        elif guard.name.startswith("bool:"):
-            relation = guard.name[5:]
-            if guard.index is not None and guard.index.frozen:
-                if stats is not None and bool_versions is not None:
-                    stats.rebuild_skips += 1
-            elif bool_versions is not None and relation in bool_versions:
-                # The evaluator's change counter stands in for the
-                # store size: an unchanged store returns the cached
-                # index without touching the store at all (guard.keys
-                # is a callable, so IndexManager only materializes it
-                # on a version change).
-                cached = indexes.peek(("bool", guard.name))
-                index = indexes.get(
-                    ("bool", guard.name),
-                    guard.keys,
-                    version=bool_versions[relation],
-                )
-                if stats is not None and index is cached:
-                    stats.rebuild_skips += 1
-                guard.index = index
-            else:
-                store = guard.keys()
-                guard.index = indexes.get(
-                    ("bool", guard.name), store, version=len(store)
-                )
+        elif stats is not None and guard.name.startswith("bool:"):
+            stats.rebuild_skips += 1

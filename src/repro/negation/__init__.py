@@ -1,16 +1,16 @@
-"""Negation: well-founded and Fitting three-valued semantics (§7)."""
+"""Negation (§7): well-founded and Fitting three-valued semantics.
 
+Stratified negation needs no module of its own: a condition may read an
+IDB of a lower stratum (``¬D(X)``), and ``solve()``'s SCC scheduler
+publishes each frozen stratum for it (:mod:`repro.core.scheduler`).
+"""
+
+from ..core.scheduler import StratificationError
 from .fitting import (
     agrees_with_well_founded,
     fitting_fixpoint,
     fitting_operator,
     win_move_datalogo,
-)
-from .stratified import (
-    StratificationError,
-    StratifiedResult,
-    solve_stratified,
-    validate_strata,
 )
 from .wellfounded import (
     GroundNormalProgram,
@@ -24,9 +24,6 @@ __all__ = [
     "GroundNormalProgram",
     "NormalRule",
     "StratificationError",
-    "StratifiedResult",
-    "solve_stratified",
-    "validate_strata",
     "WellFoundedModel",
     "agrees_with_well_founded",
     "alternating_fixpoint",

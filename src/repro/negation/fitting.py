@@ -14,7 +14,7 @@ Two implementations are provided and cross-checked by the tests:
   the three-valued ICO over a
   :class:`~repro.negation.wellfounded.GroundNormalProgram`;
 * :func:`win_move_datalogo` — the same semantics obtained by running
-  the *generic datalog° engine* over ``THREE`` with a ``not``
+  the *generic datalog° engine* (``solve()``) over ``THREE`` with a ``not``
   interpreted function (the paper's formulation), including the ``FOUR``
   variant showing ``⊤`` never appears (Section 7.3).
 """
@@ -25,7 +25,8 @@ from typing import Dict, Hashable, Iterable, List, Tuple
 
 from ..core.ast import terms
 from ..core.instance import Database
-from ..core.naive import EvaluationResult, NaiveEvaluator
+from ..core.engine import solve
+from ..core.naive import EvaluationResult
 from ..core.rules import FuncFactor, Program, RelAtom, Rule, SumProduct
 from ..fixpoint.iteration import kleene_fixpoint
 from ..semirings.base import FunctionRegistry, Value
@@ -145,5 +146,10 @@ def win_move_datalogo(
         pops=pops,
         bool_relations={"E": set(map(tuple, edges))},
     )
-    evaluator = NaiveEvaluator(program, database, functions=registry)
-    return evaluator.run(capture_trace=capture_trace)
+    return solve(
+        program,
+        database,
+        method="naive",
+        functions=registry,
+        capture_trace=capture_trace,
+    )

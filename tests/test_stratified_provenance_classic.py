@@ -22,6 +22,7 @@ from repro.core import (
     SumProduct,
     naive_fixpoint,
     seminaive_fixpoint,
+    solve,
     terms,
 )
 from repro.negation import (
@@ -29,8 +30,6 @@ from repro.negation import (
     NormalRule,
     StratificationError,
     alternating_fixpoint,
-    solve_stratified,
-    validate_strata,
 )
 from repro.semirings import BOOL, BOTTLENECK, TROP, VITERBI
 from repro.semirings.properties import check_minus_laws, check_pops
@@ -78,7 +77,11 @@ class TestClassicSemirings:
 
 
 def reach_then_unreached():
-    """Stratum 1: Reach(x); stratum 2: Unreached(x) for other nodes."""
+    """Reach(x) from Src along E; Unreached(x) for the other nodes.
+
+    One program: ``Unreached`` negates ``Reach`` in a condition, so the
+    SCC scheduler evaluates it in a later stratum than ``Reach``.
+    """
     reach = Rule(
         "Reach",
         terms(["X"]),
@@ -104,9 +107,9 @@ def reach_then_unreached():
             ),
         ),
     )
-    s1 = Program(rules=[reach], bool_edbs={"Src": 1, "Node": 1, "E": 2})
-    s2 = Program(rules=[unreached], bool_edbs={"Node": 1, "Reach": 1})
-    return s1, s2
+    return Program(
+        rules=[reach, unreached], bool_edbs={"Src": 1, "Node": 1, "E": 2}
+    )
 
 
 class TestStratified:
@@ -123,19 +126,20 @@ class TestStratified:
     def test_reach_unreached(self):
         edges = {("a", "b"), ("b", "c"), ("d", "e")}
         nodes = "abcde"
-        s1, s2 = reach_then_unreached()
-        result = solve_stratified([s1, s2], self._db(edges, nodes, "a"))
+        result = solve(reach_then_unreached(), self._db(edges, nodes, "a"))
         reached = {k[0] for k in result.instance.support("Reach")}
         unreached = {k[0] for k in result.instance.support("Unreached")}
         assert reached == {"a", "b", "c"}
         assert unreached == {"d", "e"}
+        assert [r.relations for r in result.strata] == [
+            ("Reach",), ("Unreached",)
+        ]
 
     def test_matches_well_founded(self):
         """On a stratifiable program the WF model is total and equal."""
         edges = {("a", "b"), ("b", "c"), ("d", "e")}
         nodes = "abcde"
-        s1, s2 = reach_then_unreached()
-        result = solve_stratified([s1, s2], self._db(edges, nodes, "a"))
+        result = solve(reach_then_unreached(), self._db(edges, nodes, "a"))
 
         rules = [NormalRule(head=("Reach", "a"))]
         for x, y in edges:
@@ -157,29 +161,33 @@ class TestStratified:
             ) == (wf.value(("Unreached", n)) == "true")
 
     def test_rejects_negation_of_own_stratum(self):
-        s1, s2 = reach_then_unreached()
+        """Win negates Win in its own condition: no stratum below it."""
+        win = Rule(
+            "Win",
+            terms(["X"]),
+            (
+                SumProduct(
+                    (Indicator(BoolAtom("E", terms(["X", "Y"]))),),
+                    condition=BoolAtom("E", terms(["X", "Y"]))
+                    & Not(BoolAtom("Win", terms(["Y"]))),
+                ),
+            ),
+        )
         db = self._db({("a", "b")}, "ab", "a")
         with pytest.raises(StratificationError) as err:
-            validate_strata([Program(rules=s1.rules + s2.rules,
-                                     bool_edbs=dict(s1.bool_edbs))], db)
-        assert "own IDB" in str(err.value)
-
-    def test_rejects_unknown_negated_relation(self):
-        _, s2 = reach_then_unreached()
-        db = Database(pops=BOOL, bool_relations={"Node": {("a",)}})
-        with pytest.raises(StratificationError):
-            validate_strata([s2], db)
+            solve(Program(rules=[win], bool_edbs={"E": 2}), db)
+        assert "own" in str(err.value)
 
     def test_input_database_not_mutated(self):
         edges = {("a", "b")}
-        s1, s2 = reach_then_unreached()
         db = self._db(edges, "ab", "a")
         before = set(db.bool_relations)
-        solve_stratified([s1, s2], db)
+        solve(reach_then_unreached(), db)
         assert set(db.bool_relations) == before
 
     def test_pops_values_published_across_strata(self):
-        """Stratum 2 reads stratum 1's tropical distances as an EDB."""
+        """Far reads the tropical distances of a lower stratum as values
+        and their support as a condition."""
         dist = programs.sssp("a", label="D")
         far = Rule(
             "Far",
@@ -191,11 +199,11 @@ class TestStratified:
                 ),
             ),
         )
-        s2 = Program(rules=[far], bool_edbs={"D": 1})
+        program = Program(rules=dist.rules + [far], edbs=dict(dist.edbs))
         db = Database(
             pops=TROP, relations={"E": workloads.fig_2a_graph()}
         )
-        result = solve_stratified([dist, s2], db)
+        result = solve(program, db)
         assert result.instance.get("Far", ("d",)) == 8.0
 
 
