@@ -2,20 +2,21 @@
 
 Section 1 names magic-set rewriting (alongside semi-naïve) as the
 classic datalog optimization; the companion paper derives it for
-datalog°.  Two generations are measured:
+datalog°.  The rewrite is the demand path (``solve(..., query=…)``,
+:mod:`repro.core.demand`) — magic sets as a planner stage on the
+modern engine — measured two ways:
 
-* the **demand path** (``solve(..., query=…)``, :mod:`repro.core.demand`)
-  — magic sets as a planner stage on the modern engine: a power-law
-  digraph at 10⁴ edges under the multi-view ``graph_analytics``
-  program, where a point query ``T(a, ?)`` must do proportionally less
-  work than the full fixpoint (``rule_applications`` and
-  ``keys_examined`` reductions are recorded via ``--counters`` and
-  gated in CI against ``benchmarks/baselines/counters_quick.json``);
-* the **legacy reference rewrite** (:mod:`repro.core.magic`,
-  naive-only ``supp``-guard implementation) — kept as the differential
-  baseline for the transformation itself.
+* a power-law digraph at 10⁴ edges under the multi-view
+  ``graph_analytics`` program, where a point query ``T(a, ?)`` must do
+  proportionally less work than the full fixpoint
+  (``rule_applications`` and ``keys_examined`` reductions are recorded
+  via ``--counters`` and gated in CI against
+  ``benchmarks/baselines/counters_quick.json``);
+* the textbook shapes under naive evaluation — relevance restriction
+  across disconnected components, a point query, and the automatic
+  specialization of APSP to the single-source program.
 
-Answers are asserted equal on the demanded atoms in both generations.
+Demanded atoms are asserted equal to the full fixpoint throughout.
 """
 
 from __future__ import annotations
@@ -23,15 +24,7 @@ from __future__ import annotations
 from conftest import emit_table
 
 from repro import programs, workloads
-from repro.core import (
-    Database,
-    MagicQuery,
-    NaiveEvaluator,
-    magic_registry,
-    magic_rewrite,
-    naive_fixpoint,
-    solve,
-)
+from repro.core import Database, naive_fixpoint, solve
 from repro.semirings import TROP
 
 #: The E21 demand workload: a power-law digraph at 10⁴ edges (ISSUE
@@ -122,31 +115,8 @@ def test_e21_power_law_demand_vs_full(counters):
     assert keys_reduction >= MIN_REDUCTION_X
 
 
-def test_e21_demand_matches_legacy_rewrite():
-    """Both generations agree with each other (and full evaluation) on
-    the demanded atoms of the same query."""
-    edges = workloads.power_law_digraph(200, 600, seed=3, alpha=0.6)
-    prog = programs.apsp()
-    db = Database(pops=TROP, relations={"E": dict(edges)})
-    source = min(a for a, _ in edges)
-
-    demand = solve(prog, db, method="seminaive", query=("T", (source, None)))
-    legacy = naive_fixpoint(
-        magic_rewrite(prog, MagicQuery("T", "bf", (source,)), TROP),
-        db,
-        functions=magic_registry(TROP),
-    )
-    full = solve(prog, db, method="seminaive")
-    assert demand.stats["demand_fallbacks"] == 0
-    for key, value in full.instance.support("T").items():
-        if key[0] != source:
-            continue
-        assert demand.instance.get("T", key) == value
-        assert legacy.instance.get("T", key) == value
-
-
 # ---------------------------------------------------------------------------
-# Legacy reference rewrite (repro.core.magic, naive-only)
+# Textbook magic-set shapes (naive evaluation)
 # ---------------------------------------------------------------------------
 
 
@@ -162,29 +132,24 @@ def multi_component_db(components: int = 4, size: int = 10) -> Database:
 def test_e21_relevance_restriction(benchmark):
     db = multi_component_db()
     prog = programs.apsp()
-    query = MagicQuery("T", "bf", (0,))
 
     def run():
-        full_eval = NaiveEvaluator(prog, db)
-        full = full_eval.run()
-        rewritten = magic_rewrite(prog, query, TROP)
-        magic_eval = NaiveEvaluator(
-            rewritten, db, functions=magic_registry(TROP)
-        )
-        magic = magic_eval.run()
-        return full_eval, full, magic_eval, magic
+        full = solve(prog, db, method="naive")
+        demand = solve(prog, db, method="naive", query=("T", (0, None)))
+        return full, demand
 
-    full_eval, full, magic_eval, magic = benchmark(run)
+    full, demand = benchmark(run)
+    assert demand.stats["demand_fallbacks"] == 0
     rows = [
         (
             "full APSP",
             len(full.instance.support("T")),
-            full_eval.stats.products,
+            full.stats["products"],
         ),
         (
-            "magic T(0, ?)",
-            len(magic.instance.support("T")),
-            magic_eval.stats.products,
+            "demand T(0, ?)",
+            len(demand.instance.support("T")),
+            demand.stats["products"],
         ),
     ]
     emit_table(
@@ -195,7 +160,7 @@ def test_e21_relevance_restriction(benchmark):
     # Demanded answers identical.
     for key, value in full.instance.support("T").items():
         if key[0] == 0:
-            assert magic.instance.get("T", key) == value
+            assert demand.instance.get("T", key) == value
     # Only the demanded component is materialized.
     assert rows[1][1] <= rows[0][1] / 3
     assert rows[1][2] < rows[0][2]
@@ -204,15 +169,12 @@ def test_e21_relevance_restriction(benchmark):
 def test_e21_point_query(benchmark):
     db = Database(pops=TROP, relations={"E": workloads.fig_2a_graph()})
     prog = programs.apsp()
-    query = MagicQuery("T", "bb", ("a", "d"))
 
     def run():
-        rewritten = magic_rewrite(prog, query, TROP)
-        return naive_fixpoint(
-            rewritten, db, functions=magic_registry(TROP)
-        )
+        return solve(prog, db, method="naive", query=("T", ("a", "d")))
 
     result = benchmark(run)
+    assert result.stats["demand_fallbacks"] == 0
     assert result.instance.get("T", ("a", "d")) == 8.0
 
 
@@ -225,13 +187,13 @@ def test_e21_matches_sssp_program(benchmark):
     prog = programs.apsp()
 
     def run():
-        rewritten = magic_rewrite(prog, MagicQuery("T", "bf", (0,)), TROP)
-        return naive_fixpoint(rewritten, db, functions=magic_registry(TROP))
+        return solve(prog, db, method="naive", query=("T", (0, None)))
 
-    magic = benchmark(run)
+    demand = benchmark(run)
+    assert demand.stats["demand_fallbacks"] == 0
     sssp = naive_fixpoint(programs.sssp(0), db)
     for key, value in sssp.instance.support("L").items():
         node = key[0]
         if node == 0:
             continue  # APSP needs ≥1 edge; L(0) = 0 is the seed
-        assert magic.instance.get("T", (0, node)) == value
+        assert demand.instance.get("T", (0, node)) == value

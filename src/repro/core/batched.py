@@ -314,11 +314,6 @@ class BatchedKernel:
         variant: Optional[Tuple[Sequence[int], int]] = None,
         label: str = "batched",
     ):
-        if any(step.checks for step in ir.steps):
-            raise BatchedError(
-                "plans carrying runtime base-valuation checks (legacy "
-                "JoinPlan lowering) have no batched pipeline"
-            )
         self.ir = ir
         self.label = label
         self._stats = stats

@@ -197,11 +197,6 @@ class _SourceGen:
         carried_slots: FrozenSet[int] = frozenset(),
         variant: Optional[Tuple[Sequence[int], int]] = None,
     ):
-        if any(step.checks for step in ir.steps):
-            raise CodegenError(
-                "plans carrying runtime base-valuation checks (legacy "
-                "JoinPlan lowering) have no generated-source pipeline"
-            )
         self.ir = ir
         self.domain = tuple(fallback_domain)
         self.bool_lookup = bool_lookup

@@ -1,14 +1,14 @@
 """Demand-driven query path: magic sets as a planner stage (PR 10).
 
-:mod:`repro.core.magic` implements the textbook value-annotated magic
-transformation, but its rewritten programs are naive-only and pay a
-per-tuple interpreted ``supp`` call: the guard ``supp(m_R_α(x̄))`` is a
-:class:`~repro.core.rules.FuncFactor` wrapping an IDB atom, which (a)
-cannot feed the enumeration core as a probe guard, (b) resolves through
-the function registry on every valuation, and (c) has no differential
-affinity, so semi-naïve evaluation rejects it.
+The textbook value-annotated magic transformation guards each rule with
+``supp(m_R_α(x̄))``, where ``supp`` maps ``0 ↦ 0`` and everything else
+to ``1``.  Written as an interpreted
+:class:`~repro.core.rules.FuncFactor` wrapping an IDB atom, that guard
+(a) cannot feed the enumeration core as a probe guard, (b) resolves
+through the function registry on every valuation, and (c) has no
+differential affinity, so semi-naïve evaluation rejects it.
 
-This module rebuilds the rewrite as a *planner stage* whose output is
+This module builds the rewrite as a *planner stage* whose output is
 an ordinary datalog° program running unchanged — and at full speed —
 through every modern layer (SCC scheduling, Plan IR, closure kernels,
 codegen, batched columns, sharding).  The trick is an invariant instead
@@ -30,7 +30,7 @@ of a function call:
 * An answer rule is the original body with one extra **plain**
   ``RelAtom`` factor, ``m_R_α(bound x̄)``.  Its carried value is ``1``,
   the multiplicative identity — so the factor is semantically the
-  legacy ``supp`` guard, while structurally it is an ordinary
+  textbook ``supp`` guard, while structurally it is an ordinary
   value-carrying index probe that every backend already compiles, and
   an ordinary linear IDB occurrence the semi-naïve differential
   handles.
@@ -161,9 +161,14 @@ def parse_query(text: str) -> DemandQuery:
     relation, inner = match.group(1), match.group(2).strip()
     pattern: List[Any] = []
     if inner:
-        for atom in inner.split(","):
+        for position, atom in enumerate(inner.split(",")):
             atom = atom.strip()
-            if atom in ("?", "_", ""):
+            if not atom:
+                raise DemandError(
+                    f"query {text!r} has an empty argument at position "
+                    f"{position}; write '?' or '_' for a free position"
+                )
+            if atom in ("?", "_"):
                 pattern.append(None)
                 continue
             try:
@@ -198,6 +203,14 @@ def normalize_query(query: QueryLike) -> DemandQuery:
         raise DemandError(
             f"query pattern must be a tuple of constants/None, got {pattern!r}"
         )
+    for position, constant in enumerate(pattern):
+        try:
+            hash(constant)
+        except TypeError:
+            raise DemandError(
+                f"query constant {constant!r} at position {position} is "
+                "unhashable; keys hold hashable values only"
+            ) from None
     return DemandQuery(relation, tuple(pattern))
 
 

@@ -1,7 +1,8 @@
 """Compiled join kernels: each (rule, body) plan lowered to closures.
 
 The interpreted pipeline (:func:`repro.core.valuations.enumerate_matches`
-→ :func:`repro.core.planner.build_plan` → ``execute_plan``) re-plans
+→ :func:`repro.core.plan_ir.build_body_plan` →
+:func:`repro.core.planner.execute_ir`) re-plans
 every body on **every rule application** and walks the plan with
 per-candidate dict copies, per-step ``isinstance`` dispatch and
 per-factor semiring attribute lookups.  None of that work depends on
@@ -793,11 +794,6 @@ def compile_kernel(
     relations in the same positions), which every evaluator's per-body
     guard construction guarantees.
     """
-    if any(step.checks for step in ir.steps):
-        raise ValueError(
-            "plans carrying runtime base-valuation checks (legacy "
-            "JoinPlan lowering) have no compiled pipeline"
-        )
     step_specs: List[_StepSpec] = [
         _StepSpec(
             guard_pos=step.guard_pos,

@@ -79,14 +79,6 @@ class ProbeStepIR:
         dups: ``(key position, earlier position)`` pairs — repeated
             unbound variables, checked for equality against their
             first occurrence.
-        checks: ``(key position, variable name)`` pairs — positions
-            whose variable is already bound by the *runtime base
-            valuation* but was not declared bound at plan-build time,
-            so the probe mask does not cover it; the key must equal
-            the bound value.  Always empty for plans built by
-            :func:`build_body_plan` (it receives the bound set before
-            planning, so such positions land in the mask); only the
-            legacy ``JoinPlan`` lowering produces them.
         filters: Pushed-down ``Φ``-conjuncts decidable right after
             this step's variables bind.
         slot: Body-factor position whose value the guard's entries
@@ -101,7 +93,6 @@ class ProbeStepIR:
     dups: Tuple[Tuple[int, int], ...]
     filters: Tuple[Condition, ...]
     slot: Optional[int]
-    checks: Tuple[Tuple[int, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -131,19 +122,15 @@ class BodyPlanIR:
 
 
 def _freeze_steps(
-    plan_steps,
-    guard_positions: Sequence[int],
-    base_bound: Set[str],
+    plan_steps, guard_positions: Sequence[int]
 ) -> Tuple[ProbeStepIR, ...]:
     """Reduce each planned step's unification to IR positions.
 
     Masked positions (constants and plan-time-bound variables) are
     guaranteed equal by the probe key itself; every non-masked arg is
     a :class:`~repro.core.ast.Variable` (the planner masks constants
-    unconditionally).  A non-masked variable in ``base_bound`` —
-    bound at runtime but undeclared at plan-build time, possible only
-    through the legacy ``JoinPlan`` path — becomes an equality
-    *check* instead of a fresh bind.
+    unconditionally), bound fresh at its first occurrence and
+    dup-checked at later ones.
     """
     out: List[ProbeStepIR] = []
     for step, guard_pos in zip(plan_steps, guard_positions):
@@ -151,15 +138,12 @@ def _freeze_steps(
         mask_set = set(step.mask)
         binds: List[Tuple[int, str]] = []
         dups: List[Tuple[int, int]] = []
-        checks: List[Tuple[int, str]] = []
         seen: dict = {}
         for pos, arg in enumerate(args):
             if pos in mask_set:
                 continue
             name = arg.name
-            if name in base_bound:
-                checks.append((pos, name))
-            elif name in seen:
+            if name in seen:
                 dups.append((pos, seen[name]))
             else:
                 seen[name] = pos
@@ -174,30 +158,9 @@ def _freeze_steps(
                 dups=tuple(dups),
                 filters=step.filters,
                 slot=step.slot,
-                checks=tuple(checks),
             )
         )
     return tuple(out)
-
-
-def _freeze_plan(
-    steps: Tuple[ProbeStepIR, ...],
-    schedule,
-    variables: Sequence[str],
-    n_slots: int,
-    bound_after_steps: frozenset,
-) -> BodyPlanIR:
-    return BodyPlanIR(
-        steps=steps,
-        fallback=schedule.fallback,
-        residual=schedule.residual,
-        prefix_filters=schedule.prefix_filters,
-        initial_bindings=schedule.initial_bindings,
-        needs_domain_set=schedule.needs_domain_set,
-        variables=tuple(variables),
-        n_slots=n_slots,
-        bound_after_steps=bound_after_steps,
-    )
 
 
 def build_body_plan(
@@ -247,51 +210,16 @@ def build_body_plan(
         indexes[pos] = step.index
         guard_positions.append(pos)
 
-    # Plan-time-bound variables are always masked, so ``bound`` never
-    # produces checks here; passing it anyway keeps the reduction
-    # correct even for hand-built plans.
-    steps = _freeze_steps(plan.steps, guard_positions, set(bound))
-    ir = _freeze_plan(
-        steps, plan.schedule, variables, n_slots, plan.bound_after_steps
-    )
-    return ir, indexes
-
-
-def lower_join_plan(
-    plan,
-    variables: Sequence[str],
-    condition: Condition,
-    base_bound: Set[str] = frozenset(),
-    n_slots: int = 0,
-) -> Tuple[BodyPlanIR, List[Optional[KeyIndex]]]:
-    """Lower an already-built :class:`~repro.core.planner.JoinPlan`.
-
-    Compatibility path for callers holding a ``JoinPlan`` (the legacy
-    :func:`repro.core.planner.execute_plan` API): produces the same IR
-    :func:`build_body_plan` would have, including the seed-style
-    no-schedule reading (``Φ`` checked once at the leaf over a plain
-    fallback product) when the plan was built without a condition.
-    ``base_bound`` names the variables the *runtime* base valuation
-    binds; positions mentioning them that the plan-time mask does not
-    cover become per-key equality checks (the old ``_unify`` clash
-    rejection).
-    """
-    from .pushdown import naive_schedule
-
     schedule = plan.schedule
-    if schedule is None:
-        remaining = [
-            v
-            for v in variables
-            if v not in plan.bound_after_steps and v not in base_bound
-        ]
-        schedule = naive_schedule(condition, remaining)
-
-    indexes: List[Optional[KeyIndex]] = [step.index for step in plan.steps]
-    steps = _freeze_steps(
-        plan.steps, range(len(plan.steps)), set(base_bound)
-    )
-    ir = _freeze_plan(
-        steps, schedule, variables, n_slots, plan.bound_after_steps
+    ir = BodyPlanIR(
+        steps=_freeze_steps(plan.steps, guard_positions),
+        fallback=schedule.fallback,
+        residual=schedule.residual,
+        prefix_filters=schedule.prefix_filters,
+        initial_bindings=schedule.initial_bindings,
+        needs_domain_set=schedule.needs_domain_set,
+        variables=tuple(variables),
+        n_slots=n_slots,
+        bound_after_steps=plan.bound_after_steps,
     )
     return ir, indexes

@@ -64,7 +64,7 @@ from typing import (
     Tuple,
 )
 
-from .ast import Condition, Constant, Valuation, Variable, condition_holds
+from .ast import Condition, Constant, TrueCond, Valuation, Variable, condition_holds
 from .indexes import NO_VALUE, JoinStats, Key, KeyIndex, Mask
 from .pushdown import (
     PushdownSchedule,
@@ -98,23 +98,14 @@ class PlanStep:
     filters: Tuple[Condition, ...] = ()
     slot: Optional[int] = None
 
-    def probe_values(self, valuation: Valuation) -> Tuple:
-        """Evaluate the probe terms under the current partial valuation."""
-        return tuple(
-            arg.value if isinstance(arg, Constant) else valuation[arg.name]
-            for arg in self.probe_args
-        )
-
 
 @dataclass
 class JoinPlan:
     """An ordered probe-join over a body's guards, plus the pushdown
-    schedule compiled for the condition it was built against (``None``
-    when the plan was built without one — execution then falls back to
-    the seed's single leaf check)."""
+    schedule compiled for the condition it was built against."""
 
     steps: Tuple[PlanStep, ...]
-    schedule: Optional[PushdownSchedule] = None
+    schedule: PushdownSchedule
     bound_after_steps: frozenset = field(default_factory=frozenset)
 
 
@@ -323,33 +314,28 @@ def build_plan(
     guards: Sequence[Guard],
     bound: Set[str] = frozenset(),
     stats: Optional[JoinStats] = None,
-    condition: Optional[Condition] = None,
+    condition: Condition = TrueCond(),
     variables: Sequence[str] = (),
     extra_conjuncts: Sequence[Condition] = (),
     order: str = "cost",
 ) -> JoinPlan:
     """Compile guards into a cost-ordered :class:`JoinPlan`.
 
-    When ``condition`` is given, its conjuncts (plus
-    ``extra_conjuncts``) are pushed down into the plan (step filters,
-    equality bindings, incremental fallback — see
-    :mod:`repro.core.pushdown`); execution then needs no separate leaf
-    condition.  Without it the plan carries no schedule and
-    :func:`execute_plan` applies its ``condition`` argument at the
-    leaf, seed-style.  ``order`` picks the join-order search (see
-    :func:`order_guards`).
+    The conjuncts of ``condition`` (plus ``extra_conjuncts``) are
+    pushed down into the plan (step filters, equality bindings,
+    incremental fallback — see :mod:`repro.core.pushdown`); execution
+    then needs no separate leaf condition.  ``order`` picks the
+    join-order search (see :func:`order_guards`).
     """
     indexes = [_guard_index(g, stats) for g in guards]
     bound_now: Set[str] = set(bound)
 
-    schedule: Optional[PushdownSchedule] = None
-    if condition is not None:
-        # Equality bindings decidable from the base belong to the bound
-        # set *before* ordering, so probe masks can exploit them.  The
-        # schedule is recompiled against the final order below.
-        pre = compile_schedule(condition, extra_conjuncts, bound_now, (), variables)
-        for var, _term, _check in pre.initial_bindings:
-            bound_now.add(var)
+    # Equality bindings decidable from the base belong to the bound
+    # set *before* ordering, so probe masks can exploit them.  The
+    # schedule is recompiled against the final order below.
+    pre = compile_schedule(condition, extra_conjuncts, bound_now, (), variables)
+    for var, _term, _check in pre.initial_bindings:
+        bound_now.add(var)
 
     steps: List[PlanStep] = []
     for pos in order_guards(guards, indexes, bound_now, order=order):
@@ -368,25 +354,24 @@ def build_plan(
             if isinstance(arg, Variable):
                 bound_now.add(arg.name)
 
-    if condition is not None:
-        schedule = compile_schedule(
-            condition,
-            extra_conjuncts,
-            set(bound),
-            tuple(step.guard for step in steps),
-            variables,
+    schedule = compile_schedule(
+        condition,
+        extra_conjuncts,
+        set(bound),
+        tuple(step.guard for step in steps),
+        variables,
+    )
+    steps = [
+        PlanStep(
+            guard=step.guard,
+            index=step.index,
+            mask=step.mask,
+            probe_args=step.probe_args,
+            filters=schedule.step_filters[i],
+            slot=step.slot,
         )
-        steps = [
-            PlanStep(
-                guard=step.guard,
-                index=step.index,
-                mask=step.mask,
-                probe_args=step.probe_args,
-                filters=schedule.step_filters[i],
-                slot=step.slot,
-            )
-            for i, step in enumerate(steps)
-        ]
+        for i, step in enumerate(steps)
+    ]
 
     return JoinPlan(
         steps=tuple(steps),
@@ -721,7 +706,6 @@ def execute_ir(
         arity = step.arity
         binds = step.binds
         dups = step.dups
-        checks = step.checks
         filters = step.filters
         slot = step.slot
         for entry in candidates:
@@ -733,17 +717,6 @@ def execute_ir(
                 bad = False
                 for pos, first in dups:
                     if key[pos] != key[first]:
-                        bad = True
-                        break
-                if bad:
-                    continue
-            if checks:
-                # Legacy plans only: the runtime base bound a variable
-                # the plan-time mask does not cover — the key must
-                # agree with it (the old ``_unify`` clash rejection).
-                bad = False
-                for pos, name in checks:
-                    if key[pos] != valuation[name]:
                         bad = True
                         break
                 if bad:
@@ -770,46 +743,3 @@ def execute_ir(
                 yield from recurse(i + 1, extended, carried)
 
     yield from recurse(0, base_valuation, ())
-
-
-def execute_plan(
-    plan: JoinPlan,
-    variables: Sequence[str],
-    fallback_domain: Sequence[Any],
-    condition: Condition,
-    bool_lookup: Callable[[str, Key], bool],
-    base: Optional[Valuation] = None,
-    stats: Optional[JoinStats] = None,
-) -> Iterator[Tuple[Valuation, SlotValues]]:
-    """Run a join plan, yielding ``(valuation, slot_values)`` pairs.
-
-    Every satisfying valuation is yielded exactly once, with the POPS
-    values that rode the probes keyed by body-factor slot (empty when
-    no guard carries values).  Semantically the valuation stream is
-    identical to the seed's guard-nested-loop enumeration (see
-    :func:`repro.core.valuations.enumerate_valuations`): variables not
-    covered by any guard range over ``fallback_domain`` and every
-    candidate passes ``condition`` — just checked piecewise at the
-    earliest sound position when the plan carries a pushdown schedule.
-
-    Compatibility shim over the Plan IR: the ``JoinPlan`` is lowered
-    via :func:`repro.core.plan_ir.lower_join_plan` (plans built without
-    a condition get the seed-style leaf-check schedule) and executed by
-    :func:`execute_ir` — one interpreted executor, whatever the caller
-    holds.
-    """
-    from .plan_ir import lower_join_plan
-
-    base_bound = set(base) if base else set()
-    ir, indexes = lower_join_plan(
-        plan, variables, condition, base_bound=base_bound
-    )
-    yield from execute_ir(
-        ir,
-        [step.guard for step in plan.steps],
-        indexes,
-        fallback_domain,
-        bool_lookup,
-        base=base,
-        stats=stats,
-    )

@@ -155,6 +155,16 @@ class TestCli:
                 "--query", "Nope(a,?)",
             ])
 
+    @pytest.mark.parametrize("text", ["T(a,)", "T(,a)", "T(,)"])
+    def test_run_query_empty_argument_rejected(self, tc_files, text):
+        """An empty argument is not a free position: only '?'/'_' are."""
+        program, edb = tc_files
+        with pytest.raises(SystemExit, match="empty argument"):
+            main([
+                "run", program, "--pops", "trop", "--edb", edb,
+                "--query", text,
+            ])
+
     @pytest.mark.parametrize("engine", ["compiled", "codegen", "interpreted"])
     def test_run_engine_flag(self, tc_files, capsys, engine):
         program, edb = tc_files

@@ -114,6 +114,17 @@ class TestQueryPatterns:
         with pytest.raises(DemandError, match="unparseable"):
             parse_query("not a query")
 
+    def test_parse_rejects_empty_argument(self):
+        """Only '?'/'_' mark free positions; an empty argument is an
+        error naming its position, while ``T()`` stays nullary."""
+        with pytest.raises(DemandError, match="empty argument at position 1"):
+            parse_query("T(a,)")
+        with pytest.raises(DemandError, match="empty argument at position 1"):
+            parse_query("T(a,,b)")
+        with pytest.raises(DemandError, match="empty argument at position 0"):
+            parse_query("T(,)")
+        assert parse_query("T()").pattern == ()
+
     def test_normalize_accepts_all_spellings(self):
         q = DemandQuery("T", ("a", None))
         assert normalize_query(q) is q
@@ -128,6 +139,8 @@ class TestQueryPatterns:
             normalize_query((42, ("a",)))
         with pytest.raises(DemandError, match="pattern"):
             normalize_query(("T", "ab"))
+        with pytest.raises(DemandError, match=r"\['x'\].*unhashable"):
+            normalize_query(("T", (["x"], None)))
 
     def test_matches(self):
         q = DemandQuery("T", ("a", None))

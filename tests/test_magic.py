@@ -1,85 +1,72 @@
-"""Magic-set rewriting: query-directed evaluation (§1's optimization)."""
+"""Magic-set rewriting (§1's optimization) through ``solve(query=…)``.
+
+The demand path (:mod:`repro.core.demand`) is the one magic-set rewrite;
+these checks hold it to the full fixpoint as the oracle on the textbook
+magic-set shapes — single-source TC and APSP, point and free queries,
+widest paths, relevance restriction across components, the magic
+predicate as the reachable set — plus the fragment boundary (value
+spaces without the needed laws and the quadratic TC² fall back with a
+named reason) and the interpreted-``supp`` guard shape of the textbook
+rewrite, written out by hand, across every engine and schedule.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import programs, workloads
-from repro.core import Database, NaiveEvaluator, solve
-from repro.core.magic import (
-    MagicError,
-    MagicQuery,
-    demanded_keys,
-    magic_registry,
-    magic_rewrite,
-    support_function,
+from repro.core import Database, parse_program, solve
+from repro.core.demand import (
+    MAGIC_PREFIX,
+    DemandError,
+    demand_rewrite,
+    demand_verdict,
+    normalize_query,
 )
-from repro.semirings import BOOL, BOTTLENECK, LIFTED_REAL, TROP, VITERBI
+from repro.semirings import BOOL, BOTTLENECK, LIFTED_REAL, NAT, TROP, VITERBI
+from repro.semirings.base import FunctionRegistry
 
 
-def run_magic(program, query, db, **solve_kw):
-    # Through the modern solve() entry point — SCC scheduling, indexed
-    # plans, compiled kernels and the guardrail pre-flight all apply to
-    # the rewritten program (magic programs are naive-only: the supp
-    # guard over an IDB magic atom has no differential affinity).
-    rewritten = magic_rewrite(program, query, db.pops)
-    registry = magic_registry(db.pops)
-    return rewritten, solve(
-        rewritten, db, method="naive", functions=registry, **solve_kw
-    )
-
-
-class TestSupportFunction:
-    @pytest.mark.parametrize("pops", [BOOL, TROP, BOTTLENECK, VITERBI],
-                             ids=lambda s: s.name)
-    def test_supp_values(self, pops):
-        supp = support_function(pops)
-        assert pops.eq(supp(pops.zero), pops.zero)
-        assert pops.eq(supp(pops.one), pops.one)
-        for v in pops.sample_values():
-            if not pops.eq(v, pops.zero):
-                assert pops.eq(supp(v), pops.one)
-
-    @pytest.mark.parametrize("pops", [BOOL, TROP, BOTTLENECK],
-                             ids=lambda s: s.name)
-    def test_supp_monotone(self, pops):
-        supp = support_function(pops)
-        for a in pops.sample_values():
-            for b in pops.sample_values():
-                if pops.leq(a, b):
-                    assert pops.leq(supp(a), supp(b))
+def assert_demanded_match_full(demand, full, query, relation):
+    """Demanded atoms keep their full-fixpoint values exactly, and the
+    demand run derives no wrong value anywhere."""
+    pattern = normalize_query(query)
+    wanted = [k for k in full.instance.support(relation) if pattern.matches(k)]
+    for key in wanted:
+        assert demand.instance.get(relation, key) == full.instance.get(
+            relation, key
+        ), key
+    for key, value in demand.instance.support(relation).items():
+        assert full.instance.get(relation, key) == value, key
+    return wanted
 
 
 class TestQueryValidation:
+    """Malformed queries raise; they never fall back silently."""
+
     def test_binding_count(self):
-        with pytest.raises(MagicError):
-            MagicQuery("T", "bf", ())
-        with pytest.raises(MagicError):
-            MagicQuery("T", "bx", ("a",))
+        db = Database(pops=TROP, relations={"E": {("a", "b"): 1.0}})
+        with pytest.raises(DemandError, match="arity"):
+            solve(programs.transitive_closure(), db, query=("T", ()))
+        with pytest.raises(DemandError, match="pattern"):
+            normalize_query(("T", "bx"))
 
     def test_requires_idb(self):
-        with pytest.raises(MagicError):
-            magic_rewrite(
-                programs.transitive_closure(),
-                MagicQuery("E", "bf", ("a",)),
-                TROP,
+        with pytest.raises(DemandError, match="not an IDB"):
+            demand_verdict(
+                programs.transitive_closure(), ("E", ("a", None)), TROP
             )
 
     def test_requires_matching_arity(self):
-        with pytest.raises(MagicError):
-            magic_rewrite(
-                programs.transitive_closure(),
-                MagicQuery("T", "b", ("a",)),
-                TROP,
-            )
+        with pytest.raises(DemandError, match="arity"):
+            demand_verdict(programs.transitive_closure(), ("T", ("a",)), TROP)
 
     def test_rejects_non_semiring_pops(self):
-        with pytest.raises(MagicError):
-            magic_rewrite(
-                programs.bill_of_material(),
-                MagicQuery("T", "f", ()),
-                LIFTED_REAL,
-            )
+        verdict = demand_verdict(
+            programs.bill_of_material(), ("T", (None,)), LIFTED_REAL
+        )
+        assert not verdict.supported
+        assert any("naturally ordered" in r for r in verdict.reasons)
 
 
 class TestCorrectness:
@@ -87,53 +74,38 @@ class TestCorrectness:
 
     def _compare(self, program, query, db, answer_rel):
         full = solve(program, db, method="naive")
-        _rw, magic = run_magic(program, query, db)
-        full_support = full.instance.support(answer_rel)
-        wanted = demanded_keys(query, list(full_support))
-        for key in wanted:
-            assert db.pops.eq(
-                magic.instance.get(answer_rel, key),
-                full.instance.get(answer_rel, key),
-            ), key
-        # Soundness: the magic run derives no wrong values anywhere.
-        for key, value in magic.instance.support(answer_rel).items():
-            assert db.pops.eq(value, full.instance.get(answer_rel, key))
-        return full, magic
+        demand = solve(program, db, method="naive", query=query)
+        assert demand.stats["demand_fallbacks"] == 0
+        assert_demanded_match_full(demand, full, query, answer_rel)
+        return full, demand
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_tc_from_source_over_bool(self, seed):
         edges = workloads.random_dag(9, 0.25, seed=seed)
         db = Database(pops=BOOL, relations={"E": {e: True for e in edges}})
-        self._compare(
-            programs.transitive_closure(),
-            MagicQuery("T", "bf", (0,)),
-            db,
-            "T",
-        )
+        self._compare(programs.transitive_closure(), ("T", (0, None)), db, "T")
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_apsp_single_source_over_trop(self, seed):
         edges = workloads.random_weighted_digraph(8, 0.3, seed=seed)
         db = Database(pops=TROP, relations={"E": dict(edges)})
-        self._compare(
-            programs.apsp(), MagicQuery("T", "bf", (0,)), db, "T"
-        )
+        self._compare(programs.apsp(), ("T", (0, None)), db, "T")
 
     def test_point_query_both_bound(self):
         edges = workloads.fig_2a_graph()
         db = Database(pops=TROP, relations={"E": dict(edges)})
-        full, magic = self._compare(
-            programs.apsp(), MagicQuery("T", "bb", ("a", "d")), db, "T"
+        _full, demand = self._compare(
+            programs.apsp(), ("T", ("a", "d")), db, "T"
         )
-        assert magic.instance.get("T", ("a", "d")) == 8.0
+        assert demand.instance.get("T", ("a", "d")) == 8.0
 
     def test_free_query_degenerates_to_full(self):
         edges = workloads.fig_2a_graph()
         db = Database(pops=TROP, relations={"E": dict(edges)})
-        full, magic = self._compare(
-            programs.apsp(), MagicQuery("T", "ff", ()), db, "T"
+        full, demand = self._compare(
+            programs.apsp(), ("T", (None, None)), db, "T"
         )
-        assert len(magic.instance.support("T")) == len(
+        assert len(demand.instance.support("T")) == len(
             full.instance.support("T")
         )
 
@@ -141,104 +113,113 @@ class TestCorrectness:
         edges = {("s", "a"): 4.0, ("a", "t"): 3.0, ("s", "t"): 2.0,
                  ("x", "y"): 9.0}
         db = Database(pops=BOTTLENECK, relations={"E": dict(edges)})
-        _full, magic = self._compare(
-            programs.apsp(), MagicQuery("T", "bf", ("s",)), db, "T"
+        _full, demand = self._compare(
+            programs.apsp(), ("T", ("s", None)), db, "T"
         )
-        assert magic.instance.get("T", ("s", "t")) == 3.0
+        assert demand.instance.get("T", ("s", "t")) == 3.0
+
+
+def two_line_components(size):
+    """Two disconnected lines: ``0…size-1`` and the same shifted by 100."""
+    edges = dict(workloads.line_edges(size))
+    edges.update({(a + 100, b + 100): w
+                  for (a, b), w in workloads.line_edges(size).items()})
+    return Database(pops=TROP, relations={"E": edges})
 
 
 class TestRelevanceRestriction:
     def test_magic_derives_fewer_atoms(self):
         """Two disconnected components: the undemanded one is skipped."""
-        edges = dict(workloads.line_edges(10))
-        # Second component shifted by 100.
-        edges.update({(a + 100, b + 100): w
-                      for (a, b), w in workloads.line_edges(10).items()})
-        db = Database(pops=TROP, relations={"E": edges})
+        db = two_line_components(10)
         full = solve(programs.apsp(), db, method="naive")
-        _rw, magic = run_magic(
-            programs.apsp(), MagicQuery("T", "bf", (0,)), db
-        )
-        full_t = len(full.instance.support("T"))
-        magic_t = len(magic.instance.support("T"))
-        assert magic_t < full_t / 2
+        demand = solve(programs.apsp(), db, method="naive", query="T(0,?)")
+        assert demand.stats["demand_fallbacks"] == 0
+        assert len(demand.instance.support("T")) < len(
+            full.instance.support("T")
+        ) / 2
         # And every demanded answer is still there.
-        assert magic.instance.get("T", (0, 9)) == 9.0
+        assert demand.instance.get("T", (0, 9)) == 9.0
 
     def test_magic_predicate_support_is_reachable_set(self):
+        """Right-linear TC passes the source's bindings through ``E``:
+        the magic predicate's support is the set reachable from it."""
+        prog = parse_program("T(X, Y) :- E(X, Y) | E(X, Z) * T(Z, Y).")
         edges = {("a", "b"): 1.0, ("b", "c"): 1.0, ("x", "y"): 1.0}
         db = Database(pops=TROP, relations={"E": edges})
-        _rw, magic = run_magic(
-            programs.sssp("a", label="L"),
-            MagicQuery("L", "f", ()),
-            db,
+        rewritten, augmented, verdict = demand_rewrite(
+            prog, ("T", ("a", None)), db
         )
-        assert set(magic.instance.support("L")) == {("a",), ("b",), ("c",)}
+        assert verdict.supported
+        magic = solve(rewritten, augmented, method="naive")
+        assert set(magic.instance.support(MAGIC_PREFIX + "T_bf")) == {
+            ("a",), ("b",), ("c",)
+        }
 
     def test_work_reduction_counters(self):
-        """The rewritten program touches fewer tuples (E21 shape)."""
-        edges = dict(workloads.line_edges(12))
-        edges.update({(a + 100, b + 100): w
-                      for (a, b), w in workloads.line_edges(12).items()})
-        db = Database(pops=TROP, relations={"E": edges})
-        full_eval = NaiveEvaluator(programs.apsp(), db)
-        full_eval.run()
-        rewritten = magic_rewrite(
-            programs.apsp(), MagicQuery("T", "bf", (0,)), TROP
-        )
-        magic_eval = NaiveEvaluator(
-            rewritten, db, functions=magic_registry(TROP)
-        )
-        magic_eval.run()
-        assert magic_eval.stats.products < full_eval.stats.products
+        """The demand run touches fewer tuples (E21 shape)."""
+        db = two_line_components(12)
+        full = solve(programs.apsp(), db, method="naive")
+        demand = solve(programs.apsp(), db, method="naive", query="T(0,?)")
+        assert demand.stats["demand_fallbacks"] == 0
+        assert demand.stats["products"] < full.stats["products"]
 
 
 class TestIdempotencyRequirement:
     def test_rejects_non_idempotent_semiring(self):
-        from repro.semirings import NAT
-
-        with pytest.raises(MagicError) as err:
-            magic_rewrite(
-                programs.transitive_closure(),
-                MagicQuery("T", "bf", ("a",)),
-                NAT,
-            )
-        assert "idempotent" in str(err.value)
+        """NAT's ⊕ would double-count a derivation demanded twice: the
+        rewrite is refused and the full fixpoint runs, counted."""
+        edges = workloads.random_dag(7, 0.35, seed=2)
+        db = Database(pops=NAT, relations={"E": {e: 1 for e in edges}})
+        prog = programs.transitive_closure()
+        demand = solve(prog, db, method="naive", query=("T", (1, None)))
+        assert demand.stats["demand_fallbacks"] == 1
+        assert "idempotent" in demand.stats["demand_unsupported"]
+        assert demand.instance.equals(solve(prog, db, method="naive").instance)
 
     def test_quadratic_tc_demands_second_adornment(self):
-        """Example 6.6's TC²: T(X,Z)·T(Z,Y) demands T under bf twice
-        (the second occurrence is bf after Z is bound) — correctness
-        across occurrences.  Queries node 1, the DAG's productive
-        source (node 0 has no out-edges in this draw — querying it
-        would make every assertion below vacuous)."""
+        """Example 6.6's TC²: in T(X,Z)·T(Z,Y) the second occurrence is
+        demanded under ``bf`` once the first binds Z — non-linear demand,
+        which falls back to the full fixpoint with the demanded atoms
+        unchanged.  Queries node 1, the DAG's productive source (node 0
+        has no out-edges in this draw — querying it would make every
+        assertion below vacuous)."""
         edges = workloads.random_dag(7, 0.35, seed=11)
         db = Database(pops=BOOL, relations={"E": {e: True for e in edges}})
         prog = programs.quadratic_transitive_closure()
         full = solve(prog, db, method="naive")
-        rewritten = magic_rewrite(prog, MagicQuery("T", "bf", (1,)), BOOL)
-        magic = solve(
-            rewritten, db, method="naive", functions=magic_registry(BOOL)
-        )
-        demanded = [
-            key for key in full.instance.support("T") if key[0] == 1
-        ]
-        assert demanded, "query source must demand something"
-        for key in demanded:
-            assert magic.instance.get("T", key) == full.instance.get(
-                "T", key
-            ), key
-        for key, value in magic.instance.support("T").items():
-            assert full.instance.get("T", key) == value
+        demand = solve(prog, db, method="naive", query=("T", (1, None)))
+        assert demand.stats["demand_fallbacks"] == 1
+        assert "non-linear demand" in demand.stats["demand_unsupported"]
+        wanted = assert_demanded_match_full(demand, full, "T(1,?)", "T")
+        assert wanted, "query source must demand something"
+
+
+#: The textbook value-annotated rewrite of APSP for ``T(0, ?)``, by
+#: hand: the magic predicate ``M`` guards each rule through the
+#: interpreted ``supp`` (``0 ↦ 0``, anything else ``↦ 1``).
+SUPP_GUARDED_APSP = """
+M(X) :- [X = 0] | supp(M(X)).
+T(X, Y) :- supp(M(X)) * E(X, Y) | supp(M(X)) * T(X, Z) * E(Z, Y).
+"""
+
+
+def supp_registry(pops):
+    def supp(value):
+        return pops.zero if pops.eq(value, pops.zero) else pops.one
+
+    registry = FunctionRegistry()
+    registry.register("supp", supp)
+    return registry
 
 
 class TestModernEngineSurface:
-    """The rewritten programs run through the full modern engine.
+    """A body guarded by an interpreted function over an IDB atom.
 
-    Magic programs are naive-only — the ``supp`` guard wraps an IDB
-    magic atom, which has no differential affinity — but within
-    ``method="naive"`` every schedule and kernel engine must agree
-    byte-for-byte, and the guardrail pre-flight must classify the
-    rewritten program like any other.
+    The ``supp(M(X))`` guard has no differential affinity, so such
+    programs are naive-only; within ``method="naive"`` every schedule
+    and kernel engine must agree byte-for-byte with the full APSP's
+    demanded atoms, and the guardrail pre-flight must classify the
+    program like any other.
     """
 
     def _db(self):
@@ -251,26 +232,23 @@ class TestModernEngineSurface:
     )
     def test_all_schedules_and_engines_agree(self, schedule, engine):
         db = self._db()
-        rewritten = magic_rewrite(
-            programs.apsp(), MagicQuery("T", "bf", (0,)), TROP
+        result = solve(
+            parse_program(SUPP_GUARDED_APSP), db, method="naive",
+            functions=supp_registry(TROP), schedule=schedule, engine=engine,
         )
-        registry = magic_registry(TROP)
-        base = solve(
-            rewritten, db, method="naive", functions=registry,
-            schedule="monolithic", engine="interpreted",
-        )
-        other = solve(
-            rewritten, db, method="naive", functions=registry,
-            schedule=schedule, engine=engine,
-        )
-        assert dict(other.instance.support("T")) == dict(
-            base.instance.support("T")
-        )
+        full = solve(programs.apsp(), db, method="naive")
+        demanded = {
+            key: value
+            for key, value in full.instance.support("T").items()
+            if key[0] == 0
+        }
+        assert demanded
+        assert dict(result.instance.support("T")) == demanded
 
     def test_preflight_verdict_rides_magic_solves(self):
-        db = self._db()
-        _rw, result = run_magic(
-            programs.apsp(), MagicQuery("T", "bf", (0,)), db
+        result = solve(
+            parse_program(SUPP_GUARDED_APSP), self._db(), method="naive",
+            functions=supp_registry(TROP),
         )
         assert result.verdict is not None
         assert result.verdict.status in ("bounded", "converges")
@@ -278,27 +256,19 @@ class TestModernEngineSurface:
     def test_seminaive_rejects_magic_programs_cleanly(self):
         from repro.core import SemiNaiveError
 
-        db = self._db()
-        rewritten = magic_rewrite(
-            programs.apsp(), MagicQuery("T", "bf", (0,)), TROP
-        )
         with pytest.raises(SemiNaiveError, match="affinity"):
             solve(
-                rewritten, db, method="seminaive",
-                functions=magic_registry(TROP), schedule="monolithic",
+                parse_program(SUPP_GUARDED_APSP), self._db(),
+                method="seminaive", functions=supp_registry(TROP),
+                schedule="monolithic",
             )
 
 
 class TestDemandPathSurface:
-    """The planner-stage rewrite (``solve(..., query=…)``) across the
-    whole engine surface.
-
-    Unlike the legacy ``supp``-guard programs above, the demand path's
-    output is ordinary datalog°: every schedule, kernel engine and
-    worker count must produce byte-identical demanded atoms — including
-    semi-naïve sharding (``engine_workers=2``), which the legacy
-    rewrite cannot enter at all.
-    """
+    """``solve(..., query=…)`` across the whole engine surface: every
+    schedule, kernel engine and worker count must produce
+    byte-identical demanded atoms — including semi-naïve sharding
+    (``engine_workers=2``)."""
 
     SEMIRING_EDGES = {
         "TROP": lambda i: float(1 + i % 7),

@@ -22,7 +22,8 @@ from repro import programs, workloads
 from repro.core import Database, Instance, NaiveEvaluator, solve
 from repro.core.ast import Compare, Constant, TrueCond, terms, var
 from repro.core.indexes import IndexManager, JoinStats, KeyIndex
-from repro.core.planner import build_plan, execute_plan
+from repro.core.plan_ir import build_body_plan
+from repro.core.planner import build_plan, execute_ir
 from repro.core.rules import RelAtom, SumProduct
 from repro.core.seminaive import SemiNaiveEvaluator
 from repro.core.valuations import Guard, enumerate_valuations
@@ -147,12 +148,12 @@ class TestPlanner:
         edges = [(i, i + 1) for i in range(30)]
         outer = Guard(args=terms(["X"]), keys=lambda: [(0,), (5,)])
         inner = Guard(args=terms(["X", "Y"]), keys=lambda: edges)
-        plan = build_plan([outer, inner], stats=stats)
+        guards = [outer, inner]
+        ir, indexes = build_body_plan(guards, ["X", "Y"], TrueCond(), stats=stats)
         vals = [
             valuation
-            for valuation, _slots in execute_plan(
-                plan, ["X", "Y"], [], TrueCond(), lambda r, k: False,
-                stats=stats,
+            for valuation, _slots in execute_ir(
+                ir, guards, indexes, [], lambda r, k: False, stats=stats
             )
         ]
         assert sorted(v["Y"] for v in vals) == [1, 6]
