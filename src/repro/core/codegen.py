@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import linecache
+from types import FunctionType
 from typing import (
     Any,
     Callable,
@@ -138,14 +139,30 @@ class CodegenKernel:
     :func:`generate_join_kernel`).  ``source`` retains the generated
     Python for debugging — it is also registered in :mod:`linecache`
     under ``filename``, so tracebacks resolve to real source lines.
+    ``fn`` is the compiled function itself (``run`` may be wrapped by a
+    budget poll); its keyword defaults are the kernel's env, and
+    ``stats_name`` names the one that holds the solve's
+    :class:`~repro.core.indexes.JoinStats`.
     """
 
-    __slots__ = ("run", "source", "filename")
+    __slots__ = ("run", "source", "filename", "fn", "stats_name")
 
-    def __init__(self, run: Callable, source: str, filename: str):
-        self.run = run
+    def __init__(
+        self,
+        fn: Callable,
+        source: str,
+        filename: str,
+        stats_name: Optional[str] = None,
+    ):
+        self.run = self.fn = fn
         self.source = source
         self.filename = filename
+        self.stats_name = stats_name
+
+    @property
+    def env(self) -> Dict[str, Any]:
+        """Every object the generated source references, by name."""
+        return self.fn.__kwdefaults__ or {}
 
     def install_poll(self, poll: Optional[Callable]) -> None:
         """Arm the kernel with a budget poll hook.
@@ -164,6 +181,27 @@ class CodegenKernel:
             return _fn(*args)
 
         self.run = guarded
+
+    def rebind(
+        self, stats: Optional[JoinStats], poll: Optional[Callable]
+    ) -> "CodegenKernel":
+        """This kernel for another solve: counters flushed into
+        ``stats``, budget polled through ``poll``.
+
+        The result is a fresh function over the same code object and
+        globals, with the stats default swapped; no plan is built, no
+        source generated, and this kernel is left as it is.
+        """
+        fn = self.fn
+        if self.stats_name is not None:
+            fn = FunctionType(
+                fn.__code__, fn.__globals__, fn.__name__, fn.__defaults__,
+                fn.__closure__,
+            )
+            fn.__kwdefaults__ = {**self.env, self.stats_name: stats}
+        kernel = CodegenKernel(fn, self.source, self.filename, self.stats_name)
+        kernel.install_poll(poll)
+        return kernel
 
     # ------------------------------------------------------------------
     def execute(self, guards: Sequence, emit: Callable) -> int:
@@ -714,9 +752,13 @@ def _finalize(gen: _SourceGen, label: str) -> CodegenKernel:
         )
     namespace = dict(gen.env)
     exec(code, namespace)
+    stats_name = None
     if gen.stats is not None:
         gen.stats.codegen_kernels += 1
-    return CodegenKernel(namespace["_kernel"], source, code.co_filename)
+        stats_name = gen._env_names.get(id(gen.stats))
+    return CodegenKernel(
+        namespace["_kernel"], source, code.co_filename, stats_name
+    )
 
 
 def generate_rule_kernel(

@@ -16,7 +16,13 @@ of a function call:
 
 **every magic predicate's value is exactly ``1``** (the POPS one).
 
-* The seed rule derives ``m_Q_α(c̄) :- 1``.
+* The seed rule derives ``m_Q_α(x̄) :- seed_Q_α(x̄)`` from a one-tuple
+  POPS relation ``__demand_seed_<Q>_<α> = {c̄ ↦ 1}`` that each query
+  adds to the database (:meth:`~repro.core.instance.Database.derive`):
+  the rewritten program holds no query constant, so it serves every
+  query of the adornment, and the seed reaches the kernels through an
+  ordinary guard.  Reading it is a one-key scan, counted like any
+  other (the textbook seed ``m_Q_α(c̄) :- 1`` read nothing).
 * A magic rule's body is the *parent* magic atom (value ``1``) alone;
   the sideways-passing prefix joins in through **Boolean support
   views**: for each prefix EDB atom ``E(t̄)`` the rewrite emits the
@@ -43,9 +49,11 @@ relation) and no zero divisors (``supp`` distributes over ``⊗``), on
 programs whose sideways prefixes are **EDB-only** (an IDB atom feeding
 a later occurrence's bindings — e.g. the quadratic ``T(X,Z)·T(Z,Y)`` —
 would need the evolving IDB *support* as a view, which is no longer a
-static Boolean relation) and whose reached conditions read no IDB (a
+static Boolean relation), whose reached conditions read no IDB (a
 stratified negation ``¬D(X)`` reads ``D``'s whole fixpoint, which a
-demanded part does not provide).  Everything outside the fragment
+demanded part does not provide) and whose reached bodies put no IDB
+under an interpreted function (no binding pattern is demanded of it,
+so it would read ``⊥``).  Everything outside the fragment
 falls back to full evaluation with a counted
 ``stats["demand_fallbacks"]``.
 
@@ -57,16 +65,46 @@ converge to their full-fixpoint values — so the rewrite drops any
 condition conjunct it cannot bind rather than rejecting the program.
 The differential tests assert byte-parity across four semirings × four
 engines × every schedule.
+
+**Prepared queries.**  Everything but the seed is the same for every
+constant, so :func:`demand_solve` prepares it once per (program
+content, database, query relation and adornment) and keeps it in a
+process-wide LRU of :data:`PREPARED_CACHE_SIZE`
+:class:`PreparedQuery` entries: the rewrite, the views-derived database,
+the fragment verdict, the pruned SCC condensation with one sub-program
+per stratum, the pre-flight verdict and the codegen kernels
+(:class:`~repro.core.kernels.KernelScope`).  A later query of the same
+adornment derives its seed and re-binds those kernels to its own
+``JoinStats`` and budget poll: it builds no join plan and generates no
+source.  The program is keyed by content (its rules and vocabularies),
+the database by weak identity: databases are immutable, so a mutation
+derives a new one that misses, and the old one's entries are dropped
+when it is collected.  Queries whose constants lie outside the entry's
+domain (active domain plus program constants) change ``N`` and the
+kernels' enumeration domain; they reuse the rewrite and strata but
+build their kernels and pre-flight afresh.  The other engines, and
+the sharded strata of ``engine_workers > 1``, reuse the rewrite and
+build their kernels per solve.
+
+**Plan policy.**  A prepared query's join plans are the ones its
+first solve chose (from that solve's relation sizes); later constants
+reuse them.  The fragment's ``⊕`` is idempotent, so the order matches
+are accumulated in cannot change a value: only ``keys_examined`` and
+``probes`` may differ from planning every query afresh.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import threading
+import weakref
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..semirings.base import FunctionRegistry, POPS
 from ..semirings.stability import natural_preorder_holds
+from . import guardrails
 from .ast import (
     And,
     BoolAtom,
@@ -80,6 +118,7 @@ from .ast import (
     term_variables,
 )
 from .instance import Database, Instance
+from .kernels import KernelScope
 from .naive import EvaluationResult
 from .rules import (
     FuncFactor,
@@ -91,14 +130,18 @@ from .rules import (
     Rule,
     SumProduct,
     ValueConst,
+    factor_atoms,
 )
+from .scheduler import Strata, stratify
 
 #: Reserved name prefixes of the rewrite's auxiliary relations.  Magic
 #: predicates are IDBs of the rewritten program (stripped from the
 #: returned instance); support views are Boolean relations injected
-#: into the augmented database.
+#: into the augmented database; the seed is the one-tuple POPS relation
+#: holding the query's constants.
 MAGIC_PREFIX = "__demand_m_"
 VIEW_PREFIX = "__demand_supp_"
+SEED_PREFIX = "__demand_seed_"
 
 Adornment = str  # e.g. "bf": first argument bound, second free.
 
@@ -247,6 +290,10 @@ def _magic_name(relation: str, adornment: Adornment) -> str:
 
 def _view_name(relation: str) -> str:
     return f"{VIEW_PREFIX}{relation}"
+
+
+def _seed_name(relation: str, adornment: Adornment) -> str:
+    return f"{SEED_PREFIX}{relation}_{adornment}"
 
 
 def _pops_reasons(pops: POPS) -> List[str]:
@@ -467,7 +514,7 @@ def _walk(program: Program, query: DemandQuery, pops: POPS) -> _Rewrite:
         for name in set(program.idbs)
         | set(program.edbs)
         | set(program.bool_edbs)
-        if name.startswith((MAGIC_PREFIX, VIEW_PREFIX))
+        if name.startswith((MAGIC_PREFIX, VIEW_PREFIX, SEED_PREFIX))
     )
     if reserved:
         out.problems.append(f"program uses reserved demand names {reserved}")
@@ -480,12 +527,16 @@ def _walk(program: Program, query: DemandQuery, pops: POPS) -> _Rewrite:
     seen: Set[Tuple[str, Adornment]] = set()
     worklist: List[Tuple[str, Adornment]] = [(query.relation, query.adornment)]
 
-    # Seed: m_Q_α(c̄) :- 1.
+    # Seed: m_Q_α(x̄) :- seed_Q_α(x̄), the seed relation holding c̄ ↦ 1.
+    seed = RelAtom(
+        _seed_name(query.relation, query.adornment),
+        tuple(Variable(f"X{i}") for i in range(len(query.bindings))),
+    )
     out.rules.append(
         Rule(
             _magic_name(query.relation, query.adornment),
-            tuple(Constant(c) for c in query.bindings),
-            (SumProduct((ValueConst(pops.one),)),),
+            seed.args,
+            (SumProduct((seed,)),),
         )
     )
 
@@ -519,6 +570,20 @@ def _walk(program: Program, query: DemandQuery, pops: POPS) -> _Rewrite:
                         f"{context}: a condition reads the IDB(s) "
                         f"{stratified} (stratified negation), which needs "
                         "their whole fixpoint, not a demanded part"
+                    )
+                nested = sorted(
+                    {
+                        atom.relation
+                        for factor in body.factors
+                        for atom, under_fn in factor_atoms(factor)
+                        if under_fn and atom.relation in idbs
+                    }
+                )
+                if nested:
+                    out.problems.append(
+                        f"{context}: the IDB(s) {nested} sit under an "
+                        "interpreted function, which demands no binding "
+                        "pattern of them"
                     )
                 guard = RelAtom(magic_rel, head_bound)
                 occurrence_at = [
@@ -647,21 +712,25 @@ def demand_rewrite(
     """Rewrite (program, database) for a supported demand query.
 
     Returns the rewritten program, the augmented database (the original
-    stores plus the Boolean support views the magic rules read), and
-    the supporting verdict.  Raises :class:`DemandError` when the
+    stores plus the Boolean support views the magic rules read and the
+    query's seed relation), and the supporting verdict.  The rewritten
+    program holds no query constant: only the seed relation
+    ``__demand_seed_<R>_<α>`` does, so the program serves every query
+    of the same adornment.  Raises :class:`DemandError` when the
     verdict is unsupported — callers wanting the counted fallback
     should check :func:`demand_verdict` first (or use
     :func:`demand_solve`, which does).
     """
     q = normalize_query(query)
     _validate_query(program, q)
-    return _rewrite(program, q, database)
+    rewritten, augmented, verdict = _rewrite(program, q, database)
+    return rewritten, _seeded(augmented, q), verdict
 
 
 def _rewrite(
     program: Program, q: DemandQuery, database: Database
 ) -> Tuple[Program, Database, DemandVerdict]:
-    """:func:`demand_rewrite` of a validated query.
+    """:func:`demand_rewrite` of a validated query, without the seed.
 
     Each support view is the key set of an EDB relation the database
     already holds, so the augmented database is derived from it: the
@@ -688,6 +757,13 @@ def _rewrite(
     return rewritten, database.derive(key_views=views), verdict
 
 
+def _seeded(database: Database, q: DemandQuery) -> Database:
+    """``database`` plus (or with a new) seed relation for ``q``: its
+    constants carrying ``1``."""
+    seed = {q.bindings: database.pops.one}
+    return database.derive(relations={_seed_name(q.relation, q.adornment): seed})
+
+
 def strip_demand_relations(instance: Instance) -> Tuple[Instance, int]:
     """Drop the auxiliary magic relations from a result instance.
 
@@ -704,6 +780,158 @@ def strip_demand_relations(instance: Instance) -> Tuple[Instance, int]:
         for key, value in support.items():
             cleaned.set(relation, key, value)
     return cleaned, magic_tuples
+
+
+# ---------------------------------------------------------------------------
+# Prepared queries
+# ---------------------------------------------------------------------------
+
+
+#: How many prepared queries the process keeps (least recently used
+#: first out).
+PREPARED_CACHE_SIZE = 64
+
+
+@dataclass(eq=False)
+class PreparedQuery:
+    """Everything a demand query's solve needs that its constants do
+    not change, kept for one (program content, database, adornment).
+
+    ``program`` is the rewritten program (it holds no query constant)
+    and ``database`` the views-derived database :func:`demand_rewrite`
+    seeded for the preparing query; every solve, that one's included,
+    runs on a database that replaces the seed with its own, so no
+    solve's seed store is ``database``'s.  ``strata`` is the scheduler's
+    pruned condensation of ``program``; ``domain`` is the prepared-from
+    database's active domain plus ``program``'s constants.  ``kernels``
+    holds the codegen kernel templates of
+    :class:`~repro.core.kernels.KernelScope` and ``preflight_verdict``
+    the pre-flight verdict, both filled by the first solve and read by
+    later ones.  ``owner`` weakly references
+    the database the entry was prepared from.  A query whose constants
+    leave ``domain`` changes ``N = |GA(τ, D₀)|`` and the kernels' enumeration
+    domain, so it runs on an unshared copy (``shared=False``) that
+    builds both afresh.
+    """
+
+    program: Program
+    database: Database
+    verdict: DemandVerdict
+    strata: Strata
+    domain: frozenset
+    owner: Any = None
+    shared: bool = True
+    kernels: Dict[Any, Any] = field(default_factory=dict)
+    preflight_verdict: Any = None
+
+    def kernel_scope(
+        self, index: int, plan: str, functions: Optional[FunctionRegistry]
+    ) -> Optional[KernelScope]:
+        """The kernels of stratum ``index`` under ``plan`` and what
+        ``functions`` holds (a kernel calls the functions its names
+        resolved to when it was generated, so a registry whose contents
+        changed must not reuse it)."""
+        if not self.shared:
+            return None
+        registry = functions.snapshot() if functions is not None else None
+        prefix = (plan, registry, index)
+        try:
+            hash(prefix)
+        except TypeError:  # an unhashable registered callable
+            return None
+        return KernelScope(self.kernels, prefix, self.database)
+
+    def preflight(self, program: Program, database: Database) -> Any:
+        """The pre-flight verdict of a query's solve: it depends on the
+        query only through ``N``, which an in-``domain`` query keeps."""
+        verdict = self.preflight_verdict if self.shared else None
+        if verdict is None:
+            verdict = guardrails.preflight(program, database)
+            if self.shared:
+                self.preflight_verdict = verdict
+        return verdict
+
+
+_PREPARED: "OrderedDict[Tuple, PreparedQuery]" = OrderedDict()
+_PREPARED_LOCK = threading.Lock()
+
+
+def _forget(key: Tuple) -> Any:
+    """The weakref callback dropping ``key``'s entry with its database.
+
+    It takes no lock: it may run inside a collection triggered while
+    this thread holds ``_PREPARED_LOCK``, and one dict pop is atomic.
+    """
+
+    def callback(ref: Any) -> None:
+        entry = _PREPARED.get(key)
+        if entry is not None and entry.owner is ref:
+            _PREPARED.pop(key, None)
+
+    return callback
+
+
+def _entry_key(
+    program: Program, q: DemandQuery, database: Database
+) -> Optional[Tuple]:
+    """The cache key of a query's prepared entry, ``None`` when the
+    program holds an unhashable constant (it is then prepared, not kept)."""
+    key = (
+        id(database),
+        q.relation,
+        q.adornment,
+        tuple(program.rules),
+        tuple(program.edbs.items()),
+        tuple(program.bool_edbs.items()),
+        tuple(program.idbs.items()),
+    )
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
+def _prepare(
+    program: Program, q: DemandQuery, database: Database
+) -> Tuple[PreparedQuery, Database, bool]:
+    """The prepared query for ``q`` over (program, database), the
+    query's seeded database, and whether the entry was a cache hit.
+
+    The key is the program's content (a mutable :class:`Program` is
+    keyed by its frozen rules and vocabularies, not its identity), the
+    query relation and adornment, and the database's identity, held
+    weakly: a database is immutable, so a mutation derives a new one
+    and misses, and the old one's entries go when it is collected.
+    """
+    key = _entry_key(program, q, database)
+    entry = None
+    if key is not None:
+        with _PREPARED_LOCK:
+            entry = _PREPARED.get(key)
+            if entry is not None and entry.owner() is database:
+                _PREPARED.move_to_end(key)
+            else:
+                entry = None
+    hit = entry is not None
+    if entry is None:
+        rewritten, augmented, verdict = demand_rewrite(program, q, database)
+        entry = PreparedQuery(
+            program=rewritten,
+            database=augmented,
+            verdict=verdict,
+            strata=stratify(rewritten, (q.relation,)),
+            domain=database.active_domain() | rewritten.constants(),
+        )
+        if key is not None:
+            entry.owner = weakref.ref(database, _forget(key))
+            with _PREPARED_LOCK:
+                _PREPARED[key] = entry
+                while len(_PREPARED) > PREPARED_CACHE_SIZE:
+                    _PREPARED.popitem(last=False)
+    if not all(c in entry.domain for c in q.bindings):
+        entry = replace(entry, shared=False)
+    return entry, _seeded(entry.database, q), hit
 
 
 # ---------------------------------------------------------------------------
@@ -727,8 +955,10 @@ def demand_solve(
     pipeline — every schedule/engine/worker knob applies — with the
     stratum scheduler pruned to the SCCs the query's adornment reaches,
     and the auxiliary magic relations stripped from the result.
-    Otherwise the original program runs to its full fixpoint, counted
-    in ``stats["demand_fallbacks"]`` and explained in
+    ``stats["demand_prepared_hits"]`` is 1 when the query reused a
+    :class:`PreparedQuery` (see the module docstring), 0 when it
+    prepared one.  Otherwise the original program runs to its full
+    fixpoint, counted in ``stats["demand_fallbacks"]`` and explained in
     ``stats["demand_unsupported"]``.
 
     Demanded atoms (keys matching the query pattern) are byte-identical
@@ -739,7 +969,7 @@ def demand_solve(
     q = normalize_query(query)
     _validate_query(program, q)  # user errors raise; they never fall back
     fallback_reason: Optional[str] = None
-    rewritten: Optional[Program] = None
+    prepared: Optional[PreparedQuery] = None
     if method not in ("naive", "seminaive"):
         fallback_reason = (
             f"method={method!r} grounds one-shot; the demand rewrite "
@@ -752,10 +982,10 @@ def demand_solve(
         )
     else:
         try:
-            rewritten, augmented, verdict = _rewrite(program, q, database)
+            prepared, seeded, hit = _prepare(program, q, database)
         except (DemandError, ProgramError) as exc:
             fallback_reason = str(exc)
-    if rewritten is None:
+    if prepared is None:
         result = solve(
             program,
             database,
@@ -770,16 +1000,17 @@ def demand_solve(
         return result
 
     result = solve(
-        rewritten,
-        augmented,
+        prepared.program,
+        seeded,
         method=method,
         functions=functions,
-        _demand_roots=(q.relation,),
+        _prepared=prepared,
         **solve_kwargs,
     )
     cleaned, magic_tuples = strip_demand_relations(result.instance)
     result.instance = cleaned
     result.stats["demand_fallbacks"] = 0
-    result.stats["demand_adornments"] = len(verdict.adornments)
+    result.stats["demand_adornments"] = len(prepared.verdict.adornments)
     result.stats["demand_magic_tuples"] = magic_tuples
+    result.stats["demand_prepared_hits"] = int(hit)
     return result

@@ -44,7 +44,7 @@ from .valuations import VALID_PLANS
 VALID_METHODS: Tuple[str, ...] = ("naive", "seminaive", "grounded", "linear")
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .demand import QueryLike
+    from .demand import PreparedQuery, QueryLike
 
 
 def solve(
@@ -63,7 +63,7 @@ def solve(
     max_tuples: Optional[int] = None,
     preflight: str = "auto",
     query: Optional["QueryLike"] = None,
-    _demand_roots: Optional[Tuple[str, ...]] = None,
+    _prepared: Optional["PreparedQuery"] = None,
 ) -> EvaluationResult:
     """Evaluate a datalog° program to its least fixpoint.
 
@@ -171,10 +171,12 @@ def solve(
             (:mod:`repro.core.demand`); otherwise the full fixpoint
             runs with ``stats["demand_fallbacks"]`` counted.  Demanded
             atoms are byte-identical to the full fixpoint either way.
-        _demand_roots: Internal — the demand path re-enters ``solve``
-            with the rewritten program and the query relation here, so
-            the SCC scheduler prunes the condensation to the strata the
-            query's adornment reaches.
+        _prepared: Internal — the demand path re-enters ``solve``
+            with the rewritten program, the query's seeded database and
+            its :class:`~repro.core.demand.PreparedQuery` here: the SCC
+            scheduler runs the query's pruned strata with the kernels
+            earlier queries built, and the pre-flight verdict is reused
+            where the query's constants cannot change it.
 
     Returns:
         The least-fixpoint instance plus step counts and statistics.
@@ -235,7 +237,10 @@ def solve(
             f"methods; method={method!r} grounds one-shot — use "
             "method='naive' or 'seminaive'"
         )
-    condition_reads = check_stratified(program)
+    if _prepared is not None:
+        condition_reads = _prepared.strata.condition_reads
+    else:
+        condition_reads = check_stratified(program)
     if condition_reads:
         refused = None
         if method not in ("naive", "seminaive"):
@@ -251,7 +256,13 @@ def solve(
                 f"stratum's finished fixpoint); {refused} has no strata "
                 "— use method='naive' or 'seminaive' with schedule='scc'"
             )
-    verdict = run_preflight(program, database) if preflight == "auto" else None
+    verdict = None
+    if preflight == "auto":
+        verdict = (
+            run_preflight(program, database)
+            if _prepared is None
+            else _prepared.preflight(program, database)
+        )
     budget: Optional[Budget] = None
     if max_wall_s is not None or max_tuples is not None or verdict is not None:
         budget = Budget(
@@ -280,7 +291,14 @@ def solve(
                 engine=engine,
                 workers=engine_workers,
                 budget=budget,
-                roots=_demand_roots,
+                strata=_prepared.strata if _prepared is not None else None,
+                kernel_scopes=(
+                    None
+                    if _prepared is None
+                    else lambda index: _prepared.kernel_scope(
+                        index, plan, functions
+                    )
+                ),
             )
             result.verdict = verdict
             return result

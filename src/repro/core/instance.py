@@ -130,6 +130,7 @@ class Database:
         put(self, "_cells", cells)
         put(self, "_domain", None)
         put(self, "_ordered", None)
+        put(self, "_grown_from", None)
         put(
             self,
             "relations",
@@ -155,8 +156,12 @@ class Database:
         that are the key set of one of the result's POPS relations
         (this database's, or one ``relations`` adds), sharing its store
         and its index.  A result that only adds key views reuses this
-        database's active domain.  This database is not touched and
-        keeps no reference to the result.
+        database's active domain.  One that adds relations, or replaces
+        relations an earlier such derive added, to a database whose
+        domain is known works its domain out on first demand as that
+        domain plus the constants of the added stores (sharing its order
+        when they add none).  The two databases keep no reference to
+        each other.
         """
         relations = relations or {}
         bool_relations = bool_relations or {}
@@ -183,7 +188,45 @@ class Database:
             # Key views add no constant: share the domain and its order.
             object.__setattr__(derived, "_domain", self.active_domain())
             object.__setattr__(derived, "_ordered", self._ordered_domain())
+        else:
+            object.__setattr__(
+                derived,
+                "_grown_from",
+                self._growth(relations, bool_relations, key_views or {}),
+            )
         return derived
+
+    def _growth(
+        self,
+        relations: Mapping[str, Dict[Key, Value]],
+        bool_relations: Mapping[str, AbstractSet[Key]],
+        key_views: Mapping[str, str],
+    ) -> Optional[Tuple[FrozenSet[Any], Optional[List[Any]], Dict]]:
+        """How a database derived from this one by adding ``relations``
+        and ``bool_relations`` works its domain out: ``(domain, order,
+        added stores)``, the domain and order (if sorted yet) of the
+        database the stores were added to.  ``None`` when that domain is
+        not known yet, or a store is replaced that no such derive added.
+        """
+        if self._grown_from is not None:
+            domain, ordered, added = self._grown_from
+        elif self._domain is not None:
+            domain, ordered, added = self._domain, self._ordered, {}
+        else:
+            return None
+        replaced = [("edb", n) for n in relations if n in self._stores] + [
+            ("bool", n)
+            for n in (*bool_relations, *key_views)
+            if n in self._bool_stores
+        ]
+        if any(name not in added for name in replaced):
+            return None
+        added = dict(added)
+        added.update((("edb", n), store) for n, store in relations.items())
+        added.update((("bool", n), keys) for n, keys in bool_relations.items())
+        for view in key_views:  # a view's keys are its relation's
+            added.pop(("bool", view), None)
+        return domain, ordered, added
 
     # ------------------------------------------------------------------
     def value(self, relation: str, key: Key) -> Value:
@@ -209,14 +252,22 @@ class Database:
         computed on the first call."""
         dom = self._domain
         if dom is None:
-            constants: Set[Any] = set()
-            for rel in self._stores.values():
-                for key in rel:
-                    constants.update(key)
-            for keys in self._bool_stores.values():
-                for key in keys:
-                    constants.update(key)
-            dom = frozenset(constants)
+            if self._grown_from is not None:
+                dom, _ordered, added = self._grown_from
+                extra = {
+                    c for store in added.values() for key in store for c in key
+                } - dom
+                if extra:
+                    dom = dom | extra
+            else:
+                constants: Set[Any] = set()
+                for rel in self._stores.values():
+                    for key in rel:
+                        constants.update(key)
+                for keys in self._bool_stores.values():
+                    for key in keys:
+                        constants.update(key)
+                dom = frozenset(constants)
             object.__setattr__(self, "_domain", dom)
         return dom
 
@@ -234,7 +285,11 @@ class Database:
     def _ordered_domain(self) -> List[Any]:
         ordered = self._ordered
         if ordered is None:
-            ordered = sorted(self.active_domain(), key=repr)
+            grown, dom = self._grown_from, self.active_domain()
+            if grown is not None and dom is grown[0] and grown[1] is not None:
+                ordered = grown[1]  # nothing added
+            else:
+                ordered = sorted(dom, key=repr)
             object.__setattr__(self, "_ordered", ordered)
         return ordered
 

@@ -997,6 +997,94 @@ _BACKENDS: Dict[str, Tuple[str, str, str]] = {
 }
 
 
+#: A :class:`KernelScope` template slot whose kernel reads solve-owned
+#: storage: every solve builds that kernel afresh.
+_PRIVATE = object()
+
+
+class KernelScope:
+    """Codegen kernels shared by every solve of one prepared demand query.
+
+    ``templates`` is the cache the solves share (one per prepared
+    query, see :mod:`repro.core.demand`); ``prefix`` qualifies an
+    evaluator's kernel keys (plan, function registry contents and
+    stratum); and ``base`` is the database every solve's databases
+    derive from: the per-solve ones add or replace only POPS relations
+    (the demand seed, frozen strata) and share ``base``'s Boolean
+    stores.
+
+    A template is the kernel the first solve built.  Later solves get
+    :meth:`~repro.core.codegen.CodegenKernel.rebind` copies, so a
+    template's env may hold only objects that are the same for every
+    solve: :meth:`kernel` keeps a kernel as a template only when its env
+    references no store, store map or database that the building solve
+    owns, and otherwise builds that kernel in every solve.
+    """
+
+    __slots__ = ("templates", "prefix", "base")
+
+    def __init__(
+        self,
+        templates: Dict[Hashable, Any],
+        prefix: Tuple[Hashable, ...],
+        base: Database,
+    ):
+        self.templates = templates
+        self.prefix = prefix
+        self.base = base
+
+    def admits(self, database: Database) -> bool:
+        """Whether ``database`` holds exactly ``base``'s Boolean stores,
+        so a template's Boolean lookups answer alike for every solve."""
+        mine, theirs = database.bool_relations, self.base.bool_relations
+        return len(mine) == len(theirs) and all(
+            theirs.get(name) is store for name, store in mine.items()
+        )
+
+    def kernel(
+        self,
+        key: Hashable,
+        build: Callable[[], Any],
+        database: Database,
+        stats: Optional[JoinStats],
+        poll: Optional[Callable[[], None]],
+    ):
+        """The kernel under ``key`` for a solve over ``database``, armed
+        with ``poll``: the template re-bound to ``stats`` and ``poll``,
+        or ``build()``'s for a private slot.  A template is kept unarmed,
+        so it holds on to no solve's poll."""
+        key = self.prefix + (key,)
+        template = self.templates.get(key)
+        if template is None:
+            template = build()
+            if self._invariant(template, database):
+                template = self.templates.setdefault(key, template)
+            else:
+                self.templates[key] = _PRIVATE
+                template.install_poll(poll)
+                return template
+        elif template is _PRIVATE:
+            kernel = build()
+            kernel.install_poll(poll)
+            return kernel
+        return template.rebind(stats, poll)
+
+    def _invariant(self, kernel: Any, database: Database) -> bool:
+        base = self.base
+        owned = {id(database), id(database.relations)}
+        for name in database.relations:
+            store = database.raw_support(name)
+            if store is not base.raw_support(name):
+                owned.add(id(store))
+        for obj in kernel.env.values():
+            owner = getattr(obj, "__self__", obj)
+            if id(owner) in owned or (
+                isinstance(owner, Database) and owner is not base
+            ):
+                return False
+        return True
+
+
 class BodyKernels:
     """The body-application seam: one per evaluator (= per stratum).
 
@@ -1010,8 +1098,8 @@ class BodyKernels:
       :class:`~repro.core.instance.Instance`, or the ``(new, delta,
       old)`` triple when the kernel was built for an Eq. 64
       ``variant=(idb_positions, j)``;
-    * ``install_poll(poll)`` — arm the budget poll (done here, at
-      build);
+    * ``install_poll(poll)`` — arm the budget poll (done here, by
+      :meth:`get`);
     * ``execute(guards, emit)`` — emit mode (built with ``head_args``
       ``None``): stream ``emit(valuation, slots)`` per match, both
       arguments owned by the kernel and reused, ``slots[i]`` the value
@@ -1020,7 +1108,9 @@ class BodyKernels:
     :meth:`get` caches by a caller-chosen key; reuse of a compiled
     kernel is counted in ``JoinStats.kernel_cache_hits``.  The
     interpreted pipeline keeps nothing between applications, so its
-    adapters count no hits.
+    adapters count no hits.  Given a ``scope`` (a prepared demand
+    query's :class:`KernelScope`), the codegen mode takes each kernel
+    from the scope's templates instead of planning and generating it.
     """
 
     def __init__(
@@ -1033,6 +1123,7 @@ class BodyKernels:
         domain: Sequence[Any],
         stats: Optional[JoinStats] = None,
         poll: Optional[Callable[[], None]] = None,
+        scope: Optional[KernelScope] = None,
     ):
         self.mode = resolve_engine_mode(engine, plan)
         self.plan = plan
@@ -1045,11 +1136,32 @@ class BodyKernels:
         self._cache = KernelCache(
             stats=stats if self.mode != "interpreted" else None
         )
+        if self.mode != "codegen" or (
+            scope is not None and not scope.admits(database)
+        ):
+            scope = None
+        self.scope = scope
+        #: Boolean lookups go through the scope's base database, which
+        #: answers them alike for every solve (:meth:`KernelScope.admits`).
+        self.bool_lookup = (self.scope.base if self.scope else database).bool_holds
 
     def get(self, key: Hashable, guards: Sequence[Guard], body: SumProduct, **spec):
         """The cached kernel under ``key``, built on first demand from
         that call's ``guards`` (see :meth:`build` for ``spec``)."""
-        return self._cache.get(key, lambda: self.build(guards, body, **spec))
+
+        def build():
+            return self.build(guards, body, **spec)
+
+        def armed():
+            if self.scope is not None:
+                return self.scope.kernel(
+                    key, build, self.database, self.stats, self.poll
+                )
+            kernel = build()
+            kernel.install_poll(self.poll)
+            return kernel
+
+        return self._cache.get(key, armed)
 
     def build(
         self,
@@ -1060,7 +1172,8 @@ class BodyKernels:
         variant: Optional[Tuple[Sequence[int], int]] = None,
         label: str = "rule",
     ):
-        """Build one body's kernel with the mode's backend."""
+        """Build one body's kernel with the mode's backend (unarmed:
+        :meth:`get` installs the budget poll)."""
         database, pops = self.database, self.database.pops
         if self.mode == "interpreted":
             return InterpretedKernel(
@@ -1080,18 +1193,15 @@ class BodyKernels:
         module_name, rule_kernel, join_kernel = _BACKENDS[self.mode]
         module = importlib.import_module(f".{module_name}", __package__)
         if head_args is None:
-            kernel = getattr(module, join_kernel)(
-                ir, database.bool_holds, self.domain,
+            return getattr(module, join_kernel)(
+                ir, self.bool_lookup, self.domain,
                 stats=self.stats, label=label,
             )
-        else:
-            carried = frozenset(
-                g.slot for g in guards if g.carries_value and g.slot is not None
-            )
-            kernel = getattr(module, rule_kernel)(
-                ir, body, head_args, pops, database, self.functions,
-                self.idb_names, database.bool_holds, carried, self.domain,
-                stats=self.stats, variant=variant, label=label,
-            )
-        kernel.install_poll(self.poll)
-        return kernel
+        carried = frozenset(
+            g.slot for g in guards if g.carries_value and g.slot is not None
+        )
+        return getattr(module, rule_kernel)(
+            ir, body, head_args, pops, database, self.functions,
+            self.idb_names, self.bool_lookup, carried, self.domain,
+            stats=self.stats, variant=variant, label=label,
+        )

@@ -24,7 +24,7 @@ from ..semirings.base import FunctionRegistry, Value
 from .guardrails import Budget, BudgetExceeded, PartialResult, attach_partial
 from .indexes import IndexManager, JoinStats
 from .instance import Database, Instance, Key
-from .kernels import BodyKernels
+from .kernels import BodyKernels, KernelScope
 from .rules import Program, Rule, SumProduct
 from .valuations import (
     body_guards,
@@ -144,6 +144,7 @@ class NaiveEvaluator:
         indexes: Optional[IndexManager] = None,
         engine: str = "auto",
         budget: Optional[Budget] = None,
+        kernel_scope: Optional[KernelScope] = None,
     ):
         """``domain``, ``stats`` and ``indexes`` exist for the stratum
         scheduler: per-stratum evaluators must enumerate over the
@@ -156,6 +157,8 @@ class NaiveEvaluator:
         through :class:`~repro.core.kernels.BodyKernels`.  Every mode
         but ``"interpreted"`` (the re-planned differential baseline)
         additionally gets delta-driven rule activation.
+        ``kernel_scope`` hands the scheduler's stratum of a prepared
+        demand query the kernels earlier solves of that query built.
         """
         self.program = program
         self.database = database
@@ -196,6 +199,7 @@ class NaiveEvaluator:
         self._kernels = BodyKernels(
             engine, plan, database, self.functions, self.idb_names,
             self.domain, stats=self.stats.join, poll=self._poll,
+            scope=kernel_scope,
         )
         self.mode = self._kernels.mode
         self.compiled = self.mode != "interpreted"

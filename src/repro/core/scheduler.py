@@ -54,12 +54,13 @@ own component's relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..semirings.base import FunctionRegistry
 from .guardrails import Budget, BudgetExceeded, PartialResult
 from .indexes import IndexManager
 from .instance import Database, Instance
+from .kernels import KernelScope
 from .naive import EvalStats, EvaluationResult, NaiveEvaluator
 from .rules import Program, Rule
 from .seminaive import SemiNaiveEvaluator
@@ -172,6 +173,7 @@ def _evaluate_component(
     engine: str,
     workers: int = 1,
     budget: Optional[Budget] = None,
+    kernel_scope: Optional[KernelScope] = None,
 ) -> Tuple[Instance, int]:
     """Run one component to its least fixpoint against frozen inputs."""
     pops = working.pops
@@ -191,6 +193,7 @@ def _evaluate_component(
             indexes=indexes,
             engine=engine,
             budget=budget,
+            kernel_scope=kernel_scope,
         )
         stats.iterations += 1
         instance = evaluator.ico(Instance(pops))
@@ -228,6 +231,7 @@ def _evaluate_component(
             indexes=indexes,
             engine=engine,
             budget=budget,
+            kernel_scope=kernel_scope,
         ).run()
     else:
         result = NaiveEvaluator(
@@ -242,6 +246,7 @@ def _evaluate_component(
             indexes=indexes,
             engine=engine,
             budget=budget,
+            kernel_scope=kernel_scope,
         ).run()
     return result.instance, result.steps
 
@@ -281,6 +286,44 @@ def _restrict_to_roots(components: Any, roots: Tuple[str, ...]) -> Any:
     )
 
 
+@dataclass(frozen=True)
+class Strata:
+    """A program's schedule: its (possibly pruned) SCC condensation,
+    the IDBs its conditions read, and one sub-program per component."""
+
+    components: Any
+    condition_reads: FrozenSet[str]
+    programs: Tuple[Program, ...]
+
+
+def stratify(
+    program: Program, roots: Optional[Tuple[str, ...]] = None
+) -> Strata:
+    """Condense, check and split ``program`` for :func:`scheduled_fixpoint`.
+
+    ``roots`` names goal relations: the condensation is then pruned to
+    the components they live in plus their transitive dependencies, so
+    strata the goals cannot read are never evaluated and the relations
+    outside every surviving component stay empty (the demand path's
+    adornment reachability: :mod:`repro.core.demand` passes its query
+    relation).
+    """
+    from ..analysis.graphs import condensation  # local: avoids a cycle
+
+    components = condensation(program)
+    condition_reads = check_stratified(program, components)
+    if roots is not None:
+        components = _restrict_to_roots(components, roots)
+    return Strata(
+        components=components,
+        condition_reads=condition_reads,
+        programs=tuple(
+            _sub_program(program, component)
+            for component, _recursive in components
+        ),
+    )
+
+
 def scheduled_fixpoint(
     program: Program,
     database: Database,
@@ -292,7 +335,8 @@ def scheduled_fixpoint(
     engine: str = "auto",
     workers: int = 1,
     budget: Optional[Budget] = None,
-    roots: Optional[Tuple[str, ...]] = None,
+    strata: Optional[Strata] = None,
+    kernel_scopes: Optional[Callable[[int], Optional[KernelScope]]] = None,
 ) -> EvaluationResult:
     """Evaluate a program stratum-by-stratum over its SCC condensation.
 
@@ -321,13 +365,15 @@ def scheduled_fixpoint(
             :class:`~repro.core.guardrails.BudgetExceeded` the partial
             result is enriched with every already-frozen stratum plus
             the interrupted stratum's own partial prefix.
-        roots: Optional goal relations.  When given, the condensation
-            is pruned to the components those relations live in plus
-            their transitive dependencies — strata the goals cannot
-            read are never evaluated (the demand path's adornment
-            reachability: :mod:`repro.core.demand` passes its query
-            relation here).  Relations outside every surviving
-            component simply stay empty.
+        strata: The schedule to run, as :func:`stratify` made it
+            (default: ``stratify(program)``).  The demand path passes
+            the strata it prepared with its query relation as the root,
+            so strata the query cannot read are never evaluated.
+        kernel_scopes: Maps a stratum's position in ``strata`` to the
+            :class:`~repro.core.kernels.KernelScope` its single-process
+            evaluators share kernels through (``None``: none; the
+            demand path's prepared queries, see
+            :mod:`repro.core.demand`).
 
     Returns:
         An :class:`~repro.core.naive.EvaluationResult` whose ``steps``
@@ -336,8 +382,6 @@ def scheduled_fixpoint(
         ``recursive_strata``, and whose ``strata`` attribute holds one
         :class:`StratumReport` per component in schedule order.
     """
-    from ..analysis.graphs import condensation  # local: avoids a cycle
-
     if method not in ("naive", "seminaive"):
         raise ValueError(
             f"scheduled evaluation supports 'naive'/'seminaive', "
@@ -349,10 +393,9 @@ def scheduled_fixpoint(
             f"method={method!r} has none — use method='seminaive'"
         )
     pops = database.pops
-    components = condensation(program)
-    condition_reads = check_stratified(program, components)
-    if roots is not None:
-        components = _restrict_to_roots(components, roots)
+    if strata is None:
+        strata = stratify(program)
+    condition_reads = strata.condition_reads
     # The monolithic engines enumerate over the whole program's domain;
     # pinning it here keeps totalized heads and fallback enumeration
     # identical stratum-by-stratum.
@@ -366,8 +409,9 @@ def scheduled_fixpoint(
     combined = Instance(pops)
     reports: List[StratumReport] = []
 
-    for component, recursive in components:
-        sub = _sub_program(program, component)
+    for index, (component, recursive) in enumerate(strata.components):
+        sub = strata.programs[index]
+        scope = kernel_scopes(index) if kernel_scopes is not None else None
         before = (
             stats.iterations,
             stats.rule_applications,
@@ -389,6 +433,7 @@ def scheduled_fixpoint(
                 engine,
                 workers,
                 budget,
+                scope,
             )
         except BudgetExceeded as exc:
             # Enrich the partial: every frozen stratum is a consistent

@@ -50,7 +50,7 @@ from .ast import Constant, Variable
 from .guardrails import Budget, BudgetExceeded, PartialResult, attach_partial
 from .indexes import IndexManager, KeyIndex
 from .instance import Database, Instance, Key
-from .kernels import BodyKernels
+from .kernels import BodyKernels, KernelScope
 from .naive import EvalStats, EvaluationResult, NaiveEvaluator
 from .rules import FuncFactor, Program, RelAtom, Rule, SumProduct, factor_atoms
 from .valuations import (
@@ -86,13 +86,15 @@ class SemiNaiveEvaluator:
         indexes: Optional[IndexManager] = None,
         engine: str = "auto",
         budget: Optional[Budget] = None,
+        kernel_scope: Optional[KernelScope] = None,
     ):
         """``domain``, ``stats`` and ``indexes`` serve the stratum
         scheduler exactly as in
         :class:`~repro.core.naive.NaiveEvaluator`: pinned whole-program
         domain, shared counters, shared index cache (so frozen-layer
         indexes survive across strata).  ``engine`` selects compiled
-        kernels vs the interpreted pipeline, as there.
+        kernels vs the interpreted pipeline, and ``kernel_scope`` shares
+        a prepared demand query's kernels, as there.
         """
         self.program = program
         self.database = database
@@ -125,9 +127,11 @@ class SemiNaiveEvaluator:
         #: that preserves it can be skipped and ``new`` merged in place.
         self._linear = program.is_linear()
         #: One kernel per (plan, delta occurrence ``j``).
+        self._kernel_scope = kernel_scope
         self._kernels = BodyKernels(
             engine, plan, database, self.functions, self.idb_names,
             self.domain, stats=self.stats.join, poll=self._poll,
+            scope=kernel_scope,
         )
         self.mode = self._kernels.mode
         self.compiled = self.mode != "interpreted"
@@ -506,6 +510,7 @@ class SemiNaiveEvaluator:
             indexes=self.indexes,
             engine=self.engine,
             budget=self.budget,
+            kernel_scope=self._kernel_scope,
         )
         new = bootstrap.ico(Instance(self.pops))
         self.stats.iterations += 1

@@ -124,6 +124,9 @@ class DatalogService:
             OrderedDict()
         )
         self._cache_lock = threading.Lock()
+        #: Guards the demand-path counters, which concurrent
+        #: ``query_bound`` calls bump.
+        self._demand_lock = threading.Lock()
         #: (relation, mask) → (version, KeyIndex): lazily built
         #: value-carrying scan indexes, rebuilt per relation version.
         self._indexes: Dict[Tuple[str, Tuple[int, ...]], Tuple[int, KeyIndex]] = {}
@@ -141,6 +144,8 @@ class DatalogService:
             "request_errors": 0,
             "demand_queries": 0,
             "demand_queries_warm": 0,
+            "demand_prepared_hits": 0,
+            "demand_prepared_misses": 0,
         }
 
     # ------------------------------------------------------------------
@@ -184,13 +189,17 @@ class DatalogService:
         inside :func:`~repro.core.demand.demand_solve`.  The solve runs
         on the database published when it started — immutable, so a
         concurrent mutation can neither change it nor be half-seen.
+        Queries of one adornment share a prepared rewrite until the
+        next mutation publishes a new database
+        (``stats["demand_prepared_hits"]`` / ``["demand_prepared_misses"]``).
         """
         self._check_relation(relation)
         key = tuple(key)
         if self._materialized(relation):
             self.stats["demand_queries_warm"] += 1
             return self.query(relation, key)
-        self.stats["demand_queries"] += 1
+        with self._demand_lock:
+            self.stats["demand_queries"] += 1
         from .engine import solve
 
         inc = self.durable.inc
@@ -204,6 +213,14 @@ class DatalogService:
             )
         except ValueError as exc:
             raise ServeError(400, "bad-query", str(exc)) from exc
+        if not result.stats["demand_fallbacks"]:
+            counter = (
+                "demand_prepared_hits"
+                if result.stats["demand_prepared_hits"]
+                else "demand_prepared_misses"
+            )
+            with self._demand_lock:
+                self.stats[counter] += 1
         return result.instance.get(relation, key)
 
     def _materialized(self, relation: str) -> bool:

@@ -332,6 +332,11 @@ class FunctionRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._functions
 
+    def snapshot(self) -> tuple[tuple[str, Callable[..., Value]], ...]:
+        """The registered ``(name, function)`` pairs, sorted by name:
+        two registries with equal snapshots resolve every name alike."""
+        return tuple(sorted(self._functions.items(), key=lambda item: item[0]))
+
 
 def pairs(values: Sequence[Value]) -> Iterator[tuple[Value, Value]]:
     """Yield all ordered pairs over ``values`` (test helper)."""

@@ -32,7 +32,7 @@ from repro.core import Database, solve
 from repro.core.ast import Compare, Constant, terms, var
 from repro.core.planner import order_guards
 from repro.core.rules import Indicator, Program, RelAtom, Rule, SumProduct
-from repro.core.scheduler import scheduled_fixpoint
+from repro.core.scheduler import scheduled_fixpoint, stratify
 from repro.core.valuations import Guard
 from repro.semirings import BOOL, LIFTED_REAL, THREE, TROP
 
@@ -572,7 +572,7 @@ class TestRestrictToRoots:
         prog = programs.graph_analytics()
         full = scheduled_fixpoint(prog, db, method="seminaive")
         pruned = scheduled_fixpoint(
-            prog, db, method="seminaive", roots=("T",)
+            prog, db, method="seminaive", strata=stratify(prog, ("T",))
         )
         assert dict(pruned.instance.support("T")) == dict(
             full.instance.support("T")
