@@ -19,6 +19,17 @@ The paper's semiring framing makes this precise:
   every surviving atom's value is exactly the ⊕-sum of its surviving
   derivation trees, hence ``J⁻ ⊑ F′(J⁻)`` and ``J⁻ ⊑ lfp(F′)`` — the
   same warm-restart lemma applies.
+* **The bootstrap is batch-sized.**  On the semi-naïve path ``δ⁽⁰⁾ =
+  F′(J⁻) ⊖ J⁻`` is computed from the batch's footprint, not from all
+  of ``J⁻``: *delta bodies* — each occurrence of a grown relation
+  reading only the batch's grown facts — and *re-derivation bodies* —
+  the rules of each relation with erased atoms, restricted to the
+  erased head keys.  Both are ordinary bodies over relations the batch
+  adds with :meth:`Database.derive`, so every engine runs them; why
+  they give the same ``δ⁽⁰⁾`` key for key is argued on
+  :meth:`IncrementalInstance._continue_seminaive`.  Over-deletion
+  marking probes indexes over the pre-mutation stores, so neither pass
+  re-joins the whole fixpoint.
 * **Everything else** — non-naturally-ordered spaces (``THREE``, lifted
   orders: an EDB mutation is not monotone in the knowledge order, so no
   warm restart is sound), Boolean-relation mutations and programs whose
@@ -30,7 +41,8 @@ The paper's semiring framing makes this precise:
 
 The maintained fixpoint is **byte-identical** to ``solve()`` from
 scratch on the mutated EDB (the hypothesis suite in
-``tests/test_incremental.py`` asserts this across TROP/BOOL/THREE),
+``tests/test_incremental.py`` asserts this across TROP/BOOL/THREE and,
+over five program shapes, across TROP/BOOL/BOTTLENECK/VITERBI),
 because both run the same engines over the same domain ordering.
 """
 
@@ -41,14 +53,21 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..semirings.base import FunctionRegistry
+from .ast import And, BoolAtom, Condition, TrueCond, eval_term
 from .guardrails import BudgetExceeded
+from .indexes import JoinStats, KeyIndex
 from .instance import Database, Instance, Key
 from .io import decode_value, encode_value
-from .naive import NaiveEvaluator, _relation_equal
-from .rules import Program, RelAtom
+from .naive import EvalStats, EvaluationResult, NaiveEvaluator, _relation_equal
+from .rules import Program, Rule, SumProduct
 from .seminaive import SemiNaiveError, SemiNaiveEvaluator
-from .valuations import Guard, enumerate_matches
-from .ast import eval_term
+from .valuations import Guard, enumerate_matches, is_indexed_plan
+
+#: Name prefixes of the relations a batch-sized bootstrap reads: the
+#: batch's grown facts of ``R`` (a POPS relation) and the over-deleted
+#: keys of ``T`` (a Boolean relation), added with ``Database.derive``.
+DELTA_PREFIX = "__delta_"
+ERASED_PREFIX = "__erased_"
 
 
 def fingerprint(instance: Instance) -> str:
@@ -127,6 +146,11 @@ class ApplySummary:
     dred_marked: int = 0
     dred_rounds: int = 0
     steps: int = 0
+    #: ⊗-products the apply computed: bootstrap (delta and
+    #: re-derivation bodies), continuation, or the full re-solve.
+    products: int = 0
+    #: Candidate keys its joins examined, over-deletion marking included.
+    keys_examined: int = 0
     wall_s: float = 0.0
     changed_relations: List[str] = field(default_factory=list)
 
@@ -137,6 +161,8 @@ class ApplySummary:
             "dred_marked": self.dred_marked,
             "dred_rounds": self.dred_rounds,
             "steps": self.steps,
+            "products": self.products,
+            "keys_examined": self.keys_examined,
             "wall_s": self.wall_s,
             "changed_relations": list(self.changed_relations),
         }
@@ -191,6 +217,7 @@ class IncrementalInstance:
             "dred_deletions": 0,
             "warm_iterations": 0,
             "full_solves": 0,
+            "incremental_products": 0,
         }
         self.steps = warm_steps
         self._idb_names = program.idb_names()
@@ -211,7 +238,7 @@ class IncrementalInstance:
             self.instance = warm_instance
             self._bump_versions(self._all_relations())
         else:
-            self.instance = self._resolve(database)
+            self.instance = self._resolve(database).instance
         self._domain = self._domain_of(database)
 
     # ------------------------------------------------------------------
@@ -249,7 +276,7 @@ class IncrementalInstance:
     # ------------------------------------------------------------------
     # full solve (initial state + the fallback rung)
     # ------------------------------------------------------------------
-    def _resolve(self, database: Database) -> Instance:
+    def _resolve(self, database: Database) -> EvaluationResult:
         """The fixpoint over ``database`` from scratch."""
         from .engine import solve
 
@@ -266,7 +293,7 @@ class IncrementalInstance:
         )
         self.steps = result.steps
         self.stats["full_solves"] += 1
-        return result.instance
+        return result
 
     # ------------------------------------------------------------------
     # mutation application
@@ -418,14 +445,14 @@ class IncrementalInstance:
             or not self._naturally_ordered
             or (bool(shrink) and not self._seminaive_ok)
         )
+        work = EvalStats()
         j_minus: Optional[Instance] = None
-        dred_marked = 0
+        erased: Dict[str, Dict[Key, bool]] = {}
         dred_rounds = 0
-        dred_relations: Set[str] = set()
         if not fallback and shrink:
             try:
-                j_minus, dred_marked, dred_rounds, dred_relations = (
-                    self._overdelete(shrink)
+                j_minus, erased, dred_rounds = self._overdelete(
+                    shrink, work.join
                 )
             except DredBudgetExceeded:
                 fallback = True
@@ -446,43 +473,33 @@ class IncrementalInstance:
                 # Insert-only growth: warm-restart straight from the
                 # current fixpoint (the continuation works on copies).
                 j_minus = self.instance
-            affected = (
-                {rel for rel, _key in shrink}
-                | {m.relation for m in grow}
-                | dred_relations
-            )
             try:
                 if self._seminaive_ok:
                     path = "seminaive"
+                    grown: Dict[str, Dict[Key, bool]] = {}
+                    for m in grow:
+                        grown.setdefault(m.relation, {})[m.key] = True
                     instance = self._continue_seminaive(
-                        database, j_minus, affected,
+                        database, j_minus, grown, erased, work,
                         full_bootstrap=domain_grew,
                     )
                 else:
                     path = "warm-naive"
-                    instance = self._warm_naive(database, j_minus)
+                    instance = self._warm_naive(database, j_minus, work)
             except (BudgetExceeded, SemiNaiveError):
                 path = "resolve"
+        resolved_keys = 0
         if path == "resolve":
-            instance = self._resolve(database)
+            result = self._resolve(database)
+            instance = result.instance
+            work.products += result.stats.get("products", 0)
+            resolved_keys = result.stats.get("keys_examined", 0)
             self.stats["incremental_fallbacks"] += 1
         # Publish the successor EDB with its fixpoint; until here every
         # reader saw the previous pair.
         self.database, self.instance = database, instance
         self._domain = new_domain
-        return self._summary(
-            path, before, effective, started, dred_marked, dred_rounds
-        )
-
-    def _summary(
-        self,
-        path: str,
-        before: Instance,
-        effective: Sequence[Mutation],
-        started: float,
-        dred_marked: int,
-        dred_rounds: int,
-    ) -> ApplySummary:
+        self.stats["incremental_products"] += work.products
         changed = sorted(
             {m.relation for m in effective} | self._changed_idbs(before)
         )
@@ -490,9 +507,11 @@ class IncrementalInstance:
         return ApplySummary(
             path=path,
             mutations=len(effective),
-            dred_marked=dred_marked,
+            dred_marked=sum(len(keys) for keys in erased.values()),
             dred_rounds=dred_rounds,
             steps=self.steps,
+            products=work.products,
+            keys_examined=work.join.keys_examined + resolved_keys,
             wall_s=time.perf_counter() - started,
             changed_relations=changed,
         )
@@ -511,40 +530,58 @@ class IncrementalInstance:
     # DRed over-deletion
     # ------------------------------------------------------------------
     def _overdelete(
-        self, shrink: Sequence[Tuple[str, Key]]
-    ) -> Tuple[Instance, int, int, Set[str]]:
+        self, shrink: Sequence[Tuple[str, Key]], stats: JoinStats
+    ) -> Tuple[Instance, Dict[str, Dict[Key, bool]], int]:
         """Mark-and-erase every IDB atom with a derivation through a
         shrunk fact, bottom-up against the *pre-mutation* database and
-        fixpoint.  Returns the surviving instance ``J⁻`` plus marking
-        telemetry.  Over-marking is always sound: re-derivation restores
-        anything erased too eagerly.
+        fixpoint.  Returns the surviving instance ``J⁻``, the erased
+        keys per relation and the number of marking rounds.
+        Over-marking is always sound: re-derivation restores anything
+        erased too eagerly.
+
+        Each round, every occurrence of a frontier relation — nested
+        under a :class:`FuncFactor` too, since a monotone function of a
+        shrunk value may shrink — is driven by the frontier, and every
+        other atom reads the pre-mutation store.  Reading ``J`` rather
+        than the instance erased so far is what finds a head whose
+        derivation joins two atoms erased in the same round; a match
+        through an atom erased in an earlier round finds a head that
+        round already erased.  Under an indexed ``plan`` the stores are
+        probed: ``J``'s relations and the database's are indexed once
+        per pass, the frontier once per round.
         """
         pops = self.pops
         database = self.database
-        working = self.instance.copy()
+        before = self.instance
+        working = before.copy()
         cap = self.dred_cap
         if cap is None:
-            cap = max(256, 2 * self.instance.size())
+            cap = max(256, 2 * before.size())
         domain = sorted(self._domain, key=repr)
+        indexed = is_indexed_plan(self.plan)
+        store_indexes: Dict[Tuple[str, str], KeyIndex] = {}
+        erased: Dict[str, Dict[Key, bool]] = {}
         marked_total = 0
         rounds = 0
-        marked_relations: Set[str] = set()
         frontier: Dict[str, Dict[Key, bool]] = {}
         for rel, key in shrink:
             frontier.setdefault(rel, {})[tuple(key)] = True
         while frontier:
             rounds += 1
+            front_indexes = {
+                rel: KeyIndex(keys) if indexed else None
+                for rel, keys in frontier.items()
+            }
             hits: Dict[str, Set[Key]] = {}
             for rule in self.program.rules:
                 for body in rule.bodies:
-                    factors = body.factors
-                    for i, factor in enumerate(factors):
-                        if not isinstance(factor, RelAtom):
-                            continue
-                        if factor.relation not in frontier:
+                    for pos, (atom, _under) in enumerate(body.atoms()):
+                        front = frontier.get(atom.relation)
+                        if front is None:
                             continue
                         guards = self._dred_guards(
-                            factors, i, frontier[factor.relation], working
+                            body, pos, front, front_indexes[atom.relation],
+                            store_indexes if indexed else None, stats,
                         )
                         for valuation, _slots in enumerate_matches(
                             body.enumeration_order(),
@@ -552,7 +589,8 @@ class IncrementalInstance:
                             domain,
                             body.condition,
                             database.bool_holds,
-                            plan="naive",
+                            plan=self.plan,
+                            stats=stats,
                         ):
                             head_key = tuple(
                                 eval_term(t, valuation)
@@ -571,7 +609,7 @@ class IncrementalInstance:
                 for key in keys:
                     working.set(rel, key, pops.bottom)
                     marked_total += 1
-                    marked_relations.add(rel)
+                    erased.setdefault(rel, {})[key] = True
                     next_frontier.setdefault(rel, {})[key] = True
             if marked_total > cap:
                 raise DredBudgetExceeded(
@@ -581,57 +619,67 @@ class IncrementalInstance:
             frontier = next_frontier
         self.stats["dred_rounds"] += rounds
         self.stats["dred_deletions"] += marked_total
-        return working, marked_total, rounds, marked_relations
+        return working, erased, rounds
 
     def _dred_guards(
         self,
-        factors: Tuple,
+        body: SumProduct,
         frontier_pos: int,
         front: Dict[Key, bool],
-        working: Instance,
+        front_index: Optional[KeyIndex],
+        store_indexes: Optional[Dict[Tuple[str, str], KeyIndex]],
+        stats: JoinStats,
     ) -> List[Guard]:
         """Guards for one over-deletion enumeration: the frontier drives
-        position ``frontier_pos``; other positive atoms read the working
-        instance (IDB) or the pre-mutation database (EDB/Boolean).
-        Skipping absent atoms is sound here because the DRed path only
-        runs over naturally ordered semirings."""
+        atom occurrence ``frontier_pos`` (in :meth:`SumProduct.atoms`
+        order); other positive top-level atoms read the pre-mutation
+        fixpoint (IDB) or database (EDB/Boolean).  Atoms under a
+        function bind nothing unless they drive.  Skipping absent atoms
+        is sound here because the DRed path only runs over naturally
+        ordered semirings.  ``store_indexes`` (``None`` under
+        ``plan="naive"``) caches one index per store for the pass.
+        """
+        database = self.database
         guards: List[Guard] = []
-        for k, factor in enumerate(factors):
-            if not isinstance(factor, RelAtom):
-                continue
-            rel = factor.relation
-            if k == frontier_pos:
+        for pos, (atom, under) in enumerate(body.atoms()):
+            rel = atom.relation
+            if pos == frontier_pos:
                 guards.append(
                     Guard(
-                        args=factor.args,
+                        args=atom.args,
                         keys=lambda f=front: f,
                         name=f"front:{rel}",
+                        index=front_index,
                     )
                 )
-            elif rel in self._idb_names:
-                guards.append(
-                    Guard(
-                        args=factor.args,
-                        keys=lambda w=working, r=rel: w.support(r),
-                        name=f"idb:{rel}",
-                    )
-                )
-            elif rel in self.database.bool_relations:
-                guards.append(
-                    Guard(
-                        args=factor.args,
-                        keys=lambda s=self.database.bool_relations[rel]: s,
-                        name=f"bool:{rel}",
-                    )
-                )
+                continue
+            if under:
+                continue
+            if rel in self._idb_names:
+                kind, store = "idb", self.instance.support(rel)
+            elif rel in database.bool_relations:
+                kind, store = "bool", database.bool_relations[rel]
             else:
-                guards.append(
-                    Guard(
-                        args=factor.args,
-                        keys=lambda d=self.database, r=rel: d.support(r),
-                        name=f"edb:{rel}",
-                    )
+                kind, store = "edb", database.support(rel)
+            index = None
+            if store_indexes is not None:
+                index = store_indexes.get((kind, rel))
+                if index is None:
+                    if kind == "idb":
+                        index = KeyIndex(store, stats=stats)
+                    elif kind == "bool":
+                        index = database.bool_index(rel).view(stats)
+                    else:
+                        index = database.index(rel).view(stats)
+                    store_indexes[kind, rel] = index
+            guards.append(
+                Guard(
+                    args=atom.args,
+                    keys=lambda s=store: s,
+                    name=f"{kind}:{rel}",
+                    index=index,
                 )
+            )
         return guards
 
     # ------------------------------------------------------------------
@@ -641,22 +689,68 @@ class IncrementalInstance:
         self,
         database: Database,
         j_minus: Instance,
-        affected: Set[str],
+        grown: Dict[str, Dict[Key, bool]],
+        erased: Dict[str, Dict[Key, bool]],
+        stats: EvalStats,
         full_bootstrap: bool,
     ) -> Instance:
         """Restart the semi-naïve chain from ``J⁻`` over the mutated
         ``database``; returns the new fixpoint.
 
-        Bootstrap: one naïve ICO application restricted to the rules of
-        head relations whose bodies mention an affected relation (a
-        mutated EDB relation or an over-deleted IDB relation) — every
-        other head relation's immediate consequences over ``J⁻`` equal
-        its ``J⁻`` values exactly, so its δ⁽⁰⁾ is empty by construction.
-        A grown active domain voids that argument (new constants reach
+        The bootstrap computes ``δ⁽⁰⁾ = F′(J⁻) ⊖ J⁻`` from the batch's
+        footprint alone, with one naïve ICO application of two kinds of
+        body (:meth:`_bootstrap_program`):
+
+        * **delta bodies** — for every occurrence of a relation whose
+          facts grew (``grown``), the body with that occurrence reading
+          only the batch's grown facts at their post-batch values; the
+          other occurrences read the mutated database and ``J⁻``;
+        * **re-derivation bodies** — every body of a relation with
+          over-deleted atoms (``erased``), restricted to the erased head
+          keys.
+
+        This is the parent's ``F′(J⁻) ⊖ J⁻``, key for key.  DRed leaves
+        no surviving atom with a one-step valuation through a shrunk
+        fact or an erased atom, and ``J = F(J)``, so ``F′(J⁻) = J⁻``
+        outside the erased heads and the heads the delta bodies touch.
+        An erased head's ``J⁻`` value is ``0`` and its re-derivation
+        bodies sum exactly its ``F′(J⁻)``; every delta valuation is a
+        valuation of ``F′(J⁻)`` (or ⊑ one, where a function reads a
+        grown relation's absent key), which idempotent ``⊕`` absorbs.
+        On a touched survivor, ``F′(J⁻) = J ⊕ D`` for the delta bodies'
+        sum ``D`` — the old values of grown facts are ⊑ their new ones
+        — and ``(J ⊕ D) ⊖ J = D ⊖ J`` by Eq. 58 under idempotent ``⊕``.
+        The semi-naïve path only runs on complete distributive dioids,
+        where all of this holds.
+
+        A grown active domain voids the argument (new constants reach
         every rule through enumeration fallbacks), so it bootstraps the
-        full program.  The differential loop is
+        full program over ``J⁻``.  The differential loop is
         :meth:`SemiNaiveEvaluator.run`, entered mid-chain.
         """
+        if full_bootstrap:
+            program, boot_database = self.program, database
+        else:
+            program = self._bootstrap_program(grown, erased)
+            if program is None:
+                # No rule reads a changed relation: the fixpoint is
+                # exactly the surviving instance.
+                return j_minus
+            deltas: Dict[str, Dict[Key, Any]] = {}
+            for rel, keys in grown.items():
+                # Post-batch values: a later mutation of the batch may
+                # have deleted a grown key again.
+                store = database.support(rel)
+                deltas[DELTA_PREFIX + rel] = {
+                    key: store[key] for key in keys if key in store
+                }
+            boot_database = database.derive(
+                relations=deltas,
+                bool_relations={
+                    ERASED_PREFIX + rel: frozenset(keys)
+                    for rel, keys in erased.items()
+                },
+            )
         evaluator = SemiNaiveEvaluator(
             self.program,
             database,
@@ -664,35 +758,11 @@ class IncrementalInstance:
             max_iterations=self.max_iterations,
             plan=self.plan,
             engine=self.engine,
+            stats=stats,
         )
-        if full_bootstrap:
-            restricted = self.program
-        else:
-            touched: Set[str] = set()
-            for rule in self.program.rules:
-                for body in rule.bodies:
-                    if any(
-                        atom.relation in affected
-                        for atom, _under in body.atoms()
-                    ):
-                        touched.add(rule.head_relation)
-                        break
-            rules = [
-                r for r in self.program.rules if r.head_relation in touched
-            ]
-            if not rules:
-                # No rule reads a mutated relation: the fixpoint is
-                # exactly the surviving instance.
-                return j_minus
-            restricted = Program(
-                rules=rules,
-                edbs=dict(self.program.edbs),
-                bool_edbs=dict(self.program.bool_edbs),
-                idbs=dict(self.program.idbs),
-            )
         bootstrap = NaiveEvaluator(
-            restricted,
-            database,
+            program,
+            boot_database,
             functions=self.functions,
             max_iterations=1,
             plan=self.plan,
@@ -702,7 +772,7 @@ class IncrementalInstance:
             engine=self.engine,
         )
         image = bootstrap.ico(j_minus)
-        # δ⁽⁰⁾ = F(J⁻) ⊖ J⁻, applied to a copy: a failed continuation
+        # δ⁽⁰⁾ = F′(J⁻) ⊖ J⁻, applied to a copy: a failed continuation
         # must leave the surviving instance as it was.
         delta, new = evaluator.advance(
             {rel: image.support(rel) for rel in image.relations()},
@@ -715,7 +785,54 @@ class IncrementalInstance:
         self.stats["warm_iterations"] += result.steps
         return result.instance
 
-    def _warm_naive(self, database: Database, j_minus: Instance) -> Instance:
+    def _bootstrap_program(
+        self,
+        grown: Dict[str, Dict[Key, bool]],
+        erased: Dict[str, Dict[Key, bool]],
+    ) -> Optional[Program]:
+        """The delta and re-derivation bodies of
+        :meth:`_continue_seminaive`'s bootstrap, or ``None`` when there
+        are none.  They read ``DELTA_PREFIX + R`` for the grown facts
+        of ``R`` and ``ERASED_PREFIX + T`` for the erased keys of
+        ``T``."""
+        rules: List[Rule] = []
+        for rule in self.program.rules:
+            bodies: List[SumProduct] = []
+            restrict = (
+                BoolAtom(ERASED_PREFIX + rule.head_relation, rule.head_args)
+                if rule.head_relation in erased
+                else None
+            )
+            for body in rule.bodies:
+                if restrict is not None:
+                    bodies.append(
+                        SumProduct(
+                            body.factors, _conjoin(restrict, body.condition)
+                        )
+                    )
+                for pos, (atom, _under) in enumerate(body.atoms()):
+                    if atom.relation in grown:
+                        bodies.append(
+                            body.with_atom_renamed(
+                                pos, DELTA_PREFIX + atom.relation
+                            )
+                        )
+            if bodies:
+                rules.append(
+                    Rule(rule.head_relation, rule.head_args, tuple(bodies))
+                )
+        if not rules:
+            return None
+        return Program(
+            rules=rules,
+            edbs=dict(self.program.edbs),
+            bool_edbs=dict(self.program.bool_edbs),
+            idbs=dict(self.program.idbs),
+        )
+
+    def _warm_naive(
+        self, database: Database, j_minus: Instance, stats: EvalStats
+    ) -> Instance:
         """Warm restart without ⊖: iterate the naïve ICO from ``J⁻``
         over the mutated ``database``; returns the new fixpoint."""
         evaluator = NaiveEvaluator(
@@ -725,8 +842,17 @@ class IncrementalInstance:
             max_iterations=self.max_iterations,
             plan=self.plan,
             engine=self.engine,
+            stats=stats,
         )
         result = evaluator.run(start=j_minus)
         self.steps = result.steps
         self.stats["warm_iterations"] += result.steps + 1
         return result.instance
+
+
+def _conjoin(atom: BoolAtom, condition: Condition) -> Condition:
+    """``atom ∧ condition``, the atom first (a positive guard)."""
+    if isinstance(condition, TrueCond):
+        return atom
+    return And((atom, condition))
+

@@ -40,6 +40,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping as _Mapping, Set as _Set
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -86,6 +88,21 @@ _MIN_OBSERVATIONS = 4
 #: comparison; exact counts keep small indexes — the common case —
 #: consistent.
 _EXACT_COUNT_LIMIT = 512
+
+
+@lru_cache(maxsize=None)
+def _projector(mask: Mask) -> Callable[[Key], Tuple[Hashable, ...]]:
+    """``key ↦ tuple(key[i] for i in mask)`` without a per-key generator.
+
+    ``itemgetter`` of one position returns the bare column, so a
+    one-column mask wraps it in a 1-tuple itself.
+    """
+    if not mask:
+        return lambda key: ()
+    if len(mask) == 1:
+        (column,) = mask
+        return lambda key: (key[column],)
+    return itemgetter(*mask)
 
 
 @dataclass
@@ -362,8 +379,7 @@ class KeyIndex:
             self.has_values = True
         for mask, table in self._maps.items():
             if not mask or mask[-1] < len(key):
-                proj = tuple(key[i] for i in mask)
-                table.setdefault(proj, []).append(entry)
+                table.setdefault(_projector(mask)(key), []).append(entry)
         return True
 
     def extend(self, keys: Union[Mapping[Key, Any], Iterable[Key]]) -> int:
@@ -407,12 +423,18 @@ class KeyIndex:
                 table = published.get(mask)
             if table is None:
                 table = {}
+                project = _projector(mask)
+                top = mask[-1] if mask else -1
                 for entry in self._entries:
                     key = entry[0]
-                    if mask and mask[-1] >= len(key):
+                    if top >= len(key):
                         continue  # arity-mismatched key; executor skips it
-                    proj = tuple(key[i] for i in mask)
-                    table.setdefault(proj, []).append(entry)
+                    proj = project(key)
+                    bucket = table.get(proj)
+                    if bucket is None:
+                        table[proj] = [entry]
+                    else:
+                        bucket.append(entry)
                 if self.stats is not None:
                     self.stats.index_builds += 1
                 if published is not None:

@@ -348,13 +348,17 @@ class Instance:
         return rel.get(key, self._bottom)
 
     def set(self, relation: str, key: Key, value: Value) -> None:
-        """Assign a value; ``⊥`` assignments erase the entry."""
+        """Assign a value; ``⊥`` assignments erase the entry, and the
+        relation with its last entry (:meth:`relations` lists only
+        relations with non-empty support)."""
         if type(key) is not tuple:
             key = tuple(key)
         if self._eq(value, self._bottom):
             rel = self._data.get(relation)
             if rel is not None:
                 rel.pop(key, None)
+                if not rel:
+                    del self._data[relation]
         else:
             self._data.setdefault(relation, {})[key] = value
 
@@ -368,6 +372,8 @@ class Instance:
         merged = self.pops.add(rel.get(key, self._bottom), value)
         if self._eq(merged, self._bottom):
             rel.pop(key, None)
+            if not rel:
+                self._data.pop(relation, None)
         else:
             self._data.setdefault(relation, rel)[key] = merged
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     Iterator,
@@ -163,6 +164,19 @@ def factor_atoms(factor: Factor) -> Iterator[Tuple[RelAtom, bool]]:
                 yield (atom, True)
 
 
+def _map_atoms(factor: Factor, fn: Callable[[RelAtom], RelAtom]) -> Factor:
+    """``factor`` with every RelAtom replaced by ``fn(atom)``, called in
+    :func:`factor_atoms` order (the same descent: a RelAtom is a leaf,
+    a :class:`FuncFactor` visits its arguments left to right)."""
+    if isinstance(factor, RelAtom):
+        return fn(factor)
+    if isinstance(factor, FuncFactor):
+        return FuncFactor(
+            factor.name, tuple(_map_atoms(sub, fn) for sub in factor.args)
+        )
+    return factor
+
+
 def _condition_reads(
     cond: Condition, negated: bool
 ) -> Iterator[Tuple[BoolAtom, bool]]:
@@ -210,6 +224,21 @@ class SumProduct:
         """Yield every RelAtom with its ``under_function`` flag."""
         for f in self.factors:
             yield from factor_atoms(f)
+
+    def with_atom_renamed(self, pos: int, relation: str) -> "SumProduct":
+        """This body with atom occurrence ``pos`` (in :meth:`atoms`
+        order) reading ``relation`` instead; the condition is kept."""
+        seen = -1
+
+        def rename(atom: RelAtom) -> RelAtom:
+            nonlocal seen
+            seen += 1
+            if seen == pos:
+                return RelAtom(relation, atom.args)
+            return atom
+
+        factors = tuple(_map_atoms(f, rename) for f in self.factors)
+        return SumProduct(factors, self.condition)
 
     def bool_reads(self) -> Iterator[Tuple[BoolAtom, bool]]:
         """Yield ``(atom, negated)`` for every Boolean atom a condition

@@ -124,6 +124,33 @@ class TestFactors:
         plain = list(factor_atoms(RelAtom("W", terms(["Y"]))))
         assert plain == [(RelAtom("W", terms(["Y"])), False)]
 
+    def test_with_atom_renamed_follows_atoms_order(self):
+        """Occurrence ``pos`` of :meth:`SumProduct.atoms` is the one
+        renamed, nested under a function too; identical atoms are told
+        apart by position."""
+        e_xy = RelAtom("E", terms(["X", "Y"]))
+        body = SumProduct(
+            (
+                e_xy,
+                FuncFactor("f", (e_xy, ValueConst(2), RelAtom("T", terms(["Y"])))),
+                e_xy,
+            ),
+            BoolAtom("B", terms(["X"])),
+        )
+        before = [atom for atom, _under in body.atoms()]
+        for pos in range(len(before)):
+            renamed = body.with_atom_renamed(pos, "D")
+            after = list(renamed.atoms())
+            assert [under for _a, under in after] == [
+                under for _a, under in body.atoms()
+            ]
+            for i, (atom, _under) in enumerate(after):
+                if i == pos:
+                    assert atom == RelAtom("D", before[i].args)
+                else:
+                    assert atom == before[i]
+            assert renamed.condition == body.condition
+
 
 class TestRules:
     def tc_rule(self):

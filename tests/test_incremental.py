@@ -1,23 +1,37 @@
 """Incremental maintenance (`core/incremental.py`): the DRed engine.
 
-The load-bearing invariant, hypothesis-tested across TROP/BOOL/THREE:
-for any mutation sequence, the maintained fixpoint is byte-identical
-(via :func:`fingerprint`) to ``solve()``-from-scratch on the final EDB.
+The load-bearing invariant, hypothesis-tested across TROP/BOOL/THREE and
+(over several program shapes) BOTTLENECK/VITERBI: for any mutation
+sequence, the maintained fixpoint is byte-identical (via
+:func:`fingerprint`) to ``solve()``-from-scratch on the final EDB.
+
+``DATALOGO_ENGINE`` restricts the shape differential and the
+batch-proportionality pins to one engine (the CI matrix leg).
 """
 
 from __future__ import annotations
+
+import math
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import core, programs, workloads
-from repro.core import solve
+from repro.core import VALID_ENGINES, parse_program, solve
 from repro.core.incremental import (
     IncrementalInstance,
     Mutation,
     fingerprint,
 )
-from repro.semirings import BOOL, THREE, TROP
+from repro.semirings import BOOL, BOTTLENECK, THREE, TROP, VITERBI
+from repro.semirings.base import FunctionRegistry
+
+ENGINES = [
+    e
+    for e in VALID_ENGINES
+    if e != "auto" and os.environ.get("DATALOGO_ENGINE", e) == e
+]
 
 
 def trop_db():
@@ -222,3 +236,236 @@ class TestApiSurface:
             "full_solves",
         ):
             assert key in inc.stats
+
+
+class TestFunctionFactorOverdeletion:
+    """DRed must mark through an atom under an interpreted function: a
+    shrunk ``E`` fact shrinks ``scale(E(…))``, so the heads it derived
+    are stale until erased and re-derived."""
+
+    PROGRAM = "T(X, Y) :- scale(E(X, Y)) | T(X, Z) * E(Z, Y)."
+
+    def test_shrink_under_function_is_maintained(self):
+        functions = FunctionRegistry()
+        functions.register("scale", lambda v: 2 * v)
+        db = core.Database(
+            pops=TROP,
+            relations={
+                "E": {("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): 5.0}
+            },
+        )
+        inc = IncrementalInstance(
+            parse_program(self.PROGRAM), db, functions=functions
+        )
+        for mutation, want in (
+            (Mutation("insert", "E", ("a", "b"), 0.5), 1.0),
+            (Mutation("insert", "E", ("a", "b"), 3.0), 6.0),
+            (Mutation("delete", "E", ("a", "b"), None), math.inf),
+        ):
+            summary = inc.apply([mutation])
+            assert summary.path == "seminaive"
+            assert inc.query("T", ("a", "b")) == want
+            ref = solve(
+                inc.program, inc.database, method="seminaive",
+                functions=functions,
+            )
+            assert fingerprint(inc.instance) == fingerprint(ref.instance)
+
+
+class TestNonLinearOverdeletion:
+    def test_same_round_pair_is_marked(self):
+        """``T(x,y)``'s only derivation joins ``T(x,z)`` and ``T(z,y)``,
+        both erased in the same marking round: the next round must still
+        find it through the pair."""
+        program = parse_program("T(X, Y) :- E(X, Y) | T(X, Z) * T(Z, Y).")
+        edges = [("x", "z"), ("z", "y"), ("q", "x"), ("q", "z"), ("q", "y")]
+        inc = IncrementalInstance(
+            program,
+            core.Database(pops=BOOL, relations={"E": dict.fromkeys(edges, True)}),
+        )
+        summary = inc.apply(
+            [Mutation("delete", "E", ("x", "z")),
+             Mutation("delete", "E", ("z", "y"))]
+        )
+        assert summary.path == "seminaive"
+        assert not inc.query("T", ("x", "y"))
+        ref = solve(inc.program, inc.database, method="seminaive")
+        assert fingerprint(inc.instance) == fingerprint(ref.instance)
+
+
+class TestErasedRelation:
+    def test_fully_erased_relation_is_gone(self):
+        """Over-deleting a relation's last atom drops the relation, as
+        ``solve()`` never creates it: the instance lists, fingerprints
+        and serializes exactly what a from-scratch solve does."""
+        from repro.core.io import instance_to_dict
+
+        program = parse_program(
+            "S(Y) :- E(a, Y) | S(Z) * E(Z, Y).\n"
+            "T(X, Y) :- E(X, Y) * S(X) | T(X, Z) * E(Z, Y)."
+        )
+        inc = IncrementalInstance(
+            program,
+            core.Database(
+                pops=TROP, relations={"E": {("a", "b"): 1.0, ("b", "a"): 1.0}}
+            ),
+        )
+        assert {"S", "T"} <= set(inc.instance.relations())
+        summary = inc.apply([Mutation("delete", "E", ("a", "b"))])
+        assert summary.path == "seminaive"
+        assert set(inc.instance.relations()) == set()
+        assert instance_to_dict(inc.instance) == {}
+        ref = solve(inc.program, inc.database, method="seminaive")
+        assert fingerprint(inc.instance) == fingerprint(ref.instance)
+
+
+#: Program shapes for the differential, beyond the one-rule APSP: two
+#: occurrences of the mutated relation in one body, the relation under
+#: a function, a body constant, a second EDB relation, and a non-linear
+#: body whose re-derivation reads ``J⁻`` twice.
+SHAPES = {
+    "two-occurrences": (
+        "T(X, Y) :- E(X, Y) | E(X, Z) * E(Z, Y) | T(X, Z) * E(Z, Y).",
+        ("E",),
+    ),
+    "under-function": (
+        "T(X, Y) :- scale(E(X, Y)) | T(X, Z) * E(Z, Y).",
+        ("E",),
+    ),
+    "body-constant": (
+        "S(Y) :- E(a, Y) | S(Z) * E(Z, Y).\n"
+        "T(X, Y) :- E(X, Y) * S(X) | T(X, Z) * E(Z, Y).",
+        ("E",),
+    ),
+    "second-edb": (
+        "T(X, Y) :- E(X, Y) | T(X, Z) * F(Z, Y).",
+        ("E", "F"),
+    ),
+    "non-linear": (
+        "T(X, Y) :- E(X, Y) | T(X, Z) * T(Z, Y).",
+        ("E",),
+    ),
+}
+
+#: Per value space: fact values (±0.0 on the float spaces, where ``-0.0``
+#: is a distinct byte pattern and, on BOTTLENECK/VITERBI, reads ``0``)
+#: and a monotone ``scale``.
+SPACES = {
+    "trop": (TROP, [0.0, -0.0, 1.0, 2.0, 3.5], lambda v: min(2 * v, 7.0)),
+    "bool": (BOOL, [True], lambda v: v),
+    "bottleneck": (BOTTLENECK, [-0.0, 1.0, 2.5, math.inf], lambda v: min(v, 3.0)),
+    "viterbi": (VITERBI, [-0.0, 0.25, 0.5, 1.0], lambda v: v / 2),
+}
+
+SHAPE_NODES = ["a", "b", "c", "d"]
+
+
+@st.composite
+def shape_case(draw, values, relations):
+    key = st.tuples(st.sampled_from(SHAPE_NODES), st.sampled_from(SHAPE_NODES))
+    fact = st.tuples(st.sampled_from(relations), key)
+    initial = draw(st.dictionaries(fact, st.sampled_from(values), max_size=8))
+    mutation = st.one_of(
+        st.builds(
+            lambda f, v: Mutation("insert", f[0], f[1], v),
+            fact, st.sampled_from(values),
+        ),
+        st.builds(lambda f: Mutation("delete", f[0], f[1], None), fact),
+    )
+    batches = draw(
+        st.lists(st.lists(mutation, min_size=1, max_size=4), min_size=1, max_size=5)
+    )
+    return initial, batches
+
+
+class TestShapeDifferential:
+    """Mixed batches (growing and shrinking one relation at once) over
+    several program shapes and value spaces: the maintained fixpoint
+    matches ``solve()`` from scratch after every batch."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("space", sorted(SPACES))
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_matches_solve_after_every_batch(self, shape, space, engine):
+        source, relations = SHAPES[shape]
+        pops, values, scale = SPACES[space]
+        program = parse_program(source)
+        functions = FunctionRegistry()
+        functions.register("scale", scale)
+
+        @settings(max_examples=10, deadline=None, derandomize=True)
+        @given(shape_case(values, relations))
+        def check(case):
+            initial, batches = case
+            stores = {rel: {} for rel in relations}
+            for (rel, key), value in initial.items():
+                stores[rel][key] = value
+            inc = IncrementalInstance(
+                program, core.Database(pops=pops, relations=stores),
+                functions=functions, engine=engine,
+            )
+            for batch in batches:
+                inc.apply(batch)
+                ref = solve(
+                    program, inc.database, method="seminaive",
+                    functions=functions, engine=engine,
+                )
+                assert fingerprint(inc.instance) == fingerprint(ref.instance)
+
+        check()
+
+
+def _copies(k: int) -> core.Database:
+    """``k`` disjoint copies of one small weighted DAG."""
+    edges = {}
+    for c in range(k):
+        for (u, v), w in (
+            (("s", "a"), 1.0), (("a", "b"), 2.0), (("b", "t"), 1.0),
+            (("s", "c"), 4.0), (("c", "t"), 1.0), (("a", "c"), 5.0),
+        ):
+            edges[(f"{u}{c}", f"{v}{c}")] = w
+    return core.Database(pops=TROP, relations={"E": edges})
+
+
+class TestBatchProportional:
+    """An apply's work is the size of its footprint, not of ``|J|``: a
+    batch inside one component of ``k`` disjoint copies computes the
+    same products for every ``k``, and an insert examines the same keys.
+    An erasure makes its component unlike the others, which moves the
+    cost-based join order a little: there the keys examined only must
+    not grow with ``k``."""
+
+    PROGRAM = "T(X, Y) :- E(X, Y) | T(X, Z) * E(Z, Y)."
+
+    def _work(self, batch, engine, k):
+        inc = IncrementalInstance(
+            parse_program(self.PROGRAM), _copies(k), engine=engine
+        )
+        summary = inc.apply(batch)
+        assert summary.path == "seminaive"
+        assert summary.products > 0
+        assert inc.stats["incremental_products"] == summary.products
+        return summary
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_insert_work_is_independent_of_copies(self, engine):
+        batch = [Mutation("insert", "E", ("s0", "b0"), 1.0)]
+        one, four = (self._work(batch, engine, k) for k in (1, 4))
+        assert (one.products, one.keys_examined, one.steps) == (
+            four.products, four.keys_examined, four.steps,
+        )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            [Mutation("delete", "E", ("a0", "b0"))],
+            [Mutation("insert", "E", ("a0", "c0"), 1.0),
+             Mutation("delete", "E", ("s0", "a0"))],
+        ],
+        ids=["delete", "mixed"],
+    )
+    def test_shrink_work_does_not_grow_with_copies(self, batch, engine):
+        one, eight = (self._work(batch, engine, k) for k in (1, 8))
+        assert (one.products, one.steps) == (eight.products, eight.steps)
+        assert eight.keys_examined <= 1.5 * one.keys_examined

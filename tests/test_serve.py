@@ -274,6 +274,7 @@ class TestDurability:
             "queries", "cache_hits", "mutation_batches",       # serve
             "journal_records", "checkpoint_writes",            # journal
             "incremental_fallbacks", "dred_deletions",         # incremental
+            "incremental_products",
         ):
             assert key in snap, key
 
@@ -321,6 +322,21 @@ class TestHttp:
         status, doc = self._post(endpoint + "/checkpoint", {})
         assert status == 200 and doc["seq"] == 1
         assert self._get(endpoint + "/stats")[1]["mutation_batches"] == 1
+
+    def test_mutate_reports_products_and_stats_sum_them(self, endpoint):
+        total = 0
+        for op in ("insert", "delete"):
+            mutation = {"op": op, "relation": "E", "key": ["a", "d"]}
+            if op == "insert":
+                mutation["value"] = 0.5
+            status, doc = self._post(
+                endpoint + "/mutate", {"mutations": [mutation]}
+            )
+            assert status == 200 and doc["path"] == "seminaive"
+            assert doc["products"] > 0 and doc["keys_examined"] > 0
+            total += doc["products"]
+        stats = self._get(endpoint + "/stats")[1]
+        assert stats["incremental_products"] == total
 
     def test_errors_are_structured_json(self, endpoint):
         with pytest.raises(urllib.error.HTTPError) as exc:
