@@ -40,7 +40,7 @@ onto ufuncs (``Trop+`` = min/+, ``R+`` = +/×, ``Viterbi`` = max/×,
 ``Bottleneck`` = max/min) *and* every value in the batch is a plain
 non-negative, NaN-free ``float``, the ⊗-fold and the grouped ⊕-reduce
 run on ``float64`` arrays instead (``ufunc.at`` with exact seed/fold
-order).  Any condition failing — numpy absent, unregistered semiring,
+order).  Any condition failing — numpy absent, no native pair,
 rich or mixed-type values — falls back to the stdlib path for that
 leaf, so fixpoints stay byte-identical either way.
 
@@ -86,9 +86,6 @@ except Exception:  # pragma: no cover - numpy-free environments
     _np = None
 
 from ..semirings.base import FunctionRegistry, POPS
-from ..semirings.classic import BottleneckSemiring, ViterbiSemiring
-from ..semirings.numeric import NonNegativeReals
-from ..semirings.tropical import TropicalSemiring
 from .ast import (
     And,
     BoolAtom,
@@ -129,31 +126,22 @@ _PY_OPS = {
     ">=": operator.ge,
 }
 
-#: ``(⊕, ⊗, guard_cols)`` ufunc triples per semiring name — the numpy
-#: fast path is engaged only for these, and only over plain
-#: non-negative NaN-free floats (where the ufuncs agree bit-for-bit
-#: with the Python fold).  ``guard_cols`` marks ⊗ ufuncs that can
-#: themselves diverge from the Python op on NaN or ``-0.0`` ties
-#: (``minimum``/``maximum``); ``np.add``/``np.multiply`` are IEEE
-#: bit-exact on *every* float, so those semirings only need the
-#: post-fold guard on the accumulated products.
-_NUMERIC_OPS: Dict[str, Tuple[Any, Any, bool]] = {}
+#: ``(⊕, ⊗, guard_cols)`` ufunc triples per native ``(⊕, ⊗)`` pair
+#: (``pops.caps.native_ops``) — the numpy fast path is engaged only for
+#: these, and only over plain non-negative NaN-free floats (where the
+#: ufuncs agree bit-for-bit with the Python fold).  ``guard_cols`` marks
+#: ⊗ ufuncs that can themselves diverge from the Python op on NaN or
+#: ``-0.0`` ties (``minimum``/``maximum``); ``np.add``/``np.multiply``
+#: are IEEE bit-exact on *every* float, so those semirings only need
+#: the post-fold guard on the accumulated products.
+_NUMERIC_OPS: Dict[Tuple[Any, Any], Tuple[Any, Any, bool]] = {}
 if _np is not None:  # pragma: no branch
     _NUMERIC_OPS = {
-        "Trop+": (_np.minimum, _np.add, False),
-        "R+": (_np.add, _np.multiply, False),
-        "Viterbi": (_np.maximum, _np.multiply, False),
-        "Bottleneck": (_np.maximum, _np.minimum, True),
+        (min, operator.add): (_np.minimum, _np.add, False),
+        (operator.add, operator.mul): (_np.add, _np.multiply, False),
+        (max, operator.mul): (_np.maximum, _np.multiply, False),
+        (max, min): (_np.maximum, _np.minimum, True),
     }
-
-#: Scalar C-level ``(class, ⊕, ⊗)`` per numeric semiring — see
-#: :func:`_scalar_ops` for the exactness argument.
-_FAST_SEMIRINGS: Dict[str, Tuple[type, Any, Any]] = {
-    "Trop+": (TropicalSemiring, min, operator.add),
-    "R+": (NonNegativeReals, operator.add, operator.mul),
-    "Viterbi": (ViterbiSemiring, max, operator.mul),
-    "Bottleneck": (BottleneckSemiring, max, min),
-}
 
 #: Below this row count the stdlib leaf wins (array conversion and the
 #: per-row grouping pass cost more than the ufunc fold saves; with the
@@ -161,26 +149,6 @@ _FAST_SEMIRINGS: Dict[str, Tuple[type, Any, Any]] = {
 #: 3.12 + numpy 2.x for tuple-keyed heads).
 _NUMPY_MIN_ROWS = 2048
 
-
-def _scalar_ops(pops: Optional[POPS]):
-    """C-level ``(⊕, ⊗)`` substitutes for the numeric semirings.
-
-    The registered classes implement ``add``/``mul`` as single builtin
-    expressions (``min(a, b)``, ``a + b``, …), so swapping in the
-    builtin is *the same expression* for every input — not a float-only
-    approximation.  Guarded by method identity so a subclass that
-    overrides either op (e.g. the ``Trop+_p`` truncations) never
-    matches.
-    """
-    if pops is None:
-        return None
-    entry = _FAST_SEMIRINGS.get(getattr(pops, "name", None))
-    if entry is None:
-        return None
-    cls, add, mul = entry
-    if type(pops).add is cls.add and type(pops).mul is cls.mul:
-        return add, mul
-    return None
 
 # Counter cell indices (flushed into JoinStats once per invocation).
 _C_PROBES = 0
@@ -370,13 +338,17 @@ class BatchedKernel:
         # module global is monkeypatchable; values must prove float).
         self._np_ops = None
         self._zero_float = 0.0
-        self._fast_ops = _scalar_ops(pops) if not emit_mode else None
+        # The native pair is the same expression as pops.add/pops.mul
+        # for every input, not a float-only approximation.
+        self._fast_ops = (
+            pops.caps.native_ops if pops is not None and not emit_mode else None
+        )
         if (
-            self._fast_ops is not None  # verified add/mul identity
+            self._fast_ops is not None
             and type(pops.one) is float
             and type(pops.zero) is float
         ):
-            self._np_ops = _NUMERIC_OPS.get(pops.name)
+            self._np_ops = _NUMERIC_OPS.get(self._fast_ops)
             self._zero_float = pops.zero
         # Idempotent-⊕ accumulate specialization: ``min``/``max`` agree
         # with ``setdefault`` + a strict compare byte-for-byte (both

@@ -103,7 +103,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..semirings.base import FunctionRegistry, POPS
-from ..semirings.stability import natural_preorder_holds
 from . import guardrails
 from .ast import (
     And,
@@ -297,48 +296,35 @@ def _seed_name(relation: str, adornment: Adornment) -> str:
 
 
 def _pops_reasons(pops: POPS) -> List[str]:
-    """The value-space half of the fragment check.
-
-    Natural order is probed with
-    :func:`repro.semirings.stability.natural_preorder_holds` (``0 ⪯ v``
-    must hold witnessed over the sample values) on top of the declared
-    flags; idempotence and zero divisors are probed over the samples.
-    """
-    reasons: List[str] = []
-    witnesses = tuple(pops.sample_values()) + (pops.zero, pops.one)
-    if not (pops.is_semiring and pops.is_naturally_ordered) or not all(
-        natural_preorder_holds(pops, pops.zero, v, witnesses)
-        for v in witnesses
-    ):
-        reasons.append(
+    """The value-space half of the fragment check, read off
+    :attr:`pops.caps <repro.semirings.base.PreSemiring.caps>`: a sparse
+    (naturally ordered) semiring whose ``0 ⪯ v`` probe holds, with an
+    idempotent ``⊕`` and no zero divisors on the probe values."""
+    caps = pops.caps
+    if not (caps.sparse and caps.natural_preorder):
+        # The remaining probes presume semiring laws.
+        return [
             f"{pops.name} is not a naturally ordered semiring "
             "(natural-preorder probe 0 ⪯ v failed)"
-        )
-        return reasons  # the remaining probes presume semiring laws
+        ]
+    reasons: List[str] = []
     if not pops.eq(pops.bottom, pops.zero):
         reasons.append(
             f"{pops.name} has ⊥ ≠ 0: stored support and non-zero support "
             "disagree, so membership views cannot stand in for supp"
         )
-    for v in witnesses:
-        if not pops.eq(pops.add(v, v), v):
-            reasons.append(
-                f"{pops.name} has a non-idempotent ⊕ (v ⊕ v ≠ v for "
-                f"{v!r}): seed/magic-rule derivations would double-count"
-            )
-            break
-    for a in witnesses:
-        if pops.eq(a, pops.zero):
-            continue
-        for b in witnesses:
-            if pops.eq(b, pops.zero):
-                continue
-            if pops.eq(pops.mul(a, b), pops.zero):
-                reasons.append(
-                    f"{pops.name} has zero divisors ({a!r} ⊗ {b!r} = 0): "
-                    "supp does not distribute over ⊗"
-                )
-                return reasons
+    if not caps.idempotent_add:
+        reasons.append(
+            f"{pops.name} has a non-idempotent ⊕ (v ⊕ v ≠ v for "
+            f"{caps.non_idempotent[0]!r}): seed/magic-rule derivations "
+            "would double-count"
+        )
+    if caps.zero_divisors is not None:
+        a, b = caps.zero_divisors
+        reasons.append(
+            f"{pops.name} has zero divisors ({a!r} ⊗ {b!r} = 0): "
+            "supp does not distribute over ⊗"
+        )
     return reasons
 
 

@@ -35,6 +35,7 @@ from .valuations import (
     FactorEvaluator,
     body_guards,
     is_indexed_plan,
+    no_idb_guards,
     refresh_guard_indexes,
 )
 
@@ -137,7 +138,7 @@ def ground_program(
     """
     pops = database.pops
     if total is None:
-        total = not (pops.is_semiring and pops.is_naturally_ordered)
+        total = not pops.caps.sparse
     evaluator = FactorEvaluator(pops, database, functions, stats=stats)
     idb_names = program.idb_names()
     empty_idb = Instance(pops)
@@ -157,10 +158,6 @@ def ground_program(
                 polynomials[var] = Polynomial()
                 order.append(var)
 
-    def idb_supplier(name: str):
-        # IDB atoms never drive grounding enumeration (symbolic).
-        return lambda: ()
-
     for rule in program.rules:
         for body in rule.bodies:
             guards = body_guards(
@@ -168,8 +165,7 @@ def ground_program(
                 pops,
                 database,
                 idb_names,
-                idb_supplier,
-                allow_idb_guards=False,
+                no_idb_guards,
                 indexes=indexes,
             )
             if indexes is not None:
@@ -201,7 +197,7 @@ def ground_program(
         polynomials = {
             v: p.combine_like_terms(pops) for v, p in polynomials.items()
         }
-    if pops.is_semiring and pops.is_naturally_ordered:
+    if pops.caps.sparse:
         polynomials = {
             v: p.drop_absorbed_zeros(pops) for v, p in polynomials.items()
         }

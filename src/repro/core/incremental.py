@@ -60,7 +60,7 @@ from .instance import Database, Instance, Key
 from .io import decode_value, encode_value
 from .naive import EvalStats, EvaluationResult, NaiveEvaluator, _relation_equal
 from .rules import Program, Rule, SumProduct
-from .seminaive import SemiNaiveError, SemiNaiveEvaluator
+from .seminaive import SemiNaiveEvaluator, seminaive_refusal
 from .valuations import Guard, enumerate_matches, is_indexed_plan
 
 #: Name prefixes of the relations a batch-sized bootstrap reads: the
@@ -221,19 +221,10 @@ class IncrementalInstance:
         }
         self.steps = warm_steps
         self._idb_names = program.idb_names()
-        self._naturally_ordered = bool(
-            self.pops.is_semiring and self.pops.is_naturally_ordered
-        )
         #: Conditions that read an IDB (stratified negation) make the
         #: ICO non-monotone in that IDB: no warm restart is sound.
         self._stratified = bool(program.condition_idbs())
-        self._seminaive_ok = False
-        if getattr(self.pops, "supports_minus", False):
-            try:
-                SemiNaiveEvaluator(program, self.database, functions=functions)
-                self._seminaive_ok = True
-            except SemiNaiveError:
-                self._seminaive_ok = False
+        self._seminaive_ok = seminaive_refusal(program, self.pops) is None
         if warm_instance is not None:
             self.instance = warm_instance
             self._bump_versions(self._all_relations())
@@ -373,7 +364,9 @@ class IncrementalInstance:
     def apply(self, mutations: Sequence[Any]) -> ApplySummary:
         """Apply a mutation batch, maintaining the fixpoint.
 
-        Raises :class:`ValueError` on malformed batches (unknown or IDB
+        Only each ``(relation, key)``'s last write in the batch counts:
+        a key written and then restored is a no-op.  Raises
+        :class:`ValueError` on malformed batches (unknown or IDB
         relation, missing value) *before* any state changes.  Expected
         degradations (budget blown, non-maintainable space) never raise
         — they re-solve and count an ``incremental_fallback``.
@@ -387,12 +380,16 @@ class IncrementalInstance:
         self.stats["incremental_applies"] += 1
         pops = self.pops
 
-        # Classify against the current EDB; drop no-ops.
+        # Classify each (relation, key) by its net effect — the batch's
+        # last write to it against the current EDB; drop net no-ops.
+        last: Dict[Tuple[str, Key], Mutation] = {}
+        for m in muts:
+            last[(m.relation, m.key)] = m
         grow: List[Mutation] = []
         shrink: List[Tuple[str, Key]] = []
         bool_changes = 0
         effective: List[Mutation] = []
-        for m in muts:
+        for m in last.values():
             if self._is_bool_relation(m.relation):
                 present = m.key in self.database.bool_relations.get(
                     m.relation, set()
@@ -442,7 +439,7 @@ class IncrementalInstance:
         fallback = (
             bool_changes > 0
             or self._stratified
-            or not self._naturally_ordered
+            or not self.pops.caps.sparse
             or (bool(shrink) and not self._seminaive_ok)
         )
         work = EvalStats()
@@ -486,7 +483,7 @@ class IncrementalInstance:
                 else:
                     path = "warm-naive"
                     instance = self._warm_naive(database, j_minus, work)
-            except (BudgetExceeded, SemiNaiveError):
+            except BudgetExceeded:
                 path = "resolve"
         resolved_keys = 0
         if path == "resolve":
@@ -738,12 +735,9 @@ class IncrementalInstance:
                 return j_minus
             deltas: Dict[str, Dict[Key, Any]] = {}
             for rel, keys in grown.items():
-                # Post-batch values: a later mutation of the batch may
-                # have deleted a grown key again.
+                # Post-batch values: each grown key's last write.
                 store = database.support(rel)
-                deltas[DELTA_PREFIX + rel] = {
-                    key: store[key] for key in keys if key in store
-                }
+                deltas[DELTA_PREFIX + rel] = {key: store[key] for key in keys}
             boot_database = database.derive(
                 relations=deltas,
                 bool_relations={

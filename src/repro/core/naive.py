@@ -29,6 +29,7 @@ from .rules import Program, Rule, SumProduct
 from .valuations import (
     body_guards,
     is_indexed_plan,
+    late_idb_guards,
     pushable_indicator_conditions,
     refresh_guard_indexes,
 )
@@ -180,9 +181,7 @@ class NaiveEvaluator:
                 program.constants() | set(extra_domain)
             )
         if total_heads is None:
-            total_heads = not (
-                self.pops.is_semiring and self.pops.is_naturally_ordered
-            )
+            total_heads = not self.pops.caps.sparse
         self.total_heads = total_heads
         self.indexes = (
             indexes if indexes is not None else IndexManager(stats=self.stats.join)
@@ -233,7 +232,7 @@ class NaiveEvaluator:
                     self.pops,
                     self.database,
                     self.idb_names,
-                    self._idb_supplier,
+                    late_idb_guards(self._idb_supplier),
                     indexes=self.indexes if is_indexed_plan(self.plan) else None,
                 )
                 extra = pushable_indicator_conditions(
@@ -445,7 +444,6 @@ def naive_fixpoint(
     functions: Optional[FunctionRegistry] = None,
     max_iterations: int = 100_000,
     capture_trace: bool = False,
-    total_heads: Optional[bool] = None,
     plan: str = "indexed",
     engine: str = "auto",
     budget: Optional[Budget] = None,
@@ -456,7 +454,6 @@ def naive_fixpoint(
         database,
         functions=functions,
         max_iterations=max_iterations,
-        total_heads=total_heads,
         plan=plan,
         engine=engine,
         budget=budget,

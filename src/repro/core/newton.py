@@ -102,7 +102,7 @@ def newton_fixpoint(
 
     Args:
         system: Polynomial system over an **idempotent** commutative
-            semiring (checked on the samples; B, Trop+, bottleneck,
+            semiring (probed by ``pops.caps``; B, Trop+, bottleneck,
             Viterbi, Trop+_≤η all qualify).
         stability_p: Uniform stability index used for the scalar star
             ``a* = a^(p)`` inside the matrix closure.
@@ -114,12 +114,11 @@ def newton_fixpoint(
         tested) plus iteration counts.
     """
     pops = system.pops
-    for v in pops.sample_values():
-        if not pops.eq(pops.add(v, v), v):
-            raise NewtonError(
-                f"{pops.name} is not idempotent; this Newton implementation "
-                "requires an idempotent ⊕ (Section 8 discussion)"
-            )
+    if not pops.caps.idempotent_add:
+        raise NewtonError(
+            f"{pops.name} is not idempotent; this Newton implementation "
+            "requires an idempotent ⊕ (Section 8 discussion)"
+        )
     order = system.order
     solver = KleeneClosure(structure=pops, stability_p=stability_p)
 

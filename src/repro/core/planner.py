@@ -42,7 +42,7 @@ masked positions, and *hoists* pure conjuncts of ``Φ`` to the earliest
 point their variables are bound — keys and candidates the seed's
 ``_unify``-plus-leaf-check would have rejected anyway.  Guard
 *eligibility* (which atoms may drive enumeration at all, per the value
-space's ``is_semiring`` / ``is_naturally_ordered`` flags) stays the
+space's ``pops.caps.absorbing_zero`` / ``pops.caps.sparse``) stays the
 business of :func:`repro.core.valuations.body_guards`.
 """
 

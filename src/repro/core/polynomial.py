@@ -142,7 +142,7 @@ class Polynomial:
         monomials contribute nothing.  Raises otherwise (Section 2.2's
         warning about the lifted reals).
         """
-        if not structure.is_semiring:
+        if not structure.caps.absorbing_zero:
             raise ValueError(
                 f"cannot drop 0-coefficient monomials over {structure.name}: "
                 "0 is not absorbing"

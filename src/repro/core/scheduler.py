@@ -166,7 +166,6 @@ def _evaluate_component(
     functions: Optional[FunctionRegistry],
     max_iterations: int,
     plan: str,
-    total_heads: Optional[bool],
     domain: List[Any],
     stats: EvalStats,
     indexes: Optional[IndexManager],
@@ -186,7 +185,6 @@ def _evaluate_component(
             working,
             functions=functions,
             max_iterations=max_iterations,
-            total_heads=total_heads,
             plan=plan,
             domain=domain,
             stats=stats,
@@ -239,7 +237,6 @@ def _evaluate_component(
             working,
             functions=functions,
             max_iterations=max_iterations,
-            total_heads=total_heads,
             plan=plan,
             domain=domain,
             stats=stats,
@@ -331,7 +328,6 @@ def scheduled_fixpoint(
     functions: Optional[FunctionRegistry] = None,
     max_iterations: int = 100_000,
     plan: str = "indexed",
-    total_heads: Optional[bool] = None,
     engine: str = "auto",
     workers: int = 1,
     budget: Optional[Budget] = None,
@@ -350,8 +346,6 @@ def scheduled_fixpoint(
         functions: Interpreted value-space functions.
         max_iterations: Per-component divergence guard.
         plan: Join strategy, as in the monolithic engines.
-        total_heads: Forwarded to the per-stratum evaluators (``None``
-            keeps the per-POPS default).
         engine: Join/evaluation pipeline for the per-stratum evaluators
             (``"auto"`` → generated kernels on indexed plans).
         workers: Shard count for recursive semi-naïve strata — ``> 1``
@@ -426,7 +420,6 @@ def scheduled_fixpoint(
                 functions,
                 max_iterations,
                 plan,
-                total_heads,
                 domain,
                 stats,
                 indexes,

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..semirings.base import FunctionRegistry, Value
+from ..semirings.base import POPS, FunctionRegistry, Value
 from .ast import Constant, Variable
 from .guardrails import Budget, BudgetExceeded, PartialResult, attach_partial
 from .indexes import IndexManager, KeyIndex
@@ -55,11 +55,11 @@ from .naive import EvalStats, EvaluationResult, NaiveEvaluator
 from .rules import FuncFactor, Program, RelAtom, Rule, SumProduct, factor_atoms
 from .valuations import (
     Guard,
+    body_guards,
     is_indexed_plan,
     pushable_indicator_conditions,
     variant_store,
 )
-from .ast import positive_bool_atoms
 
 
 #: ``dict.get`` default for a key the store does not hold (``None``
@@ -69,6 +69,35 @@ _ABSENT = object()
 
 class SemiNaiveError(ValueError):
     """Raised when a program/value space cannot run semi-naïve."""
+
+
+def seminaive_refusal(program: Program, pops: POPS) -> Optional[str]:
+    """Why semi-naïve evaluation cannot run ``program`` over ``pops``
+    (``None`` when it can).
+
+    Eq. 58's ``⊖`` must exist — a complete distributive dioid,
+    ``pops.caps.has_minus`` (Definition 6.2) — and every body must be
+    affine in each IDB occurrence (Theorem 6.5), which an IDB atom
+    under an interpreted function is not.
+    """
+    if not pops.caps.has_minus:
+        return (
+            f"{pops.name} is not a complete distributive dioid; "
+            "semi-naïve evaluation needs the ⊖ operator (Definition 6.2)"
+        )
+    idb_names = program.idb_names()
+    for rule in program.rules:
+        for body in rule.bodies:
+            for factor in body.factors:
+                if isinstance(factor, FuncFactor) and any(
+                    atom.relation in idb_names
+                    for atom, _ in factor_atoms(factor)
+                ):
+                    return (
+                        "IDB atom under interpreted function breaks "
+                        f"affinity: {factor}"
+                    )
+    return None
 
 
 class SemiNaiveEvaluator:
@@ -99,11 +128,9 @@ class SemiNaiveEvaluator:
         self.program = program
         self.database = database
         self.pops = database.pops
-        if not getattr(self.pops, "supports_minus", False):
-            raise SemiNaiveError(
-                f"{self.pops.name} is not a complete distributive dioid; "
-                "semi-naïve evaluation needs the ⊖ operator (Definition 6.2)"
-            )
+        refusal = seminaive_refusal(program, self.pops)
+        if refusal is not None:
+            raise SemiNaiveError(refusal)
         self.functions = functions or FunctionRegistry()
         self.max_iterations = max_iterations
         self.budget = budget
@@ -119,7 +146,6 @@ class SemiNaiveEvaluator:
         self.indexes = (
             indexes if indexes is not None else IndexManager(stats=self.stats.join)
         )
-        self._validate()
         self._plans = self._build_plans()
         #: Linear programs (≤ 1 IDB occurrence per body, §4) never read
         #: the ``old`` store — Eq. 64 only consults it for occurrence
@@ -150,19 +176,6 @@ class SemiNaiveEvaluator:
         self._delta_indexes: Dict[str, Tuple[Instance, KeyIndex]] = {}
 
     # ------------------------------------------------------------------
-    def _validate(self) -> None:
-        """Reject IDB atoms under interpreted functions (not affine)."""
-        for rule in self.program.rules:
-            for body in rule.bodies:
-                for factor in body.factors:
-                    if isinstance(factor, FuncFactor):
-                        for atom, _ in factor_atoms(factor):
-                            if atom.relation in self.idb_names:
-                                raise SemiNaiveError(
-                                    "IDB atom under interpreted function "
-                                    f"breaks affinity: {factor}"
-                                )
-
     def _build_plans(self) -> List[Tuple[Rule, SumProduct, List[int], Tuple]]:
         """Per body: IDB-atom factor positions plus the pushable
         indicator conjuncts (both deterministic per body — computed
@@ -182,7 +195,7 @@ class SemiNaiveEvaluator:
         return plans
 
     # ------------------------------------------------------------------
-    def _variant_guards(
+    def _body_guards(
         self,
         body: SumProduct,
         idb_positions: List[int],
@@ -191,116 +204,52 @@ class SemiNaiveEvaluator:
         new: Instance,
         old: Instance,
     ) -> List[Guard]:
-        """Guards for the variant where occurrence ``j`` reads the delta.
+        """:func:`body_guards` for the variant where occurrence ``j``
+        reads the delta: each IDB occurrence drives from the store
+        Eq. 64 assigns it (:func:`variant_store`).
 
-        Under ``plan="indexed"`` each guard carries a persistent index:
-        EDB/Boolean supports probe the database's frozen indexes
-        (:meth:`~repro.core.instance.Database.index`); the delta's
-        index is rebuilt once per iteration (:meth:`_delta_index`); and
-        both ``new``- and ``old``-store occurrences probe the *new*
-        index, built here on first demand and maintained incrementally
-        as deltas are applied.  Probing ``new``'s keys for an ``old``
-        occurrence over-approximates ``old``'s support by exactly the
-        last delta — sound, because the extra candidates read ``⊥ = 0``
-        from ``old`` and their whole product is absorbed.
+        Under ``plan="indexed"`` the delta's index is rebuilt once per
+        iteration (:meth:`_delta_index`), and both ``new``- and
+        ``old``-store occurrences probe the *new* index, built on first
+        demand and maintained incrementally as deltas are applied.
+        Probing ``new``'s keys for an ``old`` occurrence
+        over-approximates ``old``'s support by exactly the last delta —
+        sound, because the extra candidates read ``⊥ = 0`` from ``old``
+        and their whole product is absorbed.
 
-        Guards whose index covers the *same* store the variant reads
-        (delta at ``j``, ``new`` before it, EDB relations) carry the
-        stored values into the probe (``carries_value``), so the
-        kernel skips the second hash lookup; ``old`` occurrences probe
-        ``new``'s index and therefore stay key-only.
+        A guard whose index covers the *same* store the variant reads
+        (delta at ``j``, ``new`` before it) carries the stored values
+        into the probe (``carries_value``), so the kernel skips the
+        second hash lookup; ``old`` occurrences probe ``new``'s index
+        and therefore stay key-only.
         """
         indexed = is_indexed_plan(self.plan)
-        database, indexes = self.database, self.indexes
-        guards: List[Guard] = []
-        for atom in positive_bool_atoms(body.condition):
-            rel = database.bool_relations.get(atom.relation, frozenset())
-            index = (
-                indexes.frozen(
-                    ("bool", atom.relation), database.bool_index(atom.relation)
-                )
-                if indexed
-                else None
-            )
-            guards.append(
-                Guard(
-                    args=atom.args,
-                    keys=lambda r=rel: r,
-                    name=f"bool:{atom.relation}",
-                    index=index,
-                )
-            )
-        sparse = self.pops.is_semiring and self.pops.is_naturally_ordered
         state = (new, delta, old)
-        rank = 0
-        for i, factor in enumerate(body.factors):
-            if not isinstance(factor, RelAtom):
-                continue
-            rel_name = factor.relation
-            if i in idb_positions:
-                store = variant_store(state, rank, j)
-                rank += 1
-                index = None
-                if indexed:
-                    if store is delta:
-                        index = self._delta_index(rel_name, delta)
-                    else:
-                        index = self._new_index(rel_name, new)
-                guards.append(
-                    Guard(
-                        args=factor.args,
-                        keys=lambda s=store, r=rel_name: s.support(r),
-                        name=f"idb:{rel_name}",
-                        index=index,
-                        slot=i,
-                        # ``old`` occurrences probe ``new``'s index:
-                        # the carried values belong to the wrong store.
-                        carries_value=store is not old,
-                    )
-                )
-            elif (
-                rel_name in database.bool_relations
-                and rel_name not in database.relations
-            ):
-                # A POPS relation wins over a same-named Boolean one
-                # (a frozen stratum publishes both views of an IDB).
-                if self.pops.is_semiring:
-                    rel = database.bool_relations[rel_name]
-                    index = (
-                        indexes.frozen(
-                            ("bool", rel_name), database.bool_index(rel_name)
-                        )
-                        if indexed
-                        else None
-                    )
-                    guards.append(
-                        Guard(
-                            args=factor.args,
-                            keys=lambda r=rel: r,
-                            name=f"bool:{rel_name}",
-                            index=index,
-                        )
-                    )
-            elif sparse:
-                support = database.support(rel_name)
-                index = (
-                    indexes.frozen(("edb", rel_name), database.index(rel_name))
-                    if indexed
-                    else None
-                )
-                guards.append(
-                    Guard(
-                        args=factor.args,
-                        keys=lambda s=support: s,
-                        name=f"edb:{rel_name}",
-                        index=index,
-                        slot=i,
-                        carries_value=True,
-                    )
-                )
-        return guards
 
-    def _compiled_variant_guards(
+        def idb_guard(atom: RelAtom, slot: int) -> Guard:
+            rel_name = atom.relation
+            store = variant_store(state, idb_positions.index(slot), j)
+            index = None
+            if indexed:
+                if store is delta:
+                    index = self._delta_index(rel_name, delta)
+                else:
+                    index = self._new_index(rel_name, new)
+            return Guard(
+                args=atom.args,
+                keys=lambda s=store, r=rel_name: s.support(r),
+                name=f"idb:{rel_name}",
+                index=index,
+                slot=slot,
+                carries_value=store is not old,
+            )
+
+        return body_guards(
+            body, self.pops, self.database, self.idb_names, idb_guard,
+            indexes=self.indexes if indexed else None,
+        )
+
+    def _cached_body_guards(
         self,
         p_idx: int,
         j: int,
@@ -321,7 +270,7 @@ class SemiNaiveEvaluator:
         """
         cached = self._variant_guard_cache.get((p_idx, j))
         if cached is None:
-            guards = self._variant_guards(
+            guards = self._body_guards(
                 body, idb_positions, j, delta, new, old
             )
             delta_pos = idb_positions[j]
@@ -414,11 +363,11 @@ class SemiNaiveEvaluator:
                         # guards are even built.
                         self.stats.rules_skipped += 1
                         continue
-                    guards = self._compiled_variant_guards(
+                    guards = self._cached_body_guards(
                         p_idx, j, body, idb_positions, delta, new, old
                     )
                 else:
-                    guards = self._variant_guards(
+                    guards = self._body_guards(
                         body, idb_positions, j, delta, new, old
                     )
                 self.stats.rule_applications += 1

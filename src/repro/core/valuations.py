@@ -7,17 +7,20 @@ formal definition; this module additionally supports *guard-driven*
 enumeration — joining over the supports of relations whose absent
 tuples provably contribute the ⊕-neutral ``0`` — which is the
 optimization every real datalog engine performs, and which is sound
-exactly when the flags of the value space say so:
+exactly when the value space's capability record
+(:attr:`pops.caps <repro.semirings.base.PreSemiring.caps>`) says so:
 
 * Boolean-EDB atoms used as factors: absent ⇒ factor ``0``; skipping
-  needs ``0`` to absorb, i.e. ``is_semiring``.
-* POPS-relation atoms: absent ⇒ factor ``⊥``; skipping additionally
-  needs ``⊥ = 0``, i.e. ``is_naturally_ordered``.
+  needs ``0`` to absorb, i.e. ``caps.absorbing_zero``.
+* POPS-relation atoms, EDB or IDB: absent ⇒ factor ``⊥``; skipping
+  additionally needs ``⊥ = 0``, i.e. ``caps.sparse``.
 * Atoms under an interpreted function are never skipped (``f(0)`` or
   ``f(⊥)`` may be anything, e.g. ``not(0) = 1`` over THREE).
 
 Positive conjunctive atoms of ``Φ`` itself are always usable as guards:
-a valuation violating them fails ``Φ`` outright.
+a valuation violating them fails ``Φ`` outright.  :func:`body_guards`
+is the one function that applies these rules; the naïve, semi-naïve
+and grounding paths differ only in the guard an IDB occurrence gets.
 
 On top of guard-driven enumeration the indexed plan adds **condition
 pushdown** (conjuncts of ``Φ`` applied at the earliest step where their
@@ -338,13 +341,14 @@ def pushable_indicator_conditions(
     valuations falsifying the condition may be *skipped* instead of
     evaluated, provided skipping is unobservable: either every head
     slot is pre-totalized to ``0`` (``total_heads``) or absent and
-    ``0`` coincide (``is_naturally_ordered``, where ``⊥ = 0``).  The
+    ``0`` coincide (``pops.caps.sparse``, where ``⊥ = 0``).  The
     classic win is SSSP's ``[x = source]`` source bracket: the
     equality binds ``x`` directly instead of enumerating the domain.
     """
-    if not pops.is_semiring:
+    caps = pops.caps
+    if not caps.absorbing_zero:
         return ()
-    if not (total_heads or pops.is_naturally_ordered):
+    if not (total_heads or caps.sparse):
         return ()
     out: List[Condition] = []
     for factor in body.factors:
@@ -599,37 +603,74 @@ class InterpretedKernel:
         return acc
 
 
+#: Builds the guard an IDB occurrence drives enumeration with —
+#: ``idb_guard(atom, slot)`` for the atom at body-factor ``slot`` — or
+#: returns ``None`` when IDB atoms must not drive it.
+IdbGuard = Callable[[RelAtom, int], Optional[Guard]]
+
+
+def no_idb_guards(atom: RelAtom, slot: int) -> None:
+    """The :data:`IdbGuard` of grounding, where IDB atoms stay
+    symbolic and never drive enumeration."""
+    return None
+
+
+def late_idb_guards(
+    supplier: Callable[[str], Callable[[], Iterable[Key]]]
+) -> IdbGuard:
+    """The :data:`IdbGuard` whose guards read ``supplier(relation)`` at
+    enumeration time (late binding — the instance changes between
+    iterations).  Suppliers returning a ``Mapping`` make the guard
+    value-carrying; evaluators refresh its index per iteration via
+    :func:`refresh_guard_indexes`."""
+
+    def idb_guard(atom: RelAtom, slot: int) -> Guard:
+        return Guard(
+            args=atom.args,
+            keys=supplier(atom.relation),
+            name=f"idb:{atom.relation}",
+            slot=slot,
+            carries_value=True,
+        )
+
+    return idb_guard
+
+
 def body_guards(
     body: SumProduct,
     pops: POPS,
     database: Database,
     idb_names: frozenset,
-    idb_supplier: Callable[[str], Callable[[], Iterable[Key]]],
-    allow_idb_guards: bool = True,
+    idb_guard: IdbGuard,
     indexes: Optional[IndexManager] = None,
 ) -> List[Guard]:
     """Build the guard list for a body under the soundness rules above.
 
+    The one place that decides which atoms drive enumeration, in this
+    order (the planner breaks cost ties by it): the condition's
+    positive Boolean atoms; then, per body factor, every atom not under
+    an interpreted function — Boolean stores when ``0`` absorbs
+    (``pops.caps.absorbing_zero``), POPS stores when absent and ``0``
+    coincide (``pops.caps.sparse``).  Evaluators differ only in how an
+    IDB occurrence reads, which ``idb_guard`` decides.
+
     Args:
         body: The sum-product to plan.
-        pops: The value space (its flags decide eligibility).
+        pops: The value space (its :attr:`caps` decide eligibility).
         database: EDB store (supports drive EDB guards).
         idb_names: IDB relation names.
-        idb_supplier: Maps an IDB name to a key supplier reading the
-            *current* instance at enumeration time (late binding — the
-            instance changes between iterations).  Suppliers returning
-            a ``Mapping`` make the guard value-carrying.
-        allow_idb_guards: Disable to force fallback enumeration for IDB
-            atoms (used by grounding, where IDBs stay symbolic).
+        idb_guard: The guard of one IDB occurrence (``None``: it does
+            not drive enumeration) — :func:`late_idb_guards` for the
+            naïve evaluator, :func:`no_idb_guards` for grounding, the
+            Eq. 64 variant store for semi-naïve.  Asked only when the
+            POPS is sparse.
         indexes: Optional :class:`~repro.core.indexes.IndexManager`;
             when given, guards over EDB stores carry this manager's
             view of the index the database owns (:meth:`Database.index
             <repro.core.instance.Database.index>` — built once per
             database, shared across rule bodies, fixpoint iterations
             and solves).  So do guards over Boolean stores, which are
-            frozen for an evaluator's lifetime.  IDB guards stay
-            late-bound: evaluators refresh their indexes per iteration
-            via :func:`refresh_guard_indexes`.
+            frozen for an evaluator's lifetime.
     """
 
     def _edb_guard(args: Tuple, relation: str, slot: Optional[int]) -> Guard:
@@ -654,34 +695,28 @@ def body_guards(
             index = indexes.frozen(("bool", name), database.bool_index(relation))
         return Guard(args=args, keys=lambda r=rel: r, name=name, index=index)
 
+    caps = pops.caps
     guards: List[Guard] = []
     for atom in positive_bool_atoms(body.condition):
         guards.append(_bool_guard(atom.args, atom.relation))
-    sparse_pops = pops.is_semiring and pops.is_naturally_ordered
     for slot, factor in enumerate(body.factors):
         for atom, under_fn in factor_atoms(factor):
             if under_fn:
                 continue
             if atom.relation in idb_names:
-                if sparse_pops and allow_idb_guards:
-                    guards.append(
-                        Guard(
-                            args=atom.args,
-                            keys=idb_supplier(atom.relation),
-                            name=f"idb:{atom.relation}",
-                            slot=slot,
-                            carries_value=True,
-                        )
-                    )
+                guard = idb_guard(atom, slot) if caps.sparse else None
+                if guard is not None:
+                    guards.append(guard)
             elif atom.relation in database.relations:
-                if sparse_pops:
+                # A POPS relation wins over a same-named Boolean one
+                # (a frozen stratum publishes both views of an IDB).
+                if caps.sparse:
                     guards.append(_edb_guard(atom.args, atom.relation, slot))
             elif atom.relation in database.bool_relations:
-                if pops.is_semiring:
+                if caps.absorbing_zero:
                     guards.append(_bool_guard(atom.args, atom.relation))
-            else:
-                if sparse_pops:
-                    guards.append(_edb_guard(atom.args, atom.relation, slot))
+            elif caps.sparse:
+                guards.append(_edb_guard(atom.args, atom.relation, slot))
     return guards
 
 

@@ -26,7 +26,20 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .capabilities import Capabilities
 
 Value = Any
 
@@ -44,13 +57,22 @@ class PreSemiring(ABC):
     powers ``a^k`` and the geometric series ``a^(p) = 1 ⊕ a ⊕ … ⊕ a^p``
     (Eq. 30) on which the notion of *stability* (Definition 5.1) rests.
 
+    The class-level flags are declarations; the engines never read
+    them directly but through :attr:`caps`, the one record of which
+    algebraic fact licenses which shortcut.
+
     Attributes:
         name: Human-readable name used in reprs and error messages.
         is_semiring: ``True`` when ``0`` is absorbing (``x ⊗ 0 = 0``).
+        native_ops: A builtin ``(⊕, ⊗)`` pair that is *the same
+            expression* as this class's :meth:`add`/:meth:`mul` (e.g.
+            ``(min, operator.add)`` for ``Trop+``), for join cores that
+            call it directly; declared only next to those methods.
     """
 
     name: str = "pre-semiring"
     is_semiring: bool = False
+    native_ops: Optional[Tuple[Callable, Callable]] = None
 
     #: distinguished elements; set by subclasses (attribute or property).
     zero: Value
@@ -140,6 +162,15 @@ class PreSemiring(ABC):
     def sample_values(self) -> Sequence[Value]:
         """Return a small, diverse sample of elements for axiom checks."""
         return (self.zero, self.one)
+
+    @cached_property
+    def caps(self) -> "Capabilities":
+        """This structure's :class:`~repro.semirings.capabilities.Capabilities`:
+        built from the declared flags and a one-time probe of
+        :meth:`sample_values`, then kept for the instance's lifetime."""
+        from .capabilities import probe_capabilities  # imports this module
+
+        return probe_capabilities(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"

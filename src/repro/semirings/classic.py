@@ -16,6 +16,7 @@ in ≤ N steps and supports semi-naïve evaluation:
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 from .base import CompleteDistributiveDioid, Value
@@ -30,6 +31,7 @@ class BottleneckSemiring(CompleteDistributiveDioid):
     name = "Bottleneck"
     zero = 0.0
     one = INF
+    native_ops = (max, min)
 
     def add(self, a: Value, b: Value) -> Value:
         return max(a, b)
@@ -57,6 +59,7 @@ class ViterbiSemiring(CompleteDistributiveDioid):
     name = "Viterbi"
     zero = 0.0
     one = 1.0
+    native_ops = (max, operator.mul)
 
     def add(self, a: Value, b: Value) -> Value:
         return max(a, b)

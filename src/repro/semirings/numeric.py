@@ -19,6 +19,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 from .base import NaturallyOrderedSemiring, PreSemiring, Value
@@ -118,6 +119,7 @@ class NonNegativeReals(NaturallyOrderedSemiring):
     name = "R+"
     zero = 0.0
     one = 1.0
+    native_ops = (operator.add, operator.mul)
 
     def add(self, a: Value, b: Value) -> Value:
         return a + b

@@ -23,6 +23,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Sequence
 
 from .base import (
@@ -45,6 +46,7 @@ class TropicalSemiring(CompleteDistributiveDioid):
     name = "Trop+"
     zero = INF
     one = 0.0
+    native_ops = (min, operator.add)
 
     def add(self, a: Value, b: Value) -> Value:
         return min(a, b)

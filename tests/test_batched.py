@@ -557,7 +557,7 @@ class TestBatchedInvariance:
             assert _bytes_of(subject.instance) == _bytes_of(
                 codegen.instance
             ), pops.name
-            if getattr(pops, "supports_minus", False):
+            if pops.caps.has_minus:
                 semi = solve(
                     prog,
                     db,

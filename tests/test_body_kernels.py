@@ -21,7 +21,12 @@ from repro.core import (
 from repro.core.ast import And, BoolAtom, Compare, terms, var
 from repro.core.indexes import IndexManager, JoinStats
 from repro.core.rules import Program, RelAtom, Rule, SumProduct
-from repro.core.valuations import body_guards, refresh_guard_indexes
+from repro.core.valuations import (
+    body_guards,
+    late_idb_guards,
+    no_idb_guards,
+    refresh_guard_indexes,
+)
 from repro.semirings import BOOL, THREE, TROP
 from repro.semirings.base import FunctionRegistry
 
@@ -102,10 +107,12 @@ def _apply(engine, space, body, head_args, state, emit_mode=False):
         sorted(db.active_domain() | prog.constants(), key=repr),
         stats=stats,
     )
+    idb_guard = (
+        no_idb_guards if emit_mode
+        else late_idb_guards(lambda name: (lambda: state.support(name)))
+    )
     guards = body_guards(
-        body, db.pops, db, prog.idb_names(),
-        lambda name: (lambda: state.support(name)),
-        allow_idb_guards=not emit_mode, indexes=indexes,
+        body, db.pops, db, prog.idb_names(), idb_guard, indexes=indexes,
     )
     refresh_guard_indexes(guards, indexes, epoch=1)
     if emit_mode:

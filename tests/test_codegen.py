@@ -363,7 +363,7 @@ class TestCodegenInvariance:
             assert codegen.instance.equals(interpreted.instance), pops.name
             compiled = solve(prog, db, engine="compiled", max_iterations=400)
             assert codegen.instance.equals(compiled.instance), pops.name
-            if getattr(pops, "supports_minus", False):
+            if pops.caps.has_minus:
                 semi = solve(
                     prog,
                     db,

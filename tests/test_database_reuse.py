@@ -62,7 +62,7 @@ def make_db(space: str) -> Database:
 
 
 def method_of(space: str) -> str:
-    return "seminaive" if getattr(SPACES[space][0], "supports_minus", False) else "naive"
+    return "seminaive" if SPACES[space][0].caps.has_minus else "naive"
 
 
 @pytest.fixture()

@@ -204,6 +204,58 @@ class TestMaintenancePaths:
         assert fingerprint(inc.instance) == before
 
 
+class TestNetEffect:
+    """A batch is classified by each key's last write against the
+    pre-batch value: a key written and then restored is a no-op."""
+
+    def test_trop_restored_value(self):
+        db = core.Database(
+            pops=TROP, relations={"E": {("a", "b"): 5.0, ("b", "c"): 1.0}}
+        )
+        expected = fingerprint(solve(programs.apsp(), db).instance)
+        inc = IncrementalInstance(programs.apsp(), db)
+        summary = inc.apply([
+            Mutation("insert", "E", ("a", "b"), 3.0),
+            Mutation("insert", "E", ("a", "b"), 5.0),
+        ])
+        assert summary.path == "noop"
+        assert inc.query("E", ("a", "b")) == 5.0
+        assert inc.query("T", ("a", "b")) == 5.0
+        assert fingerprint(inc.instance) == expected
+
+    def test_trop_last_write_wins(self):
+        db = core.Database(
+            pops=TROP, relations={"E": {("a", "b"): 5.0, ("b", "c"): 1.0}}
+        )
+        inc = IncrementalInstance(programs.apsp(), db)
+        inc.apply([
+            Mutation("insert", "E", ("a", "b"), 3.0),
+            Mutation("delete", "E", ("a", "b"), None),
+            Mutation("insert", "E", ("a", "b"), 7.0),
+        ])
+        assert inc.query("E", ("a", "b")) == 7.0
+        ref = solve(inc.program, inc.database, method="seminaive")
+        assert fingerprint(inc.instance) == fingerprint(ref.instance)
+
+    def test_bool_restored_fact(self):
+        program = parse_program("T(X, Y) :- { E(X, Y) if B(X) }.")
+        db = core.Database(
+            pops=TROP,
+            relations={"E": {("a", "b"): 2.0, ("c", "d"): 1.0}},
+            bool_relations={"B": {("a",)}},
+        )
+        expected = fingerprint(solve(program, db).instance)
+        inc = IncrementalInstance(program, db)
+        summary = inc.apply([
+            Mutation("insert", "B", ("c",), None),
+            Mutation("delete", "B", ("c",), None),
+        ])
+        assert summary.path == "noop"
+        assert not inc.query("B", ("c",))
+        assert inc.query("T", ("c", "d")) == TROP.zero
+        assert fingerprint(inc.instance) == expected
+
+
 class TestApiSurface:
     def test_versions_bump_per_relation(self):
         inc = IncrementalInstance(programs.sssp("a"), trop_db())

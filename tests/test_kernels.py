@@ -522,7 +522,7 @@ class TestCompiledInvariance:
             )
             compiled = solve(prog, db, engine="compiled", max_iterations=400)
             assert compiled.instance.equals(interpreted.instance), pops.name
-            if getattr(pops, "supports_minus", False):
+            if pops.caps.has_minus:
                 semi = solve(
                     prog,
                     db,

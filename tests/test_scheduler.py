@@ -335,7 +335,7 @@ class TestScheduledInvariance:
             )
             scc = solve(prog, db, schedule="scc", max_iterations=400)
             assert scc.instance.equals(mono.instance), pops.name
-            if getattr(pops, "supports_minus", False):
+            if pops.caps.has_minus:
                 semi = solve(
                     prog,
                     db,

@@ -587,7 +587,7 @@ class TestShardedInvariance:
             (TROP, [1.0, 2.0, 4.0]),
             (THREE, [1, 0, 1]),
         ):
-            if not getattr(pops, "supports_minus", False):
+            if not pops.caps.has_minus:
                 continue
             prog = _build_program(spec, acyclic=False)
             db = _database(pops, values)

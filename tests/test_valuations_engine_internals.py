@@ -20,6 +20,7 @@ from repro.core.valuations import (
     Guard,
     body_guards,
     enumerate_valuations,
+    late_idb_guards,
 )
 from repro.core.rules import FuncFactor, Indicator, KeyAsValue, RelAtom, SumProduct, ValueConst
 from repro.semirings import LIFTED_REAL, THREE, TROP
@@ -110,7 +111,7 @@ class TestGuardEligibility:
             TROP,
             db,
             frozenset({"T"}),
-            lambda name: lambda: [("a", "a")],
+            late_idb_guards(lambda name: lambda: [("a", "a")]),
         )
         assert len(guards) == 2
 
@@ -124,7 +125,8 @@ class TestGuardEligibility:
             )
         )
         guards = body_guards(
-            body, THREE, db, frozenset({"W"}), lambda n: lambda: []
+            body, THREE, db, frozenset({"W"}),
+            late_idb_guards(lambda n: lambda: []),
         )
         assert len(guards) == 1  # only the Boolean E atom
 
@@ -132,7 +134,8 @@ class TestGuardEligibility:
         db = Database(pops=LIFTED_REAL, relations={"C": {("a",): 1.0}})
         body = SumProduct((RelAtom("C", terms(["X"])),))
         guards = body_guards(
-            body, LIFTED_REAL, db, frozenset(), lambda n: lambda: []
+            body, LIFTED_REAL, db, frozenset(),
+            late_idb_guards(lambda n: lambda: []),
         )
         assert guards == []
 
@@ -142,7 +145,8 @@ class TestGuardEligibility:
             (FuncFactor("ident", (RelAtom("E", terms(["X", "Y"])),)),)
         )
         guards = body_guards(
-            body, TROP, db, frozenset(), lambda n: lambda: []
+            body, TROP, db, frozenset(),
+            late_idb_guards(lambda n: lambda: []),
         )
         assert guards == []
 
