@@ -32,7 +32,18 @@ same IR:
 * value semantics — factor products fold left from ``1`` in body
   order, carried probe values serve factors exactly when the closure
   path would, and store routing (IDB → POPS EDB → Boolean embedding →
-  ``⊥`` default) mirrors ``FactorEvaluator.atom_value``.
+  ``⊥`` default) mirrors ``FactorEvaluator.atom_value``.  The leaf
+  writes ``⊕``/``⊗`` as the native source ``pops.caps.native_source``
+  honours (``b if b < a else a`` and ``a + b`` for ``Trop+``), which
+  is the methods' expression and so gives the same object; elsewhere
+  it calls the bound methods.  The fold starts at the first factor
+  instead of at ``1`` only where ``1 ⊗ v`` is ``v`` bit for bit for
+  every value that factor reads (``caps.one_is_identity_on``,
+  ``Trop+_p``): an atom whose store the database checked
+  (:meth:`~repro.core.instance.Database.one_is_identity`), or an IDB
+  atom while no warm start broke the licence
+  (:meth:`~repro.core.kernels.BodyKernels.admit`).  A first factor
+  that is a condition, a constant or a function keeps the fold.
 
 Kernels are cached in the evaluators' existing
 :class:`~repro.core.kernels.KernelCache` (``kernel_cache_hits`` counts
@@ -234,6 +245,7 @@ class _SourceGen:
         idb_names: FrozenSet[str] = frozenset(),
         carried_slots: FrozenSet[int] = frozenset(),
         variant: Optional[Tuple[Sequence[int], int]] = None,
+        idb_one_is_identity: bool = False,
     ):
         self.ir = ir
         self.domain = tuple(fallback_domain)
@@ -255,6 +267,7 @@ class _SourceGen:
             step.slot for step in ir.steps if step.slot in carried_slots
         )
         self.variant = variant
+        self.idb_one_is_identity = idb_one_is_identity
         #: Per-leaf counter increments, folded into one multiply at the
         #: flush (``_n`` counts the leaves).
         self._leaf_hits = self._leaf_lookups = 0
@@ -695,17 +708,44 @@ class _SourceGen:
                 self._leaf_lookups += lookups
                 w.w(f"{name} = {expr}")
             names.append(name)
-        one = self.ref(self.pops.one, "one")
-        mul = self.ref(self.pops.mul, "mul")
-        add = self.ref(self.pops.add, "add")
-        miss = self.ref(_MISSING, "MISS")
+        add, mul = self._leaf_ops()
         # Fold left from 1 in body order — the exact BodyValue fold.
-        w.w(f"_acc = {one}")
+        if names and self._one_is_identity(self.body.factors[0]):
+            acc, names = names[0], names[1:]
+        else:
+            acc = self.ref(self.pops.one, "one")
+        w.w(f"_acc = {acc}")
         for name in names:
-            w.w(f"_acc = {mul}(_acc, {name})")
+            w.w(f"_acc = {mul.format('_acc', name)}")
+        miss = self.ref(_MISSING, "MISS")
         w.w(f"_hk = {self.key_expr(self.head_args)}")
         w.w(f"_prev = _bget(_hk, {miss})")
-        w.w(f"bucket[_hk] = _acc if _prev is {miss} else {add}(_prev, _acc)")
+        w.w(
+            f"bucket[_hk] = _acc if _prev is {miss} "
+            f"else {add.format('_prev', '_acc')}"
+        )
+
+    def _leaf_ops(self) -> Tuple[str, str]:
+        """``(⊕, ⊗)`` as templates over the operand names ``{0}`` and
+        ``{1}``: the native source ``pops.caps`` honours, else calls of
+        the bound methods."""
+        native = self.pops.caps.native_source
+        if native is not None:
+            return tuple(f"({template})" for template in native)
+        return tuple(
+            f"{self.ref(getattr(self.pops, op), op)}({{0}}, {{1}})"
+            for op in ("add", "mul")
+        )
+
+    def _one_is_identity(self, factor: Factor) -> bool:
+        """Whether ``1 ⊗ v`` is ``v`` bit for bit for every value the
+        body's first factor, ``factor``, reads (routed like
+        :meth:`_atom_expr`)."""
+        if not isinstance(factor, RelAtom):
+            return False
+        if factor.relation in self.idb_names:
+            return self.idb_one_is_identity
+        return self.database.one_is_identity(factor.relation)
 
     def _gen_flush(self) -> None:
         w = self.w
@@ -775,6 +815,7 @@ def generate_rule_kernel(
     stats: Optional[JoinStats] = None,
     variant: Optional[Tuple[Sequence[int], int]] = None,
     label: str = "rule",
+    idb_one_is_identity: bool = False,
 ) -> CodegenKernel:
     """Generate the accumulate-mode kernel of one rule body.
 
@@ -785,7 +826,9 @@ def generate_rule_kernel(
     ``(new, delta, old)`` store triple), and every match's ⊗-product is
     ⊕-accumulated into ``bucket`` under its head key — join, factor
     evaluation, head extraction and accumulation all in one flat
-    function, no per-match callback.
+    function, no per-match callback.  ``idb_one_is_identity`` licenses
+    dropping the leading ``1 ⊗`` before an IDB read (see
+    :meth:`~repro.core.kernels.BodyKernels.admit`).
     """
     gen = _SourceGen(
         ir,
@@ -801,6 +844,7 @@ def generate_rule_kernel(
         idb_names=idb_names,
         carried_slots=carried_slots,
         variant=variant,
+        idb_one_is_identity=idb_one_is_identity,
     )
     return _finalize(gen, label)
 

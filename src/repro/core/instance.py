@@ -47,20 +47,23 @@ def _freeze_key(key: Iterable[Any]) -> Key:
 
 class _IndexCell:
     """One store's frozen :class:`~repro.core.indexes.KeyIndex`, built
-    on first demand.
+    on first demand, and the store's ``1 ⊗`` licence, checked on first
+    demand.
 
     Every database holding the store holds the same cell
     (:meth:`Database.derive` hands untouched relations' cells on), so a
-    store is indexed at most once and the mask tables solves publish
-    into its index serve all of them.  Two threads racing on the first
-    build each get a complete index; the last one stays.
+    store is indexed and checked at most once and the mask tables
+    solves publish into its index serve all of them.  Two threads
+    racing on the first build each get a complete index; the last one
+    stays.
     """
 
-    __slots__ = ("store", "index")
+    __slots__ = ("store", "index", "one_is_identity")
 
     def __init__(self, store: Any):
         self.store = store
         self.index: Optional[KeyIndex] = None
+        self.one_is_identity: Optional[bool] = None
 
     def get(self) -> KeyIndex:
         index = self.index
@@ -246,6 +249,24 @@ class Database:
         relation is not stored): compiled kernels bind its ``get`` on
         their hot path and never write it."""
         return self._stores.get(relation)
+
+    def one_is_identity(self, relation: str) -> bool:
+        """Whether ``1 ⊗ v`` is ``v`` bit for bit for every value an atom
+        of ``relation`` reads here (``pops.caps.one_is_identity_on``):
+        the stored values, else the Boolean embedding's ``1`` and ``0``,
+        else ``⊥``.  A store is checked once, for every database that
+        holds it."""
+        holds = self.pops.caps.one_is_identity_on
+        if holds is None:
+            return False
+        if relation in self._stores:
+            cell = self._cell("edb", relation)
+            if cell.one_is_identity is None:
+                cell.one_is_identity = all(map(holds, cell.store.values()))
+            return cell.one_is_identity
+        if relation in self._bool_stores:
+            return holds(self.pops.one) and holds(self.pops.zero)
+        return holds(self.pops.bottom)
 
     def active_domain(self) -> FrozenSet[Any]:
         """Return ``ADom(I)``: constants in the support of any relation,

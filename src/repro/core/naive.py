@@ -17,8 +17,9 @@ sums yield ``0`` exactly as the formal semantics prescribes.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..semirings.base import FunctionRegistry, Value
 from .guardrails import Budget, BudgetExceeded, PartialResult, attach_partial
@@ -188,6 +189,9 @@ class NaiveEvaluator:
         )
         self._epoch = 0
         self._current: Instance = Instance(self.pops)
+        #: The last instance :meth:`ico` returned, held weakly: a stratum's
+        #: evaluator must not keep its result alive.
+        self._produced: Callable[[], Optional[Instance]] = lambda: None
         self._last_seen: Optional[Instance] = None
         self._rel_versions: Dict[str, int] = {}
         self._plans = self._build_plans()
@@ -306,6 +310,8 @@ class NaiveEvaluator:
 
     def ico(self, instance: Instance) -> Instance:
         """One application of the immediate consequence operator."""
+        if instance is not self._produced():
+            self._kernels.admit(instance)
         self._current = instance
         self._epoch += 1
         indexed = is_indexed_plan(self.plan)
@@ -368,6 +374,7 @@ class NaiveEvaluator:
         for rel, entries in acc.items():
             for key, value in entries.items():
                 out_set(rel, key, value)
+        self._produced = weakref.ref(out)
         return out
 
     def _partial(

@@ -68,11 +68,15 @@ class PreSemiring(ABC):
             expression* as this class's :meth:`add`/:meth:`mul` (e.g.
             ``(min, operator.add)`` for ``Trop+``), for join cores that
             call it directly; declared only next to those methods.
+        native_source: The same ``(⊕, ⊗)`` expressions as Python
+            source templates over the operands ``{0}`` and ``{1}``, for
+            generated code; declared only next to those methods.
     """
 
     name: str = "pre-semiring"
     is_semiring: bool = False
     native_ops: Optional[Tuple[Callable, Callable]] = None
+    native_source: Optional[Tuple[str, str]] = None
 
     #: distinguished elements; set by subclasses (attribute or property).
     zero: Value

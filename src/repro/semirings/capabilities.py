@@ -12,16 +12,21 @@ Every shortcut the engines take rests on one law of the value space:
   divisors over a natural order, and Newton's method an idempotent
   ``⊕`` (``natural_preorder``, ``idempotent_add``, ``zero_divisors``);
 * the join cores may swap ``⊕``/``⊗`` for a builtin pair that *is* the
-  same expression (``native_ops``).
+  same expression (``native_ops``), and the codegen leaf may write
+  ``⊕``/``⊗`` as that expression's source (``native_source``);
+* a generated leaf may drop the leading ``1 ⊗`` of its product where
+  every value the first factor reads is one ``1 ⊗`` fixes bit for bit
+  (``one_is_identity_on``) — a fact about the stored data, which the
+  engines check per store and per naïve warm start.
 
 :class:`Capabilities` is the one record of those facts per value
 space, built on first access to :attr:`PreSemiring.caps
 <repro.semirings.base.PreSemiring.caps>` and kept for the instance's
 lifetime.  The declared fields come from the class flags
 (``is_semiring``, ``is_naturally_ordered``, ``supports_minus``,
-``native_ops``); the probed ones are checked once over
-``sample_values() ∪ {0, 1}`` and keep their first counterexample, so
-the refusal texts that quote it stay stable.
+``native_ops``, ``native_source``, ``one_is_identity_on``); the probed
+ones are checked once over ``sample_values() ∪ {0, 1}`` and keep their
+first counterexample, so the refusal texts that quote it stay stable.
 """
 
 from __future__ import annotations
@@ -53,6 +58,13 @@ class Capabilities:
         native_ops: The builtin ``(⊕, ⊗)`` pair the class declares,
             honoured only when that class also defines ``add`` and
             ``mul`` itself (a subclass overriding either gets ``None``).
+        native_source: The ``(⊕, ⊗)`` source templates the class
+            declares, under ``native_ops``' rule.
+        one_is_identity_on: The class's predicate "``1 ⊗ v`` is ``v``
+            bit for bit", honoured only when that class also defines
+            ``mul`` itself; ``None`` when there is none.  Only naïve
+            checks warm starts against it, so a value space with ``⊖``
+            may not declare it.
     """
 
     absorbing_zero: bool
@@ -62,6 +74,8 @@ class Capabilities:
     non_idempotent: Optional[Tuple[Value]]
     zero_divisors: Optional[Tuple[Value, Value]]
     native_ops: Optional[Tuple[Callable, Callable]]
+    native_source: Optional[Tuple[str, str]]
+    one_is_identity_on: Optional[Callable[[Value], bool]]
 
     @property
     def idempotent_add(self) -> bool:
@@ -79,10 +93,12 @@ def _zero_divisors(structure: PreSemiring, values) -> Optional[Tuple[Value, Valu
     return None
 
 
-def _native_ops(structure: PreSemiring) -> Optional[Tuple[Callable, Callable]]:
+def _own(structure: PreSemiring, declared: str, *methods: str):
+    """``declared`` as the structure's own class declares it, when that
+    class also defines every one of ``methods`` itself (else ``None``)."""
     own = vars(type(structure))
-    if "add" in own and "mul" in own:
-        return own.get("native_ops")
+    if all(name in own for name in methods):
+        return own.get(declared)
     return None
 
 
@@ -91,15 +107,28 @@ def probe_capabilities(structure: PreSemiring) -> Capabilities:
     absorbing = bool(structure.is_semiring)
     witnesses = tuple(structure.sample_values()) + (structure.zero, structure.one)
     bad = check_idempotent_add(structure, witnesses)
+    has_minus = bool(getattr(structure, "supports_minus", False))
+    one_is_identity_on = (
+        structure.one_is_identity_on
+        if _own(structure, "one_is_identity_on", "mul") is not None
+        else None
+    )
+    if has_minus and one_is_identity_on is not None:
+        raise TypeError(
+            f"{structure.name} declares both ⊖ and one_is_identity_on: "
+            "semi-naïve warm starts are not checked against the 1 ⊗ licence"
+        )
     return Capabilities(
         absorbing_zero=absorbing,
         sparse=absorbing and bool(getattr(structure, "is_naturally_ordered", False)),
-        has_minus=bool(getattr(structure, "supports_minus", False)),
+        has_minus=has_minus,
         natural_preorder=all(
             natural_preorder_holds(structure, structure.zero, v, witnesses)
             for v in witnesses
         ),
         non_idempotent=None if bad is None else bad[1:],
         zero_divisors=_zero_divisors(structure, witnesses),
-        native_ops=_native_ops(structure),
+        native_ops=_own(structure, "native_ops", "add", "mul"),
+        native_source=_own(structure, "native_source", "add", "mul"),
+        one_is_identity_on=one_is_identity_on,
     )

@@ -36,6 +36,12 @@ from .base import (
 INF = math.inf
 
 
+def _is_length(x: Value) -> bool:
+    """A path length: a non-negative int or float (``NaN`` and ``bool``
+    are not)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and x >= 0
+
+
 class TropicalSemiring(CompleteDistributiveDioid):
     """``Trop+``: min-plus over ``ℝ≥0 ∪ {∞}``.
 
@@ -47,6 +53,8 @@ class TropicalSemiring(CompleteDistributiveDioid):
     zero = INF
     one = 0.0
     native_ops = (min, operator.add)
+    #: ``min(a, b)`` exactly, ties and NaN included; ``a + b``.
+    native_source = ("{1} if {1} < {0} else {0}", "{0} + {1}")
 
     def add(self, a: Value, b: Value) -> Value:
         return min(a, b)
@@ -66,7 +74,7 @@ class TropicalSemiring(CompleteDistributiveDioid):
         return max(a, b)
 
     def is_valid(self, a: Value) -> bool:
-        return isinstance(a, (int, float)) and not isinstance(a, bool) and a >= 0
+        return _is_length(a)
 
     def sample_values(self) -> Sequence[Value]:
         return (INF, 0.0, 1.0, 2.5, 7.0)
@@ -129,7 +137,22 @@ class TropicalPSemiring(NaturallyOrderedSemiring):
         return (
             isinstance(a, tuple)
             and len(a) == self.p + 1
-            and all(isinstance(x, (int, float)) and x >= 0 for x in a)
+            and all(_is_length(x) for x in a)
+            and list(a) == sorted(a)
+        )
+
+    def one_is_identity_on(self, a: Value) -> bool:
+        """Whether ``1 ⊗ a`` is ``a`` bit for bit: a sorted ``(p+1)``-tuple
+        of non-negative floats.  Ints and ``-0.0`` are not, because ``1 ⊗``
+        adds ``0.0`` to every element: ``0.0 + 3`` is ``3.0`` and
+        ``0.0 + -0.0`` is ``0.0``."""
+        return (
+            type(a) is tuple
+            and len(a) == self.p + 1
+            and all(
+                type(x) is float and x >= 0 and math.copysign(1.0, x) > 0
+                for x in a
+            )
             and list(a) == sorted(a)
         )
 
@@ -194,11 +217,14 @@ class TropicalEtaSemiring(NaturallyOrderedSemiring):
         return self.add(a, b) == b
 
     def is_valid(self, a: Value) -> bool:
-        if not (isinstance(a, tuple) and a and list(a) == sorted(set(a))):
+        if not (
+            isinstance(a, tuple)
+            and a
+            and all(_is_length(x) for x in a)
+            and list(a) == sorted(set(a))
+        ):
             return False
-        if a == (INF,):
-            return True
-        return all(x >= 0 for x in a) and a[-1] <= a[0] + self.eta
+        return a == (INF,) or a[-1] <= a[0] + self.eta
 
     def from_values(self, values: Iterable[float]) -> Value:
         """Build an element from an arbitrary collection of lengths."""

@@ -13,8 +13,11 @@ from __future__ import annotations
 import pytest
 
 import repro.semirings as semirings
+from repro import programs
+from repro.core import Database, NaiveEvaluator
 from repro.semirings import (
     BOOL,
+    INF,
     LIFTED_REAL,
     NAT,
     TROP,
@@ -105,3 +108,93 @@ def test_overriding_subclass_loses_native_ops():
 
     assert Capped().caps.native_ops is None
     assert TROP.caps.native_ops is not None
+
+
+# ---------------------------------------------------------------------------
+# Source templates (``native_source``) and the ``1 ⊗`` licence
+# (``one_is_identity_on``).
+# ---------------------------------------------------------------------------
+
+
+def _strict(value):
+    return type(value), repr(value)
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [s for s in STRUCTURES if s.caps.native_source is not None],
+    ids=lambda s: s.name,
+)
+def test_native_source_is_the_method_expression(structure):
+    values = tuple(structure.sample_values()) + (3, -0.0, 0, float("nan"))
+    for op, template in zip(("add", "mul"), structure.caps.native_source):
+        method = getattr(structure, op)
+        for a in values:
+            for b in values:
+                native = eval(template.format("a", "b"), {"a": a, "b": b})
+                assert _strict(native) == _strict(method(a, b)), (op, a, b)
+
+
+def test_native_source_declared_on_trop_only():
+    named = {s.name for s in EXPORTED if s.caps.native_source is not None}
+    assert named == {"Trop+"}
+
+
+def test_one_is_identity_on_declared_on_trop_p_only():
+    named = {
+        s.name for s in STRUCTURES if s.caps.one_is_identity_on is not None
+    }
+    assert named == {"Trop+_2"}
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_one_is_identity_on_means_one_fixes_the_value(p):
+    tp = TropicalPSemiring(p)
+    holds = tp.caps.one_is_identity_on
+    values = tuple(tp.sample_values()) + (
+        (3,) + (INF,) * p,
+        (-0.0,) + (INF,) * p,
+        (0.0,) * (p + 1),
+    )
+    for value in values:
+        fixed = tp.mul(tp.one, value)
+        exact = [_strict(x) for x in fixed] == [_strict(x) for x in value]
+        if holds(value):
+            assert exact, value
+    assert holds(tp.one) and holds(tp.zero)
+
+
+def test_one_is_identity_on_refused_next_to_minus():
+    class Licensed(TropicalSemiring):
+        name = "Trop+licensed"
+
+        def mul(self, a, b):
+            return a + b
+
+        def one_is_identity_on(self, a):
+            return type(a) is float
+
+    with pytest.raises(TypeError, match="one_is_identity_on"):
+        Licensed().caps
+
+
+def _tc_kernel_source(pops):
+    db = Database(pops=pops, relations={"E": {(1, 2): 1.0, (2, 3): 2.0}})
+    prog = programs.transitive_closure()
+    evaluator = NaiveEvaluator(prog, db, engine="codegen")
+    bodies = sum(len(rule.bodies) for rule in prog.rules)
+    return "\n".join(evaluator.kernel(i).source for i in range(bodies))
+
+
+def test_overriding_mul_loses_the_native_source():
+    class Shifted(TropicalSemiring):
+        name = "Trop+shift"
+
+        def mul(self, a, b):
+            return a + b + 0.0
+
+    shifted = Shifted()
+    assert shifted.caps.native_source is None
+    assert TROP.caps.native_source is not None
+    assert "_mul(" in _tc_kernel_source(shifted)
+    assert "_mul(" not in _tc_kernel_source(TROP)

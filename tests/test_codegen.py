@@ -16,30 +16,51 @@ Covers the codegen pipeline end to end:
   across iterations;
 * the debugging hook: generated source is retained on the kernel and
   registered with :mod:`linecache`;
-* grounded/hybrid wiring and the ``engine=`` knob's validation.
+* grounded/hybrid wiring and the ``engine=`` knob's validation;
+* leaf lowering is exact: native ``⊕``/``⊗`` and the dropped leading
+  ``1 ⊗`` give the same byte-exact fingerprint (``repr`` of every
+  value, :func:`repro.core.incremental.fingerprint`) as the
+  interpreted engine on EDBs of ints, ``-0.0``, ``0`` and ``inf``, and
+  on warm starts of int bags.
 """
 
 from __future__ import annotations
 
 import linecache
 import os
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import programs, workloads
-from repro.core import Database, HybridEvaluator, ThresholdRule, solve
+from repro.core import Database, HybridEvaluator, Instance, ThresholdRule, solve
 from repro.core.ast import Compare, Constant, terms, var
 from repro.core.grounding import ground_program
+from repro.core.incremental import fingerprint
+from repro.core.kernels import BodyKernels
 from repro.core.naive import NaiveEvaluator
 from repro.core.rules import (
+    FuncFactor,
     Indicator,
     Program,
     RelAtom,
     Rule,
     SumProduct,
+    ValueConst,
 )
-from repro.semirings import BOOL, LIFTED_REAL, REAL_PLUS, THREE, TROP
+from repro.semirings import (
+    BOOL,
+    BOTTLENECK,
+    INF,
+    LIFTED_REAL,
+    REAL_PLUS,
+    THREE,
+    TROP,
+    VITERBI,
+    TropicalPSemiring,
+)
+from repro.semirings.base import FunctionRegistry
 
 #: The subject engine leads the differential tuple; the CI engine
 #: matrix overrides it via ``DATALOGO_ENGINE`` to re-run the whole
@@ -381,3 +402,178 @@ class TestCodegenInvariance:
         interpreted = solve(prog, db, engine="interpreted", max_iterations=400)
         codegen = solve(prog, db, engine="codegen", max_iterations=400)
         assert codegen.instance.equals(interpreted.instance)
+
+
+# ---------------------------------------------------------------------------
+# Leaf lowering is exact: native ⊕/⊗ and the dropped leading ``1 ⊗``
+# leave every fixpoint object as the interpreted engine builds it.
+# ---------------------------------------------------------------------------
+
+#: Ints, a signed zero, zeros and ``inf`` next to ordinary floats.
+_MIXED = (1, 2.5, 3, -0.0, 0, 0.0, 4.0, INF, 7, 1.5)
+
+
+def _bag(p):
+    def lift(w):
+        return (INF,) * (p + 1) if w == INF else (w,) + (INF,) * p
+
+    return lift
+
+
+def _unit(w):  # into [0, 1], keeping 0, -0.0 and 1 as given
+    return 1 if w == INF else (w if w in (0, 1) else w / 8)
+
+
+#: name -> (pops, weight -> value, acyclic graphs only).
+EXACT_SPACES = {
+    "trop": (TROP, lambda w: w, False),
+    "trop_p1": (TropicalPSemiring(1), _bag(1), False),
+    "trop_p2": (TropicalPSemiring(2), _bag(2), False),
+    "rplus": (REAL_PLUS, lambda w: 2 if w == INF else w, True),
+    "viterbi": (VITERBI, _unit, False),
+    "bottleneck": (BOTTLENECK, lambda w: w, False),
+}
+
+
+def _atom(rel, *args):
+    return RelAtom(rel, terms(list(args)))
+
+
+def _first_factor_program(pops):
+    """One rule per kind of first factor: an atom, a condition, a
+    ``ValueConst``, a function and a Boolean EDB atom — plus a
+    single-factor IDB copy, where a wrongly dropped ``1 ⊗`` would hand
+    the stored object through unchanged."""
+    rules = [
+        Rule("T", terms(["X", "Y"]), (
+            SumProduct((_atom("E", "X", "Y"),)),
+            SumProduct((_atom("T", "X", "Z"), _atom("E", "Z", "Y"))),
+        )),
+        Rule("L", terms(["X"]), (
+            SumProduct((Indicator(Compare("==", var("X"), Constant("n0"))),)),
+            SumProduct((_atom("L", "Z"), _atom("E", "Z", "X"))),
+        )),
+        Rule("C", terms(["X", "Y"]), (
+            SumProduct((ValueConst(pops.one), _atom("E", "X", "Y"))),
+        )),
+        Rule("F", terms(["X", "Y"]), (
+            SumProduct((FuncFactor("ident", (_atom("E", "X", "Y"),)),)),
+        )),
+        Rule("B", terms(["X", "Y"]), (
+            SumProduct((_atom("Node", "X"), _atom("E", "X", "Y"))),
+        )),
+        Rule("K", terms(["X", "Y"]), (SumProduct((_atom("T", "X", "Y"),)),)),
+    ]
+    return Program(rules=rules, edbs={"E": 2}, bool_edbs={"Node": 1})
+
+
+_IDENT = FunctionRegistry()
+_IDENT.register("ident", lambda v: v)
+
+
+def _mixed_db(space, seed, nodes=6, edges=11):
+    pops, lift, acyclic = EXACT_SPACES[space]
+    rng = random.Random(seed)
+    weights = {}
+    while len(weights) < edges:
+        a, b = rng.randrange(nodes), rng.randrange(nodes)
+        if not (acyclic and a >= b):
+            weights[(f"n{a}", f"n{b}")] = rng.choice(_MIXED)
+    return Database(
+        pops=pops,
+        relations={"E": {k: lift(w) for k, w in weights.items()}},
+        bool_relations={"Node": {(f"n{i}",) for i in range(0, nodes, 2)}},
+    )
+
+
+class TestLeafLoweringExactness:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("space", sorted(EXACT_SPACES))
+    def test_strict_fingerprint_equals_interpreted(self, space, seed):
+        db = _mixed_db(space, seed)
+        prog = _first_factor_program(db.pops)
+        methods = ["naive"] + (["seminaive"] if db.pops.caps.has_minus else [])
+        for method in methods:
+            want = fingerprint(
+                solve(prog, db, method=method, engine="interpreted",
+                      functions=_IDENT).instance
+            )
+            for engine in ENGINES:
+                got = solve(prog, db, method=method, engine=engine,
+                            functions=_IDENT)
+                assert fingerprint(got.instance) == want, (method, engine)
+
+    @staticmethod
+    def _int_bag_start(pops, db, prog):
+        """``T``'s fixpoint with its bags made of ints, and no ``K``: the
+        first iterate copies ``T`` into ``K``, and that iterate is the
+        one the run returns."""
+        cold = solve(prog, db, engine="interpreted", functions=_IDENT).instance
+        start = Instance(pops)
+        for key, value in cold.support("T").items():
+            start.set("T", key, tuple(x if x == INF else int(x) for x in value))
+        return start
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_warm_start_with_int_bags(self, p, monkeypatch):
+        """A start instance the store check never saw: ``1 ⊗`` does not
+        fix its int bags, so they must reach ``K`` through it."""
+        pops = TropicalPSemiring(p)
+        db = _mixed_db(f"trop_p{p}", 4)
+        prog = _first_factor_program(pops)
+        start = self._int_bag_start(pops, db, prog)
+
+        def run(engine):
+            return fingerprint(
+                NaiveEvaluator(prog, db, engine=engine, functions=_IDENT)
+                .run(start=start.copy())
+                .instance
+            )
+
+        want = run("interpreted")
+        for engine in ENGINES:
+            assert run(engine) == want, engine
+        # Planted: without the start check the codegen leaf hands the
+        # int bags through.
+        monkeypatch.setattr(BodyKernels, "admit", lambda self, instance: None)
+        assert run("codegen") != want
+
+    def test_planted_drop_without_licence_changes_the_fingerprint(
+        self, monkeypatch
+    ):
+        pops = TropicalPSemiring(2)
+        db = Database(
+            pops=pops, relations={"E": {("a", "b"): (3, INF, INF)}}
+        )
+        prog = programs.apsp()
+        want = fingerprint(solve(prog, db, engine="interpreted").instance)
+        assert fingerprint(solve(prog, db, engine="codegen").instance) == want
+        assert not db.one_is_identity("E")
+        monkeypatch.setattr(Database, "one_is_identity", lambda self, rel: True)
+        planted = fingerprint(solve(prog, db, engine="codegen").instance)
+        assert planted != want
+
+    def test_solve_bags_kernel_drops_the_leading_one(self):
+        pops = TropicalPSemiring(2)
+        edges = {(f"n{i}", f"n{(i + 1) % 5}"): float(i + 1) for i in range(5)}
+        db = Database(
+            pops=pops,
+            relations={"E": {k: pops.singleton(w) for k, w in edges.items()}},
+        )
+        assert db.one_is_identity("E")
+        evaluator = NaiveEvaluator(programs.apsp(), db, engine="codegen")
+        for plan in (0, 1):  # T :- E | T * E
+            source = evaluator.kernel(plan).source
+            folds = [
+                line.strip() for line in source.splitlines()
+                if line.strip().startswith("_acc =")
+            ]
+            assert folds and not any("one" in line for line in folds), source
+
+    def test_trop_kernel_is_native(self):
+        db = _mixed_db("trop", 1)
+        source = NaiveEvaluator(programs.apsp(), db, engine="codegen").kernel(
+            1
+        ).source
+        assert "_mul(" not in source and "_add(" not in source
+        assert "_acc if _acc < _prev else _prev" in source

@@ -199,3 +199,76 @@ class TestTropEta:
             assert te.leq(lb, x) and te.leq(lb, y)
         assert not te.leq(lb1, lb2) and not te.leq(lb2, lb1)
         assert not hasattr(te, "minus")
+
+
+# ---------------------------------------------------------------------------
+# Well-formed values of the bag spaces, and the ``1 ⊗`` licence next to them.
+# ---------------------------------------------------------------------------
+
+
+class TestBagValidity:
+    """``is_valid`` answers ``False`` on every non-length element, as
+    ``TROP.is_valid`` does — it never raises and never takes a bool."""
+
+    @pytest.mark.parametrize("bad", [True, False, "a", None, -1.0, math.nan])
+    def test_trop_rejects_non_lengths(self, bad):
+        assert not TROP.is_valid(bad)
+
+    @pytest.mark.parametrize(
+        "bag",
+        [(True, INF, INF), (0.0, True, INF), (1.0, 2.0, False), ("a", INF, INF),
+         (1.0, "b", INF), (math.nan, INF, INF), (-1.0, INF, INF)],
+    )
+    def test_trop_p_rejects_non_length_elements(self, bag):
+        assert not TropicalPSemiring(2).is_valid(bag)
+
+    @pytest.mark.parametrize(
+        "bag", [(0.0, INF, INF), (1, 2.0, INF), (3.0, 3.0, 5.0), (INF,) * 3]
+    )
+    def test_trop_p_accepts_sorted_length_bags(self, bag):
+        assert TropicalPSemiring(2).is_valid(bag)
+
+    @pytest.mark.parametrize(
+        "value", [(True,), (False,), ("a",), (1.0, "b"), ("a", "b"), (math.nan,)]
+    )
+    def test_trop_eta_rejects_non_length_elements(self, value):
+        assert not TropicalEtaSemiring(2.0).is_valid(value)
+
+    @pytest.mark.parametrize("value", [(INF,), (0.0,), (1, 2.5), (1.0, 3.0)])
+    def test_trop_eta_accepts_close_sets(self, value):
+        assert TropicalEtaSemiring(2.0).is_valid(value)
+
+    def test_trop_eta_rejects_spread_and_duplicates(self):
+        te = TropicalEtaSemiring(2.0)
+        assert not te.is_valid((1.0, 3.5))
+        assert not te.is_valid((1.0, 1.0))
+        assert not te.is_valid(())
+
+
+class TestOneIsIdentityOn:
+    """``Trop+_p``'s licence: ``1 ⊗ v`` is ``v`` bit for bit."""
+
+    @pytest.mark.parametrize(
+        "bag", [(0.0, INF, INF), (1.0, 2.5, 2.5), (INF,) * 3, (4.0, 5.0, 6.0)]
+    )
+    def test_float_bags_hold_and_are_fixed(self, bag):
+        t2 = TropicalPSemiring(2)
+        assert t2.one_is_identity_on(bag)
+        fixed = t2.mul(t2.one, bag)
+        assert [(type(x), repr(x)) for x in fixed] == [
+            (type(x), repr(x)) for x in bag
+        ]
+
+    @pytest.mark.parametrize(
+        "bag",
+        [(3, INF, INF), (-0.0, INF, INF), (0.0, -0.0, INF), (True, INF, INF),
+         (2.0, 1.0, INF), (1.0, INF), [1.0, INF, INF], (math.nan, INF, INF)],
+    )
+    def test_ints_signed_zeros_and_malformed_bags_do_not(self, bag):
+        t2 = TropicalPSemiring(2)
+        assert not t2.one_is_identity_on(bag)
+
+    def test_ints_and_signed_zeros_really_change(self):
+        t2 = TropicalPSemiring(2)
+        assert repr(t2.mul(t2.one, (3, INF, INF))) == "(3.0, inf, inf)"
+        assert repr(t2.mul(t2.one, (-0.0, INF, INF))) == "(0.0, inf, inf)"
