@@ -53,20 +53,19 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..semirings.base import FunctionRegistry
-from .ast import And, BoolAtom, Condition, TrueCond, eval_term
+from .ast import eval_term
 from .guardrails import BudgetExceeded
 from .indexes import JoinStats, KeyIndex
 from .instance import Database, Instance, Key
 from .io import decode_value, encode_value
-from .naive import EvalStats, EvaluationResult, NaiveEvaluator, _relation_equal
-from .rules import Program, Rule, SumProduct
+from .naive import DELTA_PREFIX, EvalStats, EvaluationResult, NaiveEvaluator
+from .naive import _relation_equal, footprint_program
+from .rules import Program, SumProduct
 from .seminaive import SemiNaiveEvaluator, seminaive_refusal
 from .valuations import Guard, enumerate_matches, is_indexed_plan
 
-#: Name prefixes of the relations a batch-sized bootstrap reads: the
-#: batch's grown facts of ``R`` (a POPS relation) and the over-deleted
-#: keys of ``T`` (a Boolean relation), added with ``Database.derive``.
-DELTA_PREFIX = "__delta_"
+#: Prefix of the Boolean relations (added with ``Database.derive``) that
+#: restrict a batch-sized bootstrap to the over-deleted keys of ``T``.
 ERASED_PREFIX = "__erased_"
 
 
@@ -696,7 +695,7 @@ class IncrementalInstance:
 
         The bootstrap computes ``δ⁽⁰⁾ = F′(J⁻) ⊖ J⁻`` from the batch's
         footprint alone, with one naïve ICO application of two kinds of
-        body (:meth:`_bootstrap_program`):
+        body (:func:`~repro.core.naive.footprint_program`):
 
         * **delta bodies** — for every occurrence of a relation whose
           facts grew (``grown``), the body with that occurrence reading
@@ -728,7 +727,9 @@ class IncrementalInstance:
         if full_bootstrap:
             program, boot_database = self.program, database
         else:
-            program = self._bootstrap_program(grown, erased)
+            program = footprint_program(
+                self.program, grown=grown, restricted=erased, restrict_prefix=ERASED_PREFIX
+            )
             if program is None:
                 # No rule reads a changed relation: the fixpoint is
                 # exactly the surviving instance.
@@ -779,51 +780,6 @@ class IncrementalInstance:
         self.stats["warm_iterations"] += result.steps
         return result.instance
 
-    def _bootstrap_program(
-        self,
-        grown: Dict[str, Dict[Key, bool]],
-        erased: Dict[str, Dict[Key, bool]],
-    ) -> Optional[Program]:
-        """The delta and re-derivation bodies of
-        :meth:`_continue_seminaive`'s bootstrap, or ``None`` when there
-        are none.  They read ``DELTA_PREFIX + R`` for the grown facts
-        of ``R`` and ``ERASED_PREFIX + T`` for the erased keys of
-        ``T``."""
-        rules: List[Rule] = []
-        for rule in self.program.rules:
-            bodies: List[SumProduct] = []
-            restrict = (
-                BoolAtom(ERASED_PREFIX + rule.head_relation, rule.head_args)
-                if rule.head_relation in erased
-                else None
-            )
-            for body in rule.bodies:
-                if restrict is not None:
-                    bodies.append(
-                        SumProduct(
-                            body.factors, _conjoin(restrict, body.condition)
-                        )
-                    )
-                for pos, (atom, _under) in enumerate(body.atoms()):
-                    if atom.relation in grown:
-                        bodies.append(
-                            body.with_atom_renamed(
-                                pos, DELTA_PREFIX + atom.relation
-                            )
-                        )
-            if bodies:
-                rules.append(
-                    Rule(rule.head_relation, rule.head_args, tuple(bodies))
-                )
-        if not rules:
-            return None
-        return Program(
-            rules=rules,
-            edbs=dict(self.program.edbs),
-            bool_edbs=dict(self.program.bool_edbs),
-            idbs=dict(self.program.idbs),
-        )
-
     def _warm_naive(
         self, database: Database, j_minus: Instance, stats: EvalStats
     ) -> Instance:
@@ -842,11 +798,4 @@ class IncrementalInstance:
         self.steps = result.steps
         self.stats["warm_iterations"] += result.steps + 1
         return result.instance
-
-
-def _conjoin(atom: BoolAtom, condition: Condition) -> Condition:
-    """``atom ∧ condition``, the atom first (a positive guard)."""
-    if isinstance(condition, TrueCond):
-        return atom
-    return And((atom, condition))
 

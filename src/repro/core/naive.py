@@ -12,6 +12,22 @@ flags make skipping sound (see :mod:`repro.core.valuations`).  Over
 POPS that distinguish "absent" (``⊥``) from ``0`` (e.g. ``R⊥``,
 ``THREE``), head atoms are totalized over ``GA(τ, D₀)`` so that empty
 sums yield ``0`` exactly as the formal semantics prescribes.
+
+**Frontier rounds** (§4.3): ``F(J)(h)`` reads only the atoms of ``h``'s
+groundings, so in the chain ``J⁽ᵗ⁾ = F(J⁽ᵗ⁻¹⁾)`` a head whose groundings
+read no atom of ``Δ⁽ᵗ⁾ = {a : J⁽ᵗ⁾(a) ≠ J⁽ᵗ⁻¹⁾(a)}`` keeps its value.
+Over a sparse space the chain grows and absent atoms zero a grounding
+in both rounds, so the *delta bodies* of :func:`footprint_program`,
+run key-only over ``Δ⁽ᵗ⁾``, find exactly the heads to recompute; the
+rest are carried over.  The first round, and one after which over half
+of the instance changed, is full; steps, budget partials and traces
+stay Algorithm 1's.  A recomputed head may ⊕-accumulate in another order,
+so :meth:`NaiveEvaluator.run` licenses the rounds only for a sparse
+space without ``⊖`` declaring ``caps.one_is_identity_on`` (Trop+_p,
+whose ``⊕`` is order-free on those values), a compiled engine, and that
+predicate on every EDB store, constant and start value, with no
+interpreted function or key read as a value; else
+``stats["frontier_refusal"]`` says why.
 """
 
 from __future__ import annotations
@@ -19,14 +35,16 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..semirings.base import FunctionRegistry, Value
+from .ast import And, BoolAtom, Term, TrueCond, Variable, eval_term
 from .guardrails import Budget, BudgetExceeded, PartialResult, attach_partial
 from .indexes import IndexManager, JoinStats
 from .instance import Database, Instance, Key
 from .kernels import BodyKernels, KernelScope
-from .rules import Program, Rule, SumProduct
+from .rules import FuncFactor, KeyAsValue, Program, RelAtom, Rule, SumProduct, ValueConst
 from .valuations import (
     body_guards,
     is_indexed_plan,
@@ -60,6 +78,10 @@ class EvalStats:
     contribution instead of re-joining; a semi-naïve differential
     variant whose delta-occurrence relation received no delta facts is
     dropped before its guards are even built.
+
+    ``heads_recomputed`` counts the heads the naïve ICO evaluated over
+    all rounds (a frontier round evaluates only the affected ones), and
+    ``frontier_refusal`` names the first reason a chain was refused them.
     """
 
     iterations: int = 0
@@ -67,16 +89,21 @@ class EvalStats:
     products: int = 0
     rule_applications: int = 0
     rules_skipped: int = 0
+    heads_recomputed: int = 0
+    frontier_refusal: Optional[str] = None
     join: JoinStats = field(default_factory=JoinStats)
 
-    def snapshot(self) -> Dict[str, int]:
-        out = {
+    def snapshot(self) -> Dict[str, Any]:
+        out: Dict[str, Any] = {
             "iterations": self.iterations,
             "valuations": self.valuations,
             "products": self.products,
             "rule_applications": self.rule_applications,
             "rules_skipped": self.rules_skipped,
+            "heads_recomputed": self.heads_recomputed,
         }
+        if self.frontier_refusal is not None:
+            out["frontier_refusal"] = self.frontier_refusal
         out.update(self.join.snapshot())
         return out
 
@@ -127,6 +154,61 @@ def _relation_equal(pops, current, previous) -> bool:
 
 
 _ABSENT = object()
+
+#: Prefixes of the relations :func:`footprint_program`'s bodies read:
+#: the changed (or grown) facts of ``R``; the affected head keys of ``T``.
+DELTA_PREFIX = "__delta_"
+AFFECTED_PREFIX = "__affected_"
+
+
+def footprint_program(
+    program: Program,
+    grown: Collection[str] = (),
+    restricted: Collection[str] = (),
+    restrict_prefix: str = AFFECTED_PREFIX,
+) -> Optional[Program]:
+    """The *delta bodies* — per atom occurrence of a relation ``R`` in
+    ``grown`` (under a function too), the body with it reading
+    ``DELTA_PREFIX + R`` — and the *restricted bodies* — every body of a
+    relation ``T`` in ``restricted``, conjoined with ``restrict_prefix +
+    T(head args)`` — or ``None`` when there are none.  Frontier rounds
+    and :mod:`repro.core.incremental`'s bootstrap run them."""
+    rules: List[Rule] = []
+    for rule in program.rules:
+        bodies: List[SumProduct] = []
+        restrict = (
+            BoolAtom(restrict_prefix + rule.head_relation, rule.head_args)
+            if rule.head_relation in restricted
+            else None
+        )
+        for body in rule.bodies:
+            if restrict is not None:
+                # The atom first, so it is a positive guard.
+                condition = (
+                    restrict if isinstance(body.condition, TrueCond)
+                    else And((restrict, body.condition))
+                )
+                bodies.append(SumProduct(body.factors, condition))
+            for pos, (atom, _under) in enumerate(body.atoms()):
+                if atom.relation in grown:
+                    bodies.append(
+                        body.with_atom_renamed(pos, DELTA_PREFIX + atom.relation)
+                    )
+        if bodies:
+            rules.append(Rule(rule.head_relation, rule.head_args, tuple(bodies)))
+    if not rules:
+        return None
+    return Program(
+        rules=rules, edbs=dict(program.edbs),
+        bool_edbs=dict(program.bool_edbs), idbs=dict(program.idbs),
+    )
+
+
+def _head_key(args: Tuple[Term, ...]) -> Callable[[Dict[str, Any]], Tuple]:
+    """The head key of a valuation."""
+    if len(args) > 1 and all(isinstance(a, Variable) for a in args):
+        return itemgetter(*(a.name for a in args))
+    return lambda valu: tuple(eval_term(a, valu) for a in args)
 
 
 class NaiveEvaluator:
@@ -225,6 +307,11 @@ class NaiveEvaluator:
         self._contributions: List[
             Optional[Tuple[Tuple, Dict[Tuple[str, Key], Value]]]
         ] = [None] * len(self._plans)
+        #: Whether :meth:`run` licensed frontier rounds, and the atoms
+        #: where the last output differs from its input (``None``: unknown).
+        self._armed = False
+        self._delta: Optional[Dict[str, List[Key]]] = None
+        self._frontier: Optional[Tuple[list, BodyKernels]] = None
 
     # ------------------------------------------------------------------
     def _build_plans(self) -> List[Tuple[Rule, SumProduct, list, tuple]]:
@@ -309,11 +396,28 @@ class NaiveEvaluator:
         self.stats.products += matched
 
     def ico(self, instance: Instance) -> Instance:
-        """One application of the immediate consequence operator."""
+        """One application of the immediate consequence operator: a
+        frontier round inside a licensed :meth:`run` when ``instance``
+        is this evaluator's last output and at most half of it changed,
+        else a full round."""
         if instance is not self._produced():
             self._kernels.admit(instance)
         self._current = instance
         self._epoch += 1
+        delta = self._delta
+        if delta is not None and instance is self._produced() and (
+            2 * sum(map(len, delta.values())) <= instance.size()
+        ):
+            out = self._frontier_ico(instance)
+        else:
+            out = self._full_ico(instance)
+            if self._armed:
+                self._delta = self._changes(out, instance)
+        self._produced = weakref.ref(out)
+        return out
+
+    def _full_ico(self, instance: Instance) -> Instance:
+        """Algorithm 1's round: every plan over ``instance``."""
         indexed = is_indexed_plan(self.plan)
         if indexed:
             self._bump_changed_relations(instance)
@@ -372,9 +476,146 @@ class NaiveEvaluator:
         out = Instance(self.pops)
         out_set = out.set
         for rel, entries in acc.items():
+            self.stats.heads_recomputed += len(entries)
             for key, value in entries.items():
                 out_set(rel, key, value)
-        self._produced = weakref.ref(out)
+        return out
+
+    def _changes(
+        self, out: Instance, instance: Instance, heads: Optional[Dict] = None
+    ) -> Optional[Dict[str, List[Key]]]:
+        """The atoms (among ``heads``, per relation) where ``out``
+        differs from ``instance``, or ``None`` when ``out`` lacks one of
+        ``instance``'s atoms: the chain did not grow."""
+        eq, delta, full = self.pops.eq, {}, heads is None
+        for rel in {*self.program.idbs, *instance.relations()} if full else heads:
+            new, old = out.support(rel), instance.support(rel)
+            changed = []
+            for key in {**old, **new} if full else heads[rel]:
+                if key not in new:
+                    if key in old:
+                        return None
+                elif key not in old or not eq(new[key], old[key]):
+                    changed.append(key)
+            if changed:
+                delta[rel] = changed
+        return delta
+
+    # ------------------------------------------------------------------
+    def _frontier_refusal(self, start: Optional[Instance]) -> Optional[str]:
+        """Why a chain from ``start`` may not take frontier rounds
+        (module docstring), or ``None`` when it may."""
+        caps = self.pops.caps
+        holds = caps.one_is_identity_on
+        if caps.has_minus:
+            return "the space has ⊖"
+        if not caps.sparse or holds is None:
+            return "⊕ is not known to be order-free (no one_is_identity_on)"
+        if not self.compiled:
+            return "the interpreted engine"
+        if self.total_heads:
+            return "totalized heads"
+        for factor in (f for rule in self.program.rules for b in rule.bodies for f in b.factors):
+            if isinstance(factor, (FuncFactor, KeyAsValue)):
+                return f"a {type(factor).__name__}: {factor}"
+            if isinstance(factor, RelAtom):
+                rel = factor.relation
+                if rel not in self.idb_names and not self.database.one_is_identity(rel):
+                    return f"store {rel} is not canonical"
+                continue
+            values = (factor.value,) if isinstance(factor, ValueConst) else (
+                factor.true_value, factor.false_value
+            )
+            if not all(holds(v) for v in values if v is not None):
+                return f"a non-canonical constant: {factor}"
+        for rel in start.relations() if start is not None else ():
+            if not all(map(holds, start.support(rel).values())):
+                return f"the start instance's {rel} is not canonical"
+        return None
+
+    def _frontier_plans(self) -> Tuple[list, BodyKernels]:
+        """Per delta body, then per restricted body, built once: rule,
+        body, guards, conjuncts, the ``gate`` guard over the footprint
+        of ``relation`` (changed atoms of an IDB read, or affected head
+        keys) and ``relation``."""
+        if self._frontier is None:
+            idbs = self.program.idbs
+            prefixes = (DELTA_PREFIX, AFFECTED_PREFIX)
+            database = self.database.derive(bool_relations={
+                prefix + rel: frozenset() for prefix in prefixes for rel in idbs
+            })
+            kernels = BodyKernels(
+                self.engine, self.plan, database, self.functions, self.idb_names, self.domain,
+                stats=self.stats.join, poll=self._poll,
+            )
+            plans = []
+            for restricted, program in enumerate((
+                footprint_program(self.program, grown=idbs),
+                footprint_program(self.program, restricted=idbs),
+            )):
+                prefix = "bool:" + (AFFECTED_PREFIX if restricted else DELTA_PREFIX)
+                for rule in program.rules if program is not None else ():
+                    for body in rule.bodies:
+                        guards = body_guards(
+                            body, self.pops, database, self.idb_names,
+                            late_idb_guards(self._idb_supplier), indexes=self.indexes,
+                        )
+                        # IDB stores grow after planning: the planner breaks
+                        # cost ties by guard order, so toward the frozen stores.
+                        guards.sort(key=lambda g: g.name.startswith("idb:"))
+                        gate = next(g for g in guards if g.name.startswith(prefix))
+                        plans.append((
+                            rule, body, guards,
+                            pushable_indicator_conditions(body, self.pops, False),
+                            gate, gate.name[len(prefix):], restricted,
+                        ))
+            self._frontier = (plans, kernels)
+        return self._frontier
+
+    def _frontier_ico(self, instance: Instance) -> Instance:
+        """One frontier round: ``F(instance)``, where ``instance`` is
+        ``F`` of the previous input and differs from it exactly on
+        ``self._delta``.  The delta bodies find the affected heads
+        key-only; the restricted bodies recompute them in full."""
+        plans, kernels = self._frontier_plans()
+        for rel in self._delta:
+            self._rel_versions[rel] = self._rel_versions.get(rel, 0) + 1
+        self._last_seen = instance
+        affected: Dict[str, Dict[Key, None]] = {}
+        buckets: Dict[str, Dict[Key, Value]] = {}
+        for idx, (rule, body, guards, extra, gate, relation, restricted) in enumerate(plans):
+            # The delta bodies come first, so the affected heads are
+            # complete before any restricted body reads them.
+            footprint = (affected if restricted else self._delta).get(relation)
+            if not footprint:
+                continue
+            if self._poll is not None:
+                self._poll()
+            self.stats.rule_applications += 1
+            refresh_guard_indexes(guards, self.indexes, self._epoch, versions=self._rel_versions)
+            gate.index = self.indexes.get(
+                ("frontier", gate.name), list(footprint), version=self._epoch
+            )
+            kernel = kernels.get(
+                idx, guards, body, extra_conjuncts=extra,
+                head_args=rule.head_args if restricted else None,
+                label=f"{rule.head_relation}.frontier{idx}",
+            )
+            head = rule.head_relation
+            if restricted:
+                matched = kernel.run(guards, instance, buckets.setdefault(head, {}))
+                self.stats.valuations += matched
+                self.stats.products += matched
+            else:
+                found, key_of = affected.setdefault(head, {}).setdefault, _head_key(rule.head_args)
+                kernel.execute(guards, lambda valu, _slots: found(key_of(valu)))
+        out = instance.copy()
+        for rel, heads in affected.items():
+            self.stats.heads_recomputed += len(heads)
+            bucket = buckets.get(rel, {})
+            for key in heads:
+                out.set(rel, key, bucket.get(key, self.pops.bottom))
+        self._delta = self._changes(out, instance, affected)
         return out
 
     def _partial(
@@ -407,6 +648,10 @@ class NaiveEvaluator:
         subclasses the old ``DivergenceError``), with the final iterate
         attached.
         """
+        refusal = self._frontier_refusal(start)
+        if refusal is not None and self.stats.frontier_refusal is None:
+            self.stats.frontier_refusal = refusal
+        self._armed, self._delta = refusal is None, None
         budget = self.budget
         current = start if start is not None else Instance(self.pops)
         trace: List[Instance] = [current.copy()] if capture_trace else []
@@ -419,7 +664,7 @@ class NaiveEvaluator:
                 raise
             if capture_trace:
                 trace.append(nxt.copy())
-            if nxt.equals(current):
+            if nxt.equals(current) if self._delta is None else not self._delta:
                 return EvaluationResult(
                     instance=current,
                     steps=step,

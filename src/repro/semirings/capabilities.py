@@ -17,7 +17,11 @@ Every shortcut the engines take rests on one law of the value space:
 * a generated leaf may drop the leading ``1 ⊗`` of its product where
   every value the first factor reads is one ``1 ⊗`` fixes bit for bit
   (``one_is_identity_on``) — a fact about the stored data, which the
-  engines check per store and per naïve warm start.
+  engines check per store and per naïve warm start.  A class declares
+  it only where ``⊕`` is also order-free on those values, so the same
+  predicate licenses naïve's frontier rounds, which may ⊕-accumulate a
+  head's matches in another order than a full round
+  (:mod:`repro.core.naive`).
 
 :class:`Capabilities` is the one record of those facts per value
 space, built on first access to :attr:`PreSemiring.caps
@@ -61,8 +65,10 @@ class Capabilities:
         native_source: The ``(⊕, ⊗)`` source templates the class
             declares, under ``native_ops``' rule.
         one_is_identity_on: The class's predicate "``1 ⊗ v`` is ``v``
-            bit for bit", honoured only when that class also defines
-            ``mul`` itself; ``None`` when there is none.  Only naïve
+            bit for bit, and ``⊕`` is order-free on such values",
+            honoured only when that class also defines ``mul`` itself
+            (a subclass that overrides ``add`` alone loses it);
+            ``None`` when there is none.  Only naïve
             checks warm starts against it, so a value space with ``⊖``
             may not declare it.
     """

@@ -145,7 +145,9 @@ class TropicalPSemiring(NaturallyOrderedSemiring):
         """Whether ``1 ⊗ a`` is ``a`` bit for bit: a sorted ``(p+1)``-tuple
         of non-negative floats.  Ints and ``-0.0`` are not, because ``1 ⊗``
         adds ``0.0`` to every element: ``0.0 + 3`` is ``3.0`` and
-        ``0.0 + -0.0`` is ``0.0``."""
+        ``0.0 + -0.0`` is ``0.0``.  On such values ``⊕`` is order-free too:
+        equal floats are the same float, so ``_min_p``'s sort keeps the
+        same elements whatever the order of its input."""
         return (
             type(a) is tuple
             and len(a) == self.p + 1

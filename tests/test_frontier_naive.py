@@ -1,0 +1,250 @@
+"""Frontier naïve rounds: Algorithm 1's iterates, recomputing only the
+heads whose body reads an atom the last round changed.
+
+The interpreted engine always runs plain Algorithm 1, so it is the
+oracle: over Trop+_p with canonical float weights the compiled engines
+must reach the same iterates (``repr`` for ``repr``), the same step
+count and the same budget partials with fewer ⊗-products; wherever the
+licence fails they must run plain Algorithm 1 and say why.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+
+from repro import programs
+from repro.core import Database, NaiveEvaluator, solve
+from repro.core.ast import terms
+from repro.core.guardrails import BudgetExceeded
+from repro.core.incremental import IncrementalInstance, Mutation, fingerprint
+from repro.core.instance import Instance
+from repro.core.parser import parse_program
+from repro.core.rules import FuncFactor, Program, RelAtom, Rule, SumProduct
+from repro.semirings import TROP, TropicalPSemiring
+from repro.semirings.base import FunctionRegistry
+
+INF = math.inf
+COMPILED = ("compiled", "codegen", "batched")
+FLOATS = (0.0, 1.0, 1.5, 2.5, 4.0, 7.0)
+
+
+def bag(pops, weight):
+    return (weight,) + (INF,) * pops.p
+
+
+def cyclic_graph(seed, nodes=7, edges=14, weights=FLOATS):
+    rng = random.Random(seed)
+    out = {(f"n{i}", f"n{(i + 1) % nodes}"): rng.choice(weights) for i in range(nodes)}
+    while len(out) < edges:
+        a, b = rng.randrange(nodes), rng.randrange(nodes)
+        out[(f"n{a}", f"n{b}")] = rng.choice(weights)
+    return out
+
+
+def database(pops, edges):
+    return Database(pops=pops, relations={"E": {k: bag(pops, w) for k, w in edges.items()}})
+
+
+def layered_ring(layers, width, seed=1):
+    """Every node of a layer has an edge to every node of the next; the
+    last layer closes the ring."""
+    rng = random.Random(seed)
+    name = lambda layer, i: f"v{layer}_{i}"  # noqa: E731
+    return {
+        (name(layer, i), name((layer + 1) % layers, j)): float(rng.randint(1, 9))
+        for layer in range(layers)
+        for i in range(width)
+        for j in range(width)
+    }
+
+
+PROGRAMS = {
+    "tc": programs.transitive_closure(),
+    "tc2": programs.quadratic_transitive_closure(),
+    "sssp": programs.sssp("n0"),
+    "layered": parse_program(
+        "S(X) :- [X = n0].\n"
+        "L(X) :- S(X) | L(Z) * E(Z, X).\n"
+        "Best(X) :- L(X).\n"
+    ),
+}
+
+
+def algorithm1(program, db, engine="auto", start=None, functions=None):
+    """Plain Algorithm 1 through the per-iteration entry point: a bare
+    :meth:`NaiveEvaluator.ico` loop never takes frontier rounds."""
+    evaluator = NaiveEvaluator(program, db, functions=functions, engine=engine)
+    current = start if start is not None else Instance(db.pops)
+    while True:
+        nxt = evaluator.ico(current)
+        if nxt.equals(current):
+            return current, evaluator.stats.snapshot()
+        current = nxt
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+class TestSameIterates:
+    def test_trace_fingerprints_and_steps(self, p, seed, name):
+        pops = TropicalPSemiring(p)
+        db = database(pops, cyclic_graph(seed))
+        program = PROGRAMS[name]
+        oracle = solve(program, db, engine="interpreted", capture_trace=True)
+        for engine in COMPILED:
+            result = solve(program, db, engine=engine, capture_trace=True)
+            assert "frontier_refusal" not in result.stats
+            assert result.steps == oracle.steps
+            assert [fingerprint(j) for j in result.trace] == [
+                fingerprint(j) for j in oracle.trace
+            ]
+            assert fingerprint(result.instance) == fingerprint(oracle.instance)
+
+    def test_scheduled_fixpoint_and_fewer_heads(self, p, seed, name):
+        pops = TropicalPSemiring(p)
+        db = database(pops, cyclic_graph(seed))
+        program = PROGRAMS[name]
+        oracle = solve(program, db, engine="interpreted")
+        for engine in COMPILED:
+            result = solve(program, db, engine=engine)
+            assert fingerprint(result.instance) == fingerprint(oracle.instance)
+            assert result.steps == oracle.steps
+            assert result.stats["heads_recomputed"] <= oracle.stats["heads_recomputed"]
+
+
+@pytest.mark.parametrize("engine", COMPILED)
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_budget_partial_is_algorithm_1s(engine, k):
+    pops = TropicalPSemiring(2)
+    db = database(pops, cyclic_graph(4, nodes=9, edges=20))
+    program = programs.transitive_closure()
+
+    def partial(engine):
+        with pytest.raises(BudgetExceeded) as info:
+            solve(program, db, engine=engine, max_iterations=k, capture_trace=True)
+        got = info.value.partial
+        return got.steps, fingerprint(got.instance), [fingerprint(j) for j in got.trace]
+
+    assert partial(engine) == partial("interpreted")
+
+
+class TestLicence:
+    """Every refusal runs plain Algorithm 1 and names its reason."""
+
+    @pytest.mark.parametrize(
+        "weights,engine,reason",
+        [
+            ((1, 2, 3, 4), "codegen", "store E is not canonical"),
+            ((-0.0, 1.5, 2.5), "codegen", "store E is not canonical"),
+            (FLOATS, "interpreted", "the interpreted engine"),
+        ],
+    )
+    def test_refused_run_is_algorithm_1(self, weights, engine, reason):
+        pops = TropicalPSemiring(2)
+        db = database(pops, cyclic_graph(5, weights=weights))
+        program = programs.transitive_closure()
+        result = solve(program, db, engine=engine, schedule="monolithic")
+        assert result.stats["frontier_refusal"] == reason
+        instance, stats = algorithm1(program, db, engine)
+        assert fingerprint(result.instance) == fingerprint(instance)
+        for counter in ("products", "valuations", "heads_recomputed"):
+            assert result.stats[counter] == stats[counter], counter
+
+    def test_func_factor_is_refused(self):
+        pops = TropicalPSemiring(1)
+        db = database(pops, cyclic_graph(6))
+        atom = lambda rel, *args: RelAtom(rel, terms(list(args)))  # noqa: E731
+        program = Program(
+            rules=[Rule("F", terms(["X", "Y"]), (
+                SumProduct((atom("E", "X", "Y"),)),
+                SumProduct((FuncFactor("ident", (atom("E", "X", "Z"),)),
+                            atom("F", "Z", "Y"))),
+            ))],
+            edbs={"E": 2},
+        )
+        functions = FunctionRegistry()
+        functions.register("ident", lambda v: v)
+        result = solve(program, db, functions=functions, schedule="monolithic")
+        assert result.stats["frontier_refusal"] == "a FuncFactor: ident(E(X, Z))"
+        instance, stats = algorithm1(program, db, functions=functions)
+        assert fingerprint(result.instance) == fingerprint(instance)
+        assert result.stats["products"] == stats["products"]
+
+    def test_space_with_minus_is_refused(self):
+        db = Database(pops=TROP, relations={"E": cyclic_graph(1)})
+        result = solve(programs.transitive_closure(), db, method="naive")
+        assert result.stats["frontier_refusal"] == "the space has ⊖"
+        # Semi-naïve's bootstrap is one naïve round, not a chain.
+        result = solve(programs.transitive_closure(), db, method="seminaive")
+        assert "frontier_refusal" not in result.stats
+
+    def test_non_canonical_warm_start_is_refused(self):
+        pops = TropicalPSemiring(1)
+        db = database(pops, cyclic_graph(2))
+        program = programs.transitive_closure()
+        start = Instance(pops, {"T": {("n0", "n1"): (3, INF)}})
+        evaluator = NaiveEvaluator(program, db, engine="codegen")
+        result = evaluator.run(start=start)
+        assert result.stats["frontier_refusal"] == "the start instance's T is not canonical"
+        instance, stats = algorithm1(program, db, "codegen", start=start)
+        assert fingerprint(result.instance) == fingerprint(instance)
+        assert result.stats["products"] == stats["products"]
+
+
+@pytest.mark.parametrize("engine", COMPILED)
+def test_incremental_insert_matches_scratch(engine):
+    pops = TropicalPSemiring(2)
+    edges = cyclic_graph(3, nodes=8, edges=16)
+    db = database(pops, edges)
+    program = programs.transitive_closure()
+    inc = IncrementalInstance(program, db, engine=engine)
+    batch = [
+        Mutation("insert", "E", ("n7", "n2"), bag(pops, 0.5)),
+        Mutation("insert", "E", ("n1", "n5"), bag(pops, 2.5)),
+    ]
+    inc.apply(batch)
+    grown = {**edges, ("n7", "n2"): 0.5, ("n1", "n5"): 2.5}
+    scratch = solve(program, database(pops, grown), engine="interpreted")
+    assert fingerprint(inc.instance) == fingerprint(scratch.instance)
+
+
+def test_layered_ring_products_drop():
+    pops = TropicalPSemiring(2)
+    db = database(pops, layered_ring(10, 5))
+    program = programs.apsp()
+    result = solve(program, db, method="naive", engine="codegen")
+    instance, stats = algorithm1(program, db, "codegen")
+    assert fingerprint(result.instance) == fingerprint(instance)
+    assert result.stats["iterations"] == 12
+    assert result.stats["products"] <= 0.3 * stats["products"]
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_add_is_order_free_on_canonical_values(p):
+    """The licence's premise: on values ``one_is_identity_on`` accepts,
+    every ⊕ order gives the same bag, ``repr`` for ``repr``."""
+    pops = TropicalPSemiring(p)
+    rng = random.Random(p)
+    values = [
+        tuple(sorted(rng.choice(FLOATS + (INF,)) for _ in range(p + 1)))
+        for _ in range(40)
+    ]
+    assert all(map(pops.caps.one_is_identity_on, values))
+    for _ in range(200):
+        picked = rng.sample(values, 4)
+        shuffled = rng.sample(picked, 4)
+        left = pops.add(pops.add(pops.add(picked[0], picked[1]), picked[2]), picked[3])
+        right = pops.add(shuffled[0], pops.add(shuffled[1], pops.add(shuffled[2], shuffled[3])))
+        assert repr(left) == repr(right)
+
+
+def test_subclass_with_its_own_add_loses_the_licence():
+    class Reordered(TropicalPSemiring):
+        def add(self, a, b):
+            return super().add(b, a)
+
+    assert Reordered(1).caps.one_is_identity_on is None
+    assert TropicalPSemiring(1).caps.one_is_identity_on is not None

@@ -7,7 +7,9 @@ and the same Python objects as far as ``repr`` tells — ``3`` and
 ``3.0``, or ``0.0`` and ``-0.0``, differ.
 
 The differential runs one case matrix against two source trees and
-reports every case whose record differs::
+reports every case whose record differs, with the fields that do
+(``fingerprint``, ``steps``, ``verdict``, ``error``, a named
+``stats.<key>``, or a batch of an incremental history)::
 
     python tools/fingerprint.py diff --parent HEAD --workdir DIR [--quick]
 
@@ -77,6 +79,10 @@ def _spaces() -> Dict[str, Tuple[Any, Callable[[Any], Any], bool]]:
 
         return lift
 
+    def canonical_bag(p: int) -> Callable[[Any], Any]:
+        # Positively signed floats, which Trop+_p's frontier rounds need.
+        return lambda w: bag(p)(float(w) + 0.0)
+
     def unit(w: Any) -> Any:  # into [0, 1], keeping 0, -0.0 and 1 as given
         return 1 if w == math.inf else (w if w in (0, 1) else w / 8)
 
@@ -84,6 +90,7 @@ def _spaces() -> Dict[str, Tuple[Any, Callable[[Any], Any], bool]]:
         "trop": (S.TROP, lambda w: w, False),
         "trop_p1": (S.TropicalPSemiring(1), bag(1), False),
         "trop_p2": (S.TropicalPSemiring(2), bag(2), False),
+        "trop_p2_float": (S.TropicalPSemiring(2), canonical_bag(2), False),
         "viterbi": (S.VITERBI, unit, False),
         "bottleneck": (S.BOTTLENECK, lambda w: w, False),
         "rplus": (S.REAL_PLUS, lambda w: 2 if w == math.inf else w, True),
@@ -275,19 +282,65 @@ def _run_side(tree: str, out: str, quick: bool) -> Dict[str, Any]:
         return json.load(handle)
 
 
+def differing_fields(before: Any, after: Any, prefix: str = "") -> List[str]:
+    """The fields in which two records of one case differ: a differing
+    stat is ``stats.<key>``, a differing part of an incremental history
+    ``history.<batch>.fingerprint`` or ``history.<batch>.summary.<key>``.
+    A stat only one side reports (a counter the parent does not have) is
+    not compared."""
+    if isinstance(before, list) and isinstance(after, list) and len(before) == len(after):
+        return [
+            field for i, (old, new) in enumerate(zip(before, after))
+            for field in differing_fields(old, new, f"{prefix}{i}.")
+        ]
+    if not (isinstance(before, dict) and isinstance(after, dict)):
+        return [] if before == after else [prefix.rstrip(".")]
+    fields = []
+    for field in sorted(set(before) | set(after)):
+        old, new = before.get(field), after.get(field)
+        if field == "stats" and old is not None and new is not None:
+            old = {key: old[key] for key in old if key in new}
+            new = {key: new[key] for key in new if key in old}
+        if field in ("stats", "summary", "history"):
+            fields.extend(differing_fields(old, new, f"{prefix}{field}."))
+        elif old != new:
+            fields.append(prefix + field)
+    return fields
+
+
 def diff(parent: str, workdir: str, quick: bool) -> int:
     tree = os.path.join(workdir, "parent")
     _archive(parent, tree)
     before = _run_side(tree, os.path.join(workdir, "parent.json"), quick)
     after = _run_side(ROOT, os.path.join(workdir, "change.json"), quick)
-    differ = sorted(
-        name for name in set(before) | set(after)
-        if before.get(name) != after.get(name)
-    )
+    differ = {
+        name: differing_fields(before.get(name, {}), after.get(name, {}))
+        for name in sorted(set(before) | set(after))
+    }
+    differ = {name: fields for name, fields in differ.items() if fields}
     refused = sum(1 for record in after.values() if "error" in record)
     print(f"{len(after)} cases ({refused} refused), {len(differ)} differ")
-    for name in differ:
-        print(f"  {name}")
+    by_field: Dict[str, int] = {}
+    for fields in differ.values():
+        # Batches fold together, and stats into their record part.
+        groups = {re.sub(r"\.\d+", "", field) for field in fields}
+        groups = {
+            g.rsplit(".", 1)[0] if g.startswith(("stats.", "history.summary.")) else g
+            for g in groups
+        }
+        for group in groups:
+            by_field[group] = by_field.get(group, 0) + 1
+    for field, count in sorted(by_field.items()):
+        print(f"  {count} differ in {field}")
+    stats = [
+        {key for record in side.values() for key in record.get("stats", {})}
+        for side in (before, after)
+    ]
+    for label, keys in (("parent", stats[0] - stats[1]), ("change", stats[1] - stats[0])):
+        if keys:
+            print(f"  stats only the {label} reports (not compared): {', '.join(sorted(keys))}")
+    for name, fields in differ.items():
+        print(f"  {name}: {', '.join(fields)}")
     return 1 if differ else 0
 
 
