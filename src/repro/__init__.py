@@ -20,22 +20,16 @@ Quickstart::
     )])
     db = core.Database(pops=trop, relations={"E": {("a", "b"): 1.0}})
     result = core.solve(program, db)
+
+The subpackages are imported on first access (PEP 562), so ``import
+repro`` alone loads none of them.
 """
 
-from . import (
-    analysis,
-    apps,
-    core,
-    fixpoint,
-    negation,
-    programs,
-    semirings,
-    workloads,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
+_SUBPACKAGES = (
     "analysis",
     "apps",
     "core",
@@ -44,5 +38,18 @@ __all__ = [
     "programs",
     "semirings",
     "workloads",
-    "__version__",
-]
+)
+
+__all__ = [*_SUBPACKAGES, "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    if name not in _SUBPACKAGES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{name}")
+    globals()[name] = module
+    return module
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(_SUBPACKAGES))

@@ -36,6 +36,7 @@ from .core import (
     parse_program,
     solve,
 )
+from .core.engine import collector_paused
 from .semirings import POPS
 
 
@@ -184,16 +185,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.output == "json":
         from .core.io import instance_to_dict
 
-        payload = {
-            "steps": result.steps,
-            "pops": pops.name,
-            "instance": instance_to_dict(result.instance),
-        }
-        if result.verdict is not None:
-            payload["verdict"] = result.verdict.as_dict()
-        if args.stats:
-            payload["stats"] = result.stats
-        print(json.dumps(payload, indent=2, ensure_ascii=False))
+        with collector_paused():
+            payload = {
+                "steps": result.steps,
+                "pops": pops.name,
+                "instance": instance_to_dict(result.instance),
+            }
+            if result.verdict is not None:
+                payload["verdict"] = result.verdict.as_dict()
+            if args.stats:
+                payload["stats"] = result.stats
+            # One-shot and unindented: the only form json runs through
+            # its C encoder.
+            sys.stdout.write(json.dumps(payload, ensure_ascii=False) + "\n")
         return 0
     print(f"# converged in {result.steps} steps over {pops.name}")
     if result.verdict is not None:

@@ -1,240 +1,95 @@
-"""The datalog° language and its evaluation engines (Sections 2.4, 4, 6)."""
+"""The datalog° language and its evaluation engines (Sections 2.4, 4, 6).
 
-from .ast import (
-    And,
-    BoolAtom,
-    Compare,
-    Condition,
-    Constant,
-    KeyFunc,
-    Not,
-    Or,
-    TrueCond,
-    Variable,
-    const,
-    terms,
-    var,
-)
-from .batched import (
-    BatchedError,
-    BatchedKernel,
-    build_batched_join_kernel,
-    build_batched_rule_kernel,
-)
-from .codegen import CodegenKernel, generate_join_kernel, generate_rule_kernel
-from .demand import (
-    DemandError,
-    DemandQuery,
-    DemandVerdict,
-    demand_rewrite,
-    demand_solve,
-    demand_verdict,
-    parse_query,
-)
-from .engine import solve
-from .extensions import HybridEvaluator, ThresholdRule
-from .grounding import GroundingError, assignment_to_instance, ground_program
-from .incremental import (
-    ApplySummary,
-    DredBudgetExceeded,
-    IncrementalInstance,
-    Mutation,
-    fingerprint,
-)
-from .journal import (
-    DurableInstance,
-    InjectedCrash,
-    JournalError,
-    JournalWarning,
-    MutationJournal,
-    load_checkpoint,
-    write_checkpoint,
-)
-from .guardrails import (
-    Budget,
-    BudgetExceeded,
-    FaultPlan,
-    PartialResult,
-    PreflightVerdict,
-    preflight,
-)
-from .indexes import IndexManager, JoinStats, KeyIndex
-from .instance import Database, Instance
-from .kernels import (
-    VALID_ENGINES,
-    BodyKernels,
-    CompiledKernel,
-    KernelCache,
-    compile_kernel,
-)
-from .io import (
-    database_from_dict,
-    database_to_dict,
-    decode_value,
-    dump_instance,
-    encode_value,
-    instance_from_dict,
-    instance_to_dict,
-    load_instance,
-)
-from .linear import LinearFunction, LinearityError, linear_lfp
-from .naive import EvaluationResult, NaiveEvaluator, naive_fixpoint
-from .newton import NewtonError, NewtonResult, jacobian, newton_fixpoint, partial_derivative
-from .parser import ParseError, parse_program, tokenize
-from .plan_ir import BodyPlanIR, ProbeStepIR, build_body_plan
-from .planner import (
-    JoinPlan,
-    PlanStep,
-    ShardingPlan,
-    broadcast_relations,
-    build_plan,
-    build_sharding_plan,
-    select_shard_columns,
-)
-from .polynomial import Monomial, Polynomial, PolynomialSystem
-from .rules import (
-    Factor,
-    FuncFactor,
-    Indicator,
-    KeyAsValue,
-    Program,
-    ProgramError,
-    RelAtom,
-    Rule,
-    SumProduct,
-    ValueConst,
-    case_rule,
-)
-from .scheduler import (
-    VALID_SCHEDULES,
-    StratificationError,
-    StratumReport,
-    scheduled_fixpoint,
-)
-from .valuations import VALID_PLANS
-from .seminaive import SemiNaiveError, SemiNaiveEvaluator, seminaive_fixpoint
-from .serve import DatalogService, ServeError, make_server
-from .sharded import ShardedSemiNaiveEvaluator, ShardWorkerError
+The package is a lazy namespace (PEP 562): each public name below is
+imported from its submodule on first access and then cached here, so
+``from repro.core import solve`` loads the solver's modules and not the
+batched backend, numpy, the demand rewriter or the HTTP service.
+"""
 
-__all__ = [
-    "And",
-    "BodyPlanIR",
-    "BoolAtom",
-    "CodegenKernel",
-    "Compare",
-    "Condition",
-    "Constant",
-    "BatchedError",
-    "BatchedKernel",
-    "Budget",
-    "BudgetExceeded",
-    "ApplySummary",
-    "Database",
-    "DatalogService",
-    "DemandError",
-    "DemandQuery",
-    "DemandVerdict",
-    "DredBudgetExceeded",
-    "DurableInstance",
-    "EvaluationResult",
-    "Factor",
-    "FaultPlan",
-    "FuncFactor",
-    "GroundingError",
-    "HybridEvaluator",
-    "IncrementalInstance",
-    "IndexManager",
-    "Indicator",
-    "InjectedCrash",
-    "Instance",
-    "JoinPlan",
-    "JoinStats",
-    "JournalError",
-    "JournalWarning",
-    "BodyKernels",
-    "CompiledKernel",
-    "KernelCache",
-    "KeyAsValue",
-    "KeyFunc",
-    "KeyIndex",
-    "LinearFunction",
-    "LinearityError",
-    "Monomial",
-    "Mutation",
-    "MutationJournal",
-    "NaiveEvaluator",
-    "NewtonError",
-    "NewtonResult",
-    "Not",
-    "ParseError",
-    "parse_program",
-    "tokenize",
-    "Or",
-    "PartialResult",
-    "PlanStep",
-    "Polynomial",
-    "PolynomialSystem",
-    "PreflightVerdict",
-    "ProbeStepIR",
-    "Program",
-    "ProgramError",
-    "RelAtom",
-    "Rule",
-    "SemiNaiveError",
-    "SemiNaiveEvaluator",
-    "ServeError",
-    "ShardWorkerError",
-    "ShardedSemiNaiveEvaluator",
-    "ShardingPlan",
-    "StratificationError",
-    "StratumReport",
-    "SumProduct",
-    "ThresholdRule",
-    "TrueCond",
-    "VALID_ENGINES",
-    "VALID_PLANS",
-    "VALID_SCHEDULES",
-    "ValueConst",
-    "Variable",
-    "assignment_to_instance",
-    "case_rule",
-    "compile_kernel",
-    "database_from_dict",
-    "database_to_dict",
-    "decode_value",
-    "dump_instance",
-    "encode_value",
-    "fingerprint",
-    "instance_from_dict",
-    "instance_to_dict",
-    "load_instance",
-    "broadcast_relations",
-    "build_batched_join_kernel",
-    "build_batched_rule_kernel",
-    "build_body_plan",
-    "build_plan",
-    "build_sharding_plan",
-    "const",
-    "generate_join_kernel",
-    "generate_rule_kernel",
-    "ground_program",
-    "demand_rewrite",
-    "demand_solve",
-    "demand_verdict",
-    "parse_query",
-    "linear_lfp",
-    "load_checkpoint",
-    "make_server",
-    "jacobian",
-    "naive_fixpoint",
-    "newton_fixpoint",
-    "partial_derivative",
-    "preflight",
-    "scheduled_fixpoint",
-    "select_shard_columns",
-    "seminaive_fixpoint",
-    "solve",
-    "terms",
-    "var",
-    "write_checkpoint",
-]
+import importlib
+
+#: submodule → the public names it contributes to ``repro.core``.
+_EXPORTS = {
+    "ast": (
+        "And", "BoolAtom", "Compare", "Condition", "Constant", "KeyFunc",
+        "Not", "Or", "TrueCond", "Variable", "const", "terms", "var",
+    ),
+    "batched": (
+        "BatchedError", "BatchedKernel", "build_batched_join_kernel",
+        "build_batched_rule_kernel",
+    ),
+    "codegen": ("CodegenKernel", "generate_join_kernel", "generate_rule_kernel"),
+    "demand": (
+        "DemandError", "DemandQuery", "DemandVerdict", "demand_rewrite",
+        "demand_solve", "demand_verdict", "parse_query",
+    ),
+    "engine": ("solve",),
+    "extensions": ("HybridEvaluator", "ThresholdRule"),
+    "grounding": ("GroundingError", "assignment_to_instance", "ground_program"),
+    "incremental": (
+        "ApplySummary", "DredBudgetExceeded", "IncrementalInstance",
+        "Mutation", "fingerprint",
+    ),
+    "journal": (
+        "DurableInstance", "InjectedCrash", "JournalError", "JournalWarning",
+        "MutationJournal", "load_checkpoint", "write_checkpoint",
+    ),
+    "guardrails": (
+        "Budget", "BudgetExceeded", "FaultPlan", "PartialResult",
+        "PreflightVerdict", "preflight",
+    ),
+    "indexes": ("IndexManager", "JoinStats", "KeyIndex"),
+    "instance": ("Database", "Instance"),
+    "kernels": (
+        "VALID_ENGINES", "BodyKernels", "CompiledKernel", "KernelCache",
+        "compile_kernel",
+    ),
+    "io": (
+        "database_from_dict", "database_to_dict", "decode_value",
+        "dump_instance", "encode_value", "instance_from_dict",
+        "instance_to_dict", "load_instance",
+    ),
+    "linear": ("LinearFunction", "LinearityError", "linear_lfp"),
+    "naive": ("EvaluationResult", "NaiveEvaluator", "naive_fixpoint"),
+    "newton": (
+        "NewtonError", "NewtonResult", "jacobian", "newton_fixpoint",
+        "partial_derivative",
+    ),
+    "parser": ("ParseError", "parse_program", "tokenize"),
+    "plan_ir": ("BodyPlanIR", "ProbeStepIR", "build_body_plan"),
+    "planner": (
+        "JoinPlan", "PlanStep", "ShardingPlan", "broadcast_relations",
+        "build_plan", "build_sharding_plan", "select_shard_columns",
+    ),
+    "polynomial": ("Monomial", "Polynomial", "PolynomialSystem"),
+    "rules": (
+        "Factor", "FuncFactor", "Indicator", "KeyAsValue", "Program",
+        "ProgramError", "RelAtom", "Rule", "SumProduct", "ValueConst",
+        "case_rule",
+    ),
+    "scheduler": (
+        "VALID_SCHEDULES", "StratificationError", "StratumReport",
+        "scheduled_fixpoint",
+    ),
+    "valuations": ("VALID_PLANS",),
+    "seminaive": ("SemiNaiveError", "SemiNaiveEvaluator", "seminaive_fixpoint"),
+    "serve": ("DatalogService", "ServeError", "make_server"),
+    "sharded": ("ShardedSemiNaiveEvaluator", "ShardWorkerError"),
+}
+
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str) -> object:
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | _SOURCE.keys())

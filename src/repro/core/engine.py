@@ -25,7 +25,10 @@ differential baseline).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+import gc
+import threading
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 from ..semirings.base import FunctionRegistry
 from .grounding import assignment_to_instance, ground_program
@@ -46,7 +49,41 @@ VALID_METHODS: Tuple[str, ...] = ("naive", "seminaive", "grounded", "linear")
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .demand import PreparedQuery, QueryLike
 
+_collector_lock = threading.Lock()
+_collector_depth = 0
+_collector_resume = False
 
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the block with Python's cyclic garbage collector disabled.
+
+    A fixpoint allocates millions of tuples, lists and dicts, and
+    reference counting frees the short-lived ones on its own; the
+    collector would still scan every few hundred allocations, and its
+    full collections walk the growing, cycle-free relations.  Entries
+    nest across threads (served bound queries run ``solve`` on pool
+    threads): the outermost entry disables the collector if it was
+    enabled, and the last exit — also by an exception such as
+    ``BudgetExceeded`` — re-enables it then and only then.  A
+    collector the caller had disabled stays disabled.
+    """
+    global _collector_depth, _collector_resume
+    with _collector_lock:
+        if _collector_depth == 0:
+            _collector_resume = gc.isenabled()
+            gc.disable()
+        _collector_depth += 1
+    try:
+        yield
+    finally:
+        with _collector_lock:
+            _collector_depth -= 1
+            if _collector_depth == 0 and _collector_resume:
+                gc.enable()
+
+
+@collector_paused()
 def solve(
     program: Program,
     database: Database,

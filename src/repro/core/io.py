@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, IO, Mapping, Optional
+from typing import Any, Dict, IO, List, Mapping, Optional
 
 from ..semirings.base import POPS
 from ..semirings.lifted import BOTTOM, TOP
@@ -30,6 +30,8 @@ from .instance import Database, Instance
 
 def encode_value(value: Any) -> Any:
     """Encode one POPS value into JSON-compatible data."""
+    if type(value) is float:  # the common case, first
+        return {"inf": value > 0} if math.isinf(value) else value
     if value is BOTTOM:
         return None
     if value is TOP:
@@ -67,15 +69,18 @@ def decode_value(data: Any) -> Any:
     return data
 
 
+def _encode_support(support: Mapping[Any, Any]) -> List[List[Any]]:
+    """``[[key, value], …]`` pairs of one relation, ordered by ``repr(key)``."""
+    return [
+        [list(key), encode_value(support[key])]
+        for key in sorted(support, key=repr)
+    ]
+
+
 def instance_to_dict(instance: Instance) -> Dict[str, Any]:
     """Serialize an instance's support to plain data."""
     return {
-        rel: [
-            [list(key), encode_value(value)]
-            for key, value in sorted(
-                instance.support(rel).items(), key=lambda kv: repr(kv[0])
-            )
-        ]
+        rel: _encode_support(instance.support(rel))
         for rel in sorted(instance.relations())
     }
 
@@ -93,12 +98,7 @@ def database_to_dict(database: Database) -> Dict[str, Any]:
     """Serialize a database (relations + Boolean relations)."""
     return {
         "relations": {
-            rel: [
-                [list(key), encode_value(value)]
-                for key, value in sorted(
-                    support.items(), key=lambda kv: repr(kv[0])
-                )
-            ]
+            rel: _encode_support(support)
             for rel, support in sorted(database.relations.items())
         },
         "bool_relations": {

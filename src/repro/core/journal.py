@@ -257,7 +257,9 @@ def write_checkpoint(
     path = os.path.join(data_dir, CHECKPOINT_NAME)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
+        # One-shot ``dumps``: ``json.dump`` streams through the pure-Python
+        # encoder, ``dumps`` runs the C one (same bytes).
+        handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         handle.flush()
         os.fsync(handle.fileno())
     if before_rename is not None:

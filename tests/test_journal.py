@@ -7,6 +7,8 @@ replaying the surviving whole records, across TROP/BOOL/THREE.
 
 from __future__ import annotations
 
+import io
+import json
 import os
 import warnings
 
@@ -17,6 +19,8 @@ from repro import core, programs, workloads
 from repro.core.guardrails import FaultPlan
 from repro.core.incremental import IncrementalInstance, Mutation, fingerprint
 from repro.core.journal import (
+    CHECKPOINT_NAME,
+    CHECKPOINT_SCHEMA,
     JOURNAL_NAME,
     DurableInstance,
     InjectedCrash,
@@ -368,6 +372,26 @@ class TestCheckpointing:
         write_checkpoint(str(tmp_path), {"schema": "bogus/9", "seq": 0})
         with pytest.raises(JournalError, match="schema"):
             load_checkpoint(str(tmp_path))
+
+    def test_checkpoint_bytes_match_streamed_encoder(self, tmp_path):
+        # The checkpoint is written with one ``json.dumps``; its bytes
+        # are exactly what ``json.dump`` with the same options streams.
+        payload = {
+            "schema": CHECKPOINT_SCHEMA,
+            "seq": 7,
+            "database": {
+                "relations": {"E": [[["b", "é"], 2.5], [["a", "b"], 1]]},
+                "bool_relations": {"Src": [["a"]]},
+            },
+            "instance": {"T": [[["a", "b"], {"inf": True}], [["x"], None]]},
+            "values": [{"bag": [1.0, 2.0]}, {"⊤": True}, -0.0, 1e300],
+        }
+        write_checkpoint(str(tmp_path), payload)
+        with open(os.path.join(str(tmp_path), CHECKPOINT_NAME), "rb") as handle:
+            written = handle.read()
+        streamed = io.StringIO()
+        json.dump(payload, streamed, sort_keys=True, separators=(",", ":"))
+        assert written == streamed.getvalue().encode("utf-8")
 
     def test_missing_checkpoint_is_none(self, tmp_path):
         assert load_checkpoint(str(tmp_path)) is None
