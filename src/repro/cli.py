@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, Callable, Dict, Optional
 
@@ -210,7 +211,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the crash-safe always-on query service over HTTP."""
-    from .core.journal import CHECKPOINT_NAME, load_checkpoint
+    from .core.journal import CHECKPOINT_NAME
     from .core.serve import DatalogService, make_server
 
     pops = resolve_pops(args.pops)
@@ -219,7 +220,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     database = None
     if args.edb is not None:
         database = load_database(args.edb, pops)
-    elif load_checkpoint(args.data_dir) is None:
+    elif not os.path.exists(os.path.join(args.data_dir, CHECKPOINT_NAME)):
         raise SystemExit(
             f"error: no --edb given and no {CHECKPOINT_NAME} in "
             f"{args.data_dir!r} to recover from"

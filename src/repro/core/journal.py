@@ -24,11 +24,12 @@ new checkpoint, never a torn one.
 
 **Recovery** — :class:`DurableInstance` opening a data directory loads
 the checkpoint, rebuilds the warm fixpoint without re-solving, and
-replays the journal suffix (records with sequence numbers beyond the
-checkpoint's) through the ordinary incremental-apply path.  Because
+applies the journal suffix (records with sequence numbers beyond the
+checkpoint's) as one net batch through the ordinary incremental-apply
+path.  The least fixpoint depends only on the final EDB, and
 incremental maintenance is deterministic and byte-identical to
-``solve()`` from scratch, a recovered process converges to exactly the
-state an uncrashed one would hold.
+``solve()`` from scratch, so a recovered process converges to exactly
+the state an uncrashed one would hold.
 
 Every crash window is exercised deterministically through the extended
 ``DATALOGO_FAULT`` grammar (named mutation sites — see
@@ -50,6 +51,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from warnings import warn
 
 from ..semirings.base import FunctionRegistry, POPS
+from .engine import collector_paused
 from .guardrails import FaultPlan
 from .incremental import ApplySummary, IncrementalInstance, Mutation
 from .instance import Database
@@ -303,7 +305,8 @@ class DurableInstance:
 
     Stats (merged with the wrapped instance's in
     :meth:`stats_snapshot`): ``journal_records`` (batches appended),
-    ``journal_replays`` (batches re-applied during recovery),
+    ``journal_replays`` (records recovery re-applied, all of them in
+    one batch),
     ``checkpoint_writes``, ``recoveries``, ``journal_skips`` (replay
     records already covered by the checkpoint), ``apply_aborts``
     (journaled batches scrubbed because their in-memory apply failed).
@@ -355,9 +358,8 @@ class DurableInstance:
         #: subsequent write raises :class:`JournalError` rather than
         #: journaling against a possibly-desynced in-memory state.
         self.healthy = True
-        checkpoint = load_checkpoint(data_dir)
-        if checkpoint is not None:
-            self._recover(checkpoint)
+        if os.path.exists(os.path.join(data_dir, CHECKPOINT_NAME)):
+            self._recover()
         else:
             if database is None:
                 raise ValueError(
@@ -369,22 +371,29 @@ class DurableInstance:
                 program, database, **self._inc_kwargs
             )
             self.checkpoint()
-        self._since_checkpoint = 0
 
-    def _recover(self, checkpoint: Optional[Dict[str, Any]] = None) -> None:
+    @collector_paused()
+    def _recover(self) -> None:
         """(Re)build the in-memory state purely from disk.
 
         Runs at open (process restart) and after an aborted apply (the
         in-memory database may hold a half-applied batch): load the
-        checkpoint, rebuild the warm fixpoint without re-solving, replay
-        the journal suffix.
+        checkpoint, rebuild the warm fixpoint without re-solving, and
+        apply the journal suffix as **one** batch: the mutations of
+        every record past the checkpoint, in journal order.
+        ``IncrementalInstance.apply`` counts each ``(relation, key)``'s
+        last write only, so the batch is exactly the net change from
+        the checkpoint's EDB; the least fixpoint depends only on the
+        final EDB, so one apply lands where the records applied one by
+        one would.  The decode and the apply allocate the whole
+        fixpoint and no garbage cycles, so the cyclic collector is
+        paused for them.
         """
+        checkpoint = load_checkpoint(self.data_dir)
         if checkpoint is None:
-            checkpoint = load_checkpoint(self.data_dir)
-            if checkpoint is None:
-                raise JournalError(
-                    f"no checkpoint in {self.data_dir!r} to recover from"
-                )
+            raise JournalError(
+                f"no checkpoint in {self.data_dir!r} to recover from"
+            )
         ck_pops = checkpoint.get("pops")
         if ck_pops != self.pops.name:
             raise JournalError(
@@ -402,6 +411,8 @@ class DurableInstance:
             warm_steps=int(checkpoint.get("steps", 0)),
             **self._inc_kwargs,
         )
+        suffix: List[Mutation] = []
+        replays = 0
         for seq, mutations in self.journal.replay():
             if seq <= self.seq:
                 # Covered by the checkpoint: a crash between the
@@ -409,10 +420,16 @@ class DurableInstance:
                 # already-applied records behind.
                 self.stats["journal_skips"] += 1
                 continue
-            self.inc.apply(mutations)
+            suffix.extend(mutations)
             self.seq = seq
-            self.stats["journal_replays"] += 1
+            replays += 1
+        if replays:
+            self.inc.apply(suffix)
+        self.stats["journal_replays"] += replays
         self.stats["recoveries"] += 1
+        # The replayed records are still un-checkpointed: the next
+        # checkpoint comes due where an uncrashed run's would.
+        self._since_checkpoint = replays
 
     # ------------------------------------------------------------------
     @property

@@ -402,6 +402,17 @@ class TestServeCli:
             main(["serve", program, "--pops", "trop",
                   "--data-dir", str(tmp_path / "empty")])
 
+    def test_serve_corrupt_checkpoint_raises(self, tc_files, tmp_path):
+        from repro.core.journal import CHECKPOINT_NAME, JournalError
+
+        program, _edb = tc_files
+        data_dir = tmp_path / "state"
+        data_dir.mkdir()
+        (data_dir / CHECKPOINT_NAME).write_text("{not json")
+        with pytest.raises(JournalError, match="corrupt checkpoint"):
+            main(["serve", program, "--pops", "trop",
+                  "--data-dir", str(data_dir)])
+
     def test_serve_round_trip_over_http(self, tc_files, tmp_path):
         """Boot the real subcommand in a thread, hit it over HTTP."""
         import threading

@@ -2,13 +2,17 @@
 
 The headline property: **any byte prefix** of a valid journal —
 including a torn mid-record tail — recovers to exactly the state of
-replaying the surviving whole records, across TROP/BOOL/THREE.
+replaying the surviving whole records one by one, across
+TROP/BOOL/THREE, Trop+_2 (no ⊖) and Viterbi.  Recovery applies them as
+one net batch (``TestFoldedRecovery``).
 """
 
 from __future__ import annotations
 
+import gc
 import io
 import json
+import math
 import os
 import warnings
 
@@ -32,7 +36,7 @@ from repro.core.journal import (
     load_checkpoint,
     write_checkpoint,
 )
-from repro.semirings import BOOL, THREE, TROP
+from repro.semirings import BOOL, THREE, TROP, VITERBI, TropicalPSemiring
 
 
 def trop_setup():
@@ -76,7 +80,51 @@ def three_setup():
     return programs.transitive_closure(), THREE, db, batches
 
 
-SETUPS = {"trop": trop_setup, "bool": bool_setup, "three": three_setup}
+def _bag(w):
+    """A canonical Trop+_2 float bag: sorted, positively signed floats."""
+    return (float(w), math.inf, math.inf)
+
+
+def trop_p2_setup():
+    # No ⊖: inserts take the warm-naïve path, deletes re-solve.
+    pops = TropicalPSemiring(2)
+    db = core.Database(
+        pops=pops,
+        relations={"E": {k: _bag(w) for k, w in workloads.fig_2a_graph().items()}},
+    )
+    batches = [
+        [Mutation("insert", "E", ("d", "a"), _bag(1.5))],
+        [Mutation("insert", "E", ("a", "c"), _bag(2.0))],
+        [Mutation("delete", "E", ("b", "a"), None)],
+        [Mutation("insert", "E", ("c", "x"), _bag(0.5)),
+         Mutation("insert", "E", ("x", "b"), _bag(0.25))],
+    ]
+    return programs.transitive_closure(), pops, db, batches
+
+
+def viterbi_setup():
+    db = core.Database(
+        pops=VITERBI,
+        relations={"E": {("a", "b"): 0.5, ("b", "c"): 0.9,
+                         ("c", "a"): 0.25, ("a", "c"): 0.125}},
+    )
+    batches = [
+        [Mutation("insert", "E", ("c", "d"), 0.75)],
+        [Mutation("insert", "E", ("a", "c"), 0.5)],
+        [Mutation("delete", "E", ("b", "c"), None)],
+        [Mutation("insert", "E", ("d", "a"), 1.0),
+         Mutation("insert", "E", ("a", "b"), 0.375)],
+    ]
+    return programs.transitive_closure(), VITERBI, db, batches
+
+
+SETUPS = {
+    "trop": trop_setup,
+    "bool": bool_setup,
+    "three": three_setup,
+    "trop_p2": trop_p2_setup,
+    "viterbi": viterbi_setup,
+}
 
 
 class TestRecordFormat:
@@ -178,6 +226,141 @@ class TestJournalPrefixRecovery:
             ) as recovered:
                 assert recovered.seq == 2
                 assert recovered.stats["journal_replays"] == 2
+
+
+def _journal_batches(d, program, pops, db, batches):
+    """Journal ``batches`` into ``d``, none checkpointed; returns the
+    live fingerprint."""
+    with DurableInstance(
+        d, program, pops, database=db, checkpoint_every=100
+    ) as dur:
+        for batch in batches:
+            dur.apply(batch)
+        return fingerprint(dur.instance)
+
+
+class TestFoldedRecovery:
+    """Recovery applies the journal suffix as one net batch."""
+
+    def test_n_records_one_apply(self, tmp_path):
+        program, pops, db, batches = trop_setup()
+        d = str(tmp_path)
+        live = _journal_batches(d, program, pops, db, batches)
+        with DurableInstance(d, program, pops) as recovered:
+            stats = recovered.stats_snapshot()
+            assert stats["incremental_applies"] == 1
+            assert stats["journal_replays"] == len(batches)
+            assert stats["journal_skips"] == 0
+            assert recovered.seq == len(batches)
+            assert fingerprint(recovered.instance) == live
+
+    def test_stale_records_skipped_not_applied(self, tmp_path, monkeypatch):
+        # crash@truncate:2 publishes the seq-2 checkpoint and leaves
+        # records 1 and 2 behind; a third record follows them.
+        program, pops, db, batches = trop_setup()
+        d = str(tmp_path)
+        dur = DurableInstance(
+            d, program, pops, database=db, checkpoint_every=2,
+            fault_plan=FaultPlan.parse("crash@truncate:2"),
+        )
+        dur.apply(batches[0])
+        with pytest.raises(InjectedCrash):
+            dur.apply(batches[1])
+        with open(os.path.join(d, JOURNAL_NAME), "ab") as f:
+            f.write(encode_record(3, batches[2]))
+        applied = []
+        real_apply = IncrementalInstance.apply
+
+        def recording_apply(inc, mutations):
+            applied.append(list(mutations))
+            return real_apply(inc, mutations)
+
+        monkeypatch.setattr(IncrementalInstance, "apply", recording_apply)
+        with DurableInstance(d, program, pops, checkpoint_every=2) as rec:
+            assert rec.stats["journal_skips"] == 2
+            assert rec.stats["journal_replays"] == 1
+            assert rec.inc.stats["incremental_applies"] == 1
+            assert rec.seq == 3
+            got = fingerprint(rec.instance)
+        assert applied == [batches[2]]
+        monkeypatch.undo()
+        program2, _pops2, db2, _ = trop_setup()
+        ref = IncrementalInstance(program2, db2)
+        for batch in batches[:3]:
+            ref.apply(batch)
+        assert got == fingerprint(ref.instance)
+
+    def test_net_empty_suffix_gives_checkpoint(self, tmp_path):
+        program, pops, db, _batches = trop_setup()
+        d = str(tmp_path)
+        with DurableInstance(
+            d, program, pops, database=db, checkpoint_every=100
+        ) as dur:
+            at_checkpoint = fingerprint(dur.instance)
+            dur.apply([Mutation("insert", "E", ("a", "q"), 0.5)])
+            dur.apply([Mutation("delete", "E", ("a", "q"), None)])
+        with DurableInstance(d, program, pops) as recovered:
+            assert recovered.seq == 2
+            assert recovered.stats["journal_replays"] == 2
+            assert recovered.inc.stats["incremental_applies"] == 1
+            assert recovered.inc.stats["incremental_fallbacks"] == 0
+            assert fingerprint(recovered.instance) == at_checkpoint
+
+    def test_apply_runs_with_collector_paused(self, tmp_path, monkeypatch):
+        program, pops, db, batches = trop_setup()
+        d = str(tmp_path)
+        _journal_batches(d, program, pops, db, batches)
+        seen = []
+        real_apply = IncrementalInstance.apply
+
+        def probing_apply(inc, mutations):
+            seen.append(gc.isenabled())
+            return real_apply(inc, mutations)
+
+        monkeypatch.setattr(IncrementalInstance, "apply", probing_apply)
+        assert gc.isenabled()
+        DurableInstance(d, program, pops).close()
+        assert seen == [False]
+        assert gc.isenabled()
+
+
+class TestCollectorAfterRecovery:
+    """Recovery pauses the cyclic collector and always restores it."""
+
+    def _data_dir(self, tmp_path):
+        program, pops, db, batches = trop_setup()
+        d = str(tmp_path)
+        _journal_batches(d, program, pops, db, batches)
+        return d, program, pops
+
+    def test_enabled_again_after_recovery(self, tmp_path):
+        d, program, pops = self._data_dir(tmp_path)
+        assert gc.isenabled()
+        DurableInstance(d, program, pops).close()
+        assert gc.isenabled()
+
+    def test_enabled_again_after_wrong_pops(self, tmp_path):
+        d, _program, _pops = self._data_dir(tmp_path)
+        with pytest.raises(JournalError, match="value space"):
+            DurableInstance(d, programs.transitive_closure(), BOOL)
+        assert gc.isenabled()
+
+    def test_enabled_again_after_corrupt_checkpoint(self, tmp_path):
+        d, program, pops = self._data_dir(tmp_path)
+        with open(os.path.join(d, CHECKPOINT_NAME), "w") as f:
+            f.write('{"schema": "datalogo-checkpoint/1", "se')
+        with pytest.raises(JournalError, match="corrupt checkpoint"):
+            DurableInstance(d, program, pops)
+        assert gc.isenabled()
+
+    def test_caller_disabled_collector_stays_disabled(self, tmp_path):
+        d, program, pops = self._data_dir(tmp_path)
+        gc.disable()
+        try:
+            DurableInstance(d, program, pops).close()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestCrashMatrix:
@@ -367,6 +550,21 @@ class TestCheckpointing:
         with DurableInstance(d, program, pops) as recovered:
             assert recovered.stats["journal_replays"] == 0
             assert recovered.seq == len(batches)
+
+    def test_checkpoint_schedule_survives_a_crash(self, tmp_path):
+        # Three un-checkpointed records survive the crash; one more
+        # batch after the reopen is the fourth, and checkpoints.
+        program, pops, db, batches = trop_setup()
+        d = str(tmp_path)
+        dur = DurableInstance(d, program, pops, database=db, checkpoint_every=4)
+        for batch in batches[:3]:
+            dur.apply(batch)
+        del dur  # abandoned, as a killed process leaves it
+        with DurableInstance(d, program, pops, checkpoint_every=4) as reopened:
+            assert reopened.stats["journal_replays"] == 3
+            reopened.apply(batches[3])
+            assert reopened.stats["checkpoint_writes"] == 1
+            assert os.path.getsize(os.path.join(d, JOURNAL_NAME)) == 0
 
     def test_checkpoint_schema_guard(self, tmp_path):
         write_checkpoint(str(tmp_path), {"schema": "bogus/9", "seq": 0})

@@ -9,7 +9,8 @@ and the same Python objects as far as ``repr`` tells — ``3`` and
 The differential runs one case matrix against two source trees and
 reports every case whose record differs, with the fields that do
 (``fingerprint``, ``steps``, ``verdict``, ``error``, a named
-``stats.<key>``, or a batch of an incremental history)::
+``stats.<key>``, a batch of an incremental history, or the state
+recovery rebuilds from that history's journal)::
 
     python tools/fingerprint.py diff --parent HEAD --workdir DIR [--quick]
 
@@ -19,7 +20,8 @@ own process with its tree's ``src`` first on ``sys.path`` and a fixed
 ``PYTHONHASHSEED``.  A record holds the fingerprint, the steps, the
 verdict, every integer stat, or the error a case raised.  The matrix is
 programs × value spaces × methods × engines × plans × schedules, plus
-demand queries (``query=``) and incremental histories.  Exit status 1
+demand queries (``query=``) and incremental histories, each history
+also journaled through a ``DurableInstance`` and recovered.  Exit status 1
 means some record differs.
 
     python tools/fingerprint.py run --src TREE --out FILE [--quick]
@@ -234,7 +236,8 @@ def cases(quick: bool) -> Iterator[Tuple[str, Callable[[], Dict[str, Any]]]]:
 
 def _history(program, database, engine, batches) -> Dict[str, Any]:
     """Apply ``batches`` through one incremental instance, recording
-    each batch's summary and the maintained fixpoint."""
+    each batch's summary and the maintained fixpoint, and what recovery
+    rebuilds from the same batches journaled."""
     from repro.core.incremental import IncrementalInstance, Mutation, fingerprint
 
     inc = IncrementalInstance(program, database, engine=engine)
@@ -248,7 +251,39 @@ def _history(program, database, engine, batches) -> Dict[str, Any]:
             continue
         summary.pop("wall_s", None)
         out.append({"summary": summary, "fingerprint": fingerprint(inc.instance)})
-    return {"history": out}
+    return {"history": out, "recovery": _recovered(program, database, engine, batches)}
+
+
+def _recovered(program, database, engine, batches) -> Dict[str, Any]:
+    """Journal ``batches`` through a durable instance that checkpoints
+    none of them, reopen its data directory, and record the recovered
+    fixpoint, ``seq`` and ``journal_replays``."""
+    import tempfile
+
+    from repro.core.incremental import Mutation, fingerprint
+    from repro.core.journal import DurableInstance
+
+    options = dict(engine=engine, checkpoint_every=len(batches) + 1)
+    with tempfile.TemporaryDirectory() as data_dir:
+        try:
+            with DurableInstance(
+                data_dir, program, database.pops, database=database, **options
+            ) as live:
+                for batch in batches:
+                    try:  # a failed batch is scrubbed; the history records it
+                        live.apply([Mutation(*mutation) for mutation in batch])
+                    except Exception:  # noqa: BLE001
+                        pass
+            with DurableInstance(
+                data_dir, program, database.pops, **options
+            ) as recovered:
+                return {
+                    "fingerprint": fingerprint(recovered.instance),
+                    "seq": recovered.seq,
+                    "journal_replays": recovered.stats["journal_replays"],
+                }
+        except Exception as exc:  # noqa: BLE001
+            return {"error": f"{type(exc).__name__}: {exc}"}
 
 
 def run(src: str, out: str, quick: bool) -> None:
@@ -285,9 +320,9 @@ def _run_side(tree: str, out: str, quick: bool) -> Dict[str, Any]:
 def differing_fields(before: Any, after: Any, prefix: str = "") -> List[str]:
     """The fields in which two records of one case differ: a differing
     stat is ``stats.<key>``, a differing part of an incremental history
-    ``history.<batch>.fingerprint`` or ``history.<batch>.summary.<key>``.
-    A stat only one side reports (a counter the parent does not have) is
-    not compared."""
+    ``history.<batch>.fingerprint`` or ``history.<batch>.summary.<key>``,
+    and of the recovered state ``recovery.<key>``.  A stat only one side
+    reports (a counter the parent does not have) is not compared."""
     if isinstance(before, list) and isinstance(after, list) and len(before) == len(after):
         return [
             field for i, (old, new) in enumerate(zip(before, after))
@@ -301,7 +336,7 @@ def differing_fields(before: Any, after: Any, prefix: str = "") -> List[str]:
         if field == "stats" and old is not None and new is not None:
             old = {key: old[key] for key in old if key in new}
             new = {key: new[key] for key in new if key in old}
-        if field in ("stats", "summary", "history"):
+        if field in ("stats", "summary", "history", "recovery"):
             fields.extend(differing_fields(old, new, f"{prefix}{field}."))
         elif old != new:
             fields.append(prefix + field)
