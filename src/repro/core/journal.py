@@ -372,8 +372,15 @@ class DurableInstance:
             )
             self.checkpoint()
 
-    @collector_paused()
     def _recover(self) -> None:
+        """Open-time recovery: :meth:`_rebuild`, booked as one boot."""
+        replays, skips = self._rebuild()
+        self.stats["journal_replays"] += replays
+        self.stats["journal_skips"] += skips
+        self.stats["recoveries"] += 1
+
+    @collector_paused()
+    def _rebuild(self) -> Tuple[int, int]:
         """(Re)build the in-memory state purely from disk.
 
         Runs at open (process restart) and after an aborted apply (the
@@ -387,7 +394,8 @@ class DurableInstance:
         final EDB, so one apply lands where the records applied one by
         one would.  The decode and the apply allocate the whole
         fixpoint and no garbage cycles, so the cyclic collector is
-        paused for them.
+        paused for them.  Returns ``(records replayed, records
+        skipped)``; the caller books them.
         """
         checkpoint = load_checkpoint(self.data_dir)
         if checkpoint is None:
@@ -412,24 +420,39 @@ class DurableInstance:
             **self._inc_kwargs,
         )
         suffix: List[Mutation] = []
-        replays = 0
+        replays = skips = 0
         for seq, mutations in self.journal.replay():
             if seq <= self.seq:
                 # Covered by the checkpoint: a crash between the
                 # checkpoint rename and the journal rotation leaves
                 # already-applied records behind.
-                self.stats["journal_skips"] += 1
+                skips += 1
                 continue
             suffix.extend(mutations)
             self.seq = seq
             replays += 1
         if replays:
             self.inc.apply(suffix)
-        self.stats["journal_replays"] += replays
-        self.stats["recoveries"] += 1
         # The replayed records are still un-checkpointed: the next
         # checkpoint comes due where an uncrashed run's would.
         self._since_checkpoint = replays
+        return replays, skips
+
+    def _rollback(self) -> None:
+        """Rebuild the live state from disk after a failed apply.
+
+        Not a boot: ``recoveries``, ``journal_replays`` and
+        ``journal_skips`` stay put, and the wrapped instance's counters
+        carry over unchanged (the rebuild's replay restores state, it is
+        not maintenance work a client asked for).  Every version counter
+        moves past its pre-rollback value, so a read cached from the
+        failed batch's half-applied state never matches a version again.
+        """
+        live = self.inc
+        self._rebuild()
+        self.inc.stats = live.stats
+        for relation in set(live.versions) | set(self.inc.versions):
+            self.inc.versions[relation] = live.versions.get(relation, 0) + 1
 
     # ------------------------------------------------------------------
     @property
@@ -477,7 +500,7 @@ class DurableInstance:
         try:
             self.journal.truncate(pre_length)
             if rebuild:
-                self._recover()
+                self._rollback()
         except Exception as exc:  # noqa: BLE001 — last-ditch containment
             self.healthy = False
             warn(

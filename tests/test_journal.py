@@ -500,6 +500,44 @@ class TestApplyAbort:
                 assert recovered.stats["journal_replays"] == 2
                 assert fingerprint(recovered.instance) == live_fp
 
+    def test_rollback_is_not_booked_as_a_boot(self, tmp_path, monkeypatch):
+        """A rolled-back apply on a live instance is no recovery: the
+        boot counters stay at zero, the wrapped instance's counters
+        never go backwards, and every version counter moves past its
+        pre-rollback value (a read cached from the half-applied state
+        must not match a version again)."""
+        program, pops, db, batches = trop_setup()
+        dur = DurableInstance(
+            str(tmp_path), program, pops, database=db, checkpoint_every=100
+        )
+        dur.apply(batches[0])
+        before = dur.stats_snapshot()
+        versions = dict(dur.versions)
+
+        def half_applied_failure(muts):
+            dur.inc.database = dur.inc._mutated_database(muts)
+            raise RuntimeError("synthetic non-convergence")
+
+        monkeypatch.setattr(dur.inc, "apply", half_applied_failure)
+        with pytest.raises(RuntimeError, match="synthetic"):
+            dur.apply(batches[1])
+        after = dur.stats_snapshot()
+        assert after["recoveries"] == 0
+        assert after["journal_replays"] == 0
+        assert after["journal_skips"] == 0
+        assert after["apply_aborts"] == 1
+        for name in IncrementalInstance(program, db).stats:
+            assert after[name] == before[name], name
+        assert set(dur.versions) >= set(versions)
+        for relation, version in versions.items():
+            assert dur.versions[relation] > version, relation
+        dur.apply(batches[1])
+        assert (
+            dur.stats_snapshot()["incremental_applies"]
+            == before["incremental_applies"] + 1
+        )
+        dur.close()
+
     def test_failed_rollback_marks_unhealthy(self, tmp_path, monkeypatch):
         program, pops, db, batches = trop_setup()
         dur = DurableInstance(

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import statistics
 import sys
 import threading
 import time
@@ -424,6 +427,232 @@ class TestHttp:
         for t in threads:
             t.join()
         assert errors == []
+
+
+def _serving(service, handler=None):
+    """Start ``service``'s HTTP front end on an ephemeral port; returns
+    ``(server, port)``.  ``handler`` subclasses the bound handler."""
+    server = make_server(service, port=0)
+    if handler is not None:
+        server.RequestHandlerClass = handler(server.RequestHandlerClass)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server, server.server_address[1]
+
+
+def _stop(server):
+    server.shutdown()
+    server.server_close()
+
+
+def _call(conn, method, path, body=None, headers=None):
+    """One request on a keep-alive ``http.client`` connection."""
+    conn.request(method, path, body=body, headers=headers or {})
+    reply = conn.getresponse()
+    return reply.status, reply, json.loads(reply.read())
+
+
+class _CountingWriter:
+    """Records every ``write`` on a handler's ``wfile``."""
+
+    def __init__(self, inner, log):
+        self._inner = inner
+        self._log = log
+
+    def write(self, data):
+        self._log.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestTransport:
+    """One write per response on a ``TCP_NODELAY`` socket: no reply waits
+    on Nagle's algorithm and the client's delayed ACK (≈ 40 ms)."""
+
+    @pytest.fixture()
+    def recorded(self, service):
+        seen = {"nodelay": [], "writes": []}
+
+        def recording(base):
+            class Recording(base):
+                def setup(self):
+                    super().setup()
+                    seen["nodelay"].append(
+                        self.connection.getsockopt(
+                            socket.IPPROTO_TCP, socket.TCP_NODELAY
+                        )
+                    )
+                    self.wfile = _CountingWriter(self.wfile, seen["writes"])
+
+            return Recording
+
+        server, port = _serving(service, recording)
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        yield conn, seen
+        conn.close()
+        _stop(server)
+
+    def test_accepted_socket_has_nodelay(self, recorded):
+        conn, seen = recorded
+        assert _call(conn, "GET", "/health")[0] == 200
+        assert len(seen["nodelay"]) == 1 and seen["nodelay"][0]
+
+    def test_small_response_is_one_write(self, recorded):
+        conn, seen = recorded
+        for path, status in (
+            ("/query?relation=L&key=d", 200),
+            ("/scan?relation=E&pattern=a,_", 200),
+            ("/query?relation=Nope&key=a", 404),
+            ("/health", 200),
+        ):
+            before = len(seen["writes"])
+            got, _reply, doc = _call(conn, "GET", path)
+            assert got == status
+            assert len(seen["writes"]) == before + 1, path
+            head, _sep, body = seen["writes"][-1].partition(b"\r\n\r\n")
+            assert head.startswith(f"HTTP/1.1 {status} ".encode())
+            assert f"Content-Length: {len(body)}".encode() in head
+            assert json.loads(body) == doc
+        before = len(seen["writes"])
+        got, _reply, doc = _call(
+            conn, "POST", "/mutate",
+            body=json.dumps({"mutations": [
+                {"op": "insert", "relation": "E", "key": ["a", "d"],
+                 "value": 0.5},
+            ]}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        assert got == 200 and doc["seq"] == 1
+        assert len(seen["writes"]) == before + 1
+        assert len(seen["nodelay"]) == 1  # one keep-alive connection
+
+    def test_keep_alive_point_reads_are_not_ack_bound(self, service):
+        """30 sequential keep-alive round trips: a split header/body
+        write without ``TCP_NODELAY`` stalls each one on the client's
+        delayed ACK, ≈ 44 ms on Linux."""
+        server, port = _serving(service)
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            walls = []
+            for _ in range(30):
+                start = time.perf_counter()
+                status, _reply, doc = _call(
+                    conn, "GET", "/query?relation=L&key=d"
+                )
+                walls.append(time.perf_counter() - start)
+                assert status == 200 and doc["value"] == 8.0
+            assert statistics.median(walls) < 0.020, walls
+        finally:
+            conn.close()
+            _stop(server)
+
+
+class TestMalformedRequests:
+    """Every request parameter is parsed inside the structured-error
+    barrier: a malformed one is a JSON 4xx, never a dropped connection."""
+
+    @pytest.fixture()
+    def conn(self, service):
+        server, port = _serving(service)
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        yield conn
+        conn.close()
+        _stop(server)
+
+    @pytest.mark.parametrize(
+        "path, code",
+        [
+            ("/scan?relation=E&pattern=[1", "bad-key"),
+            ("/scan?relation=E&pattern=[[1]]", "bad-key"),
+            ("/scan?relation=E&limit=x", "bad-request"),
+            ("/scan?relation=E&limit=-1", "bad-request"),
+            ("/query?relation=L&key=[1", "bad-key"),
+            ("/query?relation=L&key=[{}]", "bad-key"),
+        ],
+    )
+    def test_bad_parameter_is_400_on_a_live_connection(self, conn, path, code):
+        status, _reply, doc = _call(conn, "GET", path)
+        assert status == 400 and doc["error"]["code"] == code
+        status, reply, doc = _call(conn, "GET", "/query?relation=L&key=d")
+        assert status == 200 and doc["value"] == 8.0
+        assert reply.getheader("Connection") is None
+
+    @pytest.mark.parametrize("body", [b"[1]", b"{", b'{"x": 1}', b"7"])
+    def test_bad_mutate_body_is_400_on_a_live_connection(self, conn, body):
+        status, _reply, doc = _call(conn, "POST", "/mutate", body=body)
+        assert status == 400 and doc["error"]["code"] == "bad-request"
+        status, _reply, doc = _call(conn, "GET", "/query?relation=L&key=d")
+        assert status == 200 and doc["value"] == 8.0
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_400_then_close(self, conn, service, length):
+        """An unframed body cannot be skipped: the reply says
+        ``Connection: close`` (RFC 9112 §6.3) and the server stays up."""
+        conn.putrequest("POST", "/mutate")
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        reply = conn.getresponse()
+        doc = json.loads(reply.read())
+        assert reply.status == 400 and doc["error"]["code"] == "bad-request"
+        assert reply.getheader("Connection") == "close"
+        status, _reply, doc = _call(conn, "GET", "/query?relation=L&key=d")
+        assert status == 200 and doc["value"] == 8.0
+        assert service.durable.seq == 0
+
+    def test_chunked_body_is_400_then_close(self, conn, service):
+        body = json.dumps({"mutations": [
+            {"op": "insert", "relation": "E", "key": ["a", "d"], "value": 0.5},
+        ]}).encode()
+        conn.request("POST", "/mutate", body=iter([body]), encode_chunked=True)
+        reply = conn.getresponse()
+        doc = json.loads(reply.read())
+        assert reply.status == 400 and doc["error"]["code"] == "bad-request"
+        assert reply.getheader("Connection") == "close"
+        status, _reply, doc = _call(conn, "GET", "/query?relation=L&key=d")
+        assert status == 200 and doc["value"] == 8.0
+        assert service.durable.seq == 0
+
+    def test_post_body_is_drained_on_every_route(self, conn):
+        status, _reply, doc = _call(conn, "POST", "/nowhere", body=b"{}")
+        assert status == 404 and doc["error"]["code"] == "no-route"
+        status, _reply, doc = _call(conn, "POST", "/checkpoint", body=b"{}")
+        assert status == 200 and doc["seq"] == 0
+        status, _reply, doc = _call(conn, "GET", "/query?relation=L&key=d")
+        assert status == 200 and doc["value"] == 8.0
+
+
+class TestPool:
+    """Point reads run on the connection thread; scans, bound queries,
+    stats and writes keep the pool's budget and its 503."""
+
+    def test_point_reads_bypass_a_held_pool(self, tmp_path):
+        svc = DatalogService(
+            programs.sssp("a"), TROP, str(tmp_path), database=trop_db(),
+            pool_workers=1,
+            query_wall_s=0.05,  # pool timeout 1.2 s for reads
+        )
+        release = threading.Event()
+        svc.pool.submit(release.wait, 30)
+        server, port = _serving(svc)
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            status, _reply, doc = _call(conn, "GET", "/query?relation=L&key=d")
+            assert status == 200 and doc["value"] == 8.0
+            for path in ("/scan?relation=E", "/query?relation=L&key=d&bound=1"):
+                before = svc.stats["query_timeouts"]
+                status, _reply, doc = _call(conn, "GET", path)
+                assert status == 503, path
+                assert doc["error"]["code"] == "overloaded"
+                assert svc.stats["query_timeouts"] == before + 1
+            release.set()
+            status, _reply, doc = _call(conn, "GET", "/scan?relation=E")
+            assert status == 200 and doc["entries"]
+        finally:
+            release.set()
+            conn.close()
+            _stop(server)
+            svc.close()
 
 
 class TestKeyParsing:
