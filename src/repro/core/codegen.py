@@ -36,14 +36,12 @@ same IR:
   writes ``⊕``/``⊗`` as the native source ``pops.caps.native_source``
   honours (``b if b < a else a`` and ``a + b`` for ``Trop+``), which
   is the methods' expression and so gives the same object; elsewhere
-  it calls the bound methods.  The fold starts at the first factor
-  instead of at ``1`` only where ``1 ⊗ v`` is ``v`` bit for bit for
-  every value that factor reads (``caps.one_is_identity_on``,
-  ``Trop+_p``): an atom whose store the database checked
-  (:meth:`~repro.core.instance.Database.one_is_identity`), or an IDB
-  atom while no warm start broke the licence
-  (:meth:`~repro.core.kernels.BodyKernels.admit`).  A first factor
-  that is a condition, a constant or a function keeps the fold.
+  it calls the bound methods.  In a space whose values are held in
+  the canonical form ``1 ⊗ v`` (``caps.canonical``, ``Trop+_p``) the
+  fold starts at a first factor that reads a relation instead of at
+  ``1``: stores, warm starts and every computed value are canonical,
+  and ``1 ⊗`` fixes those bit for bit.  A first factor that is a
+  condition, a constant or a function keeps the fold.
 
 Kernels are cached in the evaluators' existing
 :class:`~repro.core.kernels.KernelCache` (``kernel_cache_hits`` counts
@@ -245,7 +243,6 @@ class _SourceGen:
         idb_names: FrozenSet[str] = frozenset(),
         carried_slots: FrozenSet[int] = frozenset(),
         variant: Optional[Tuple[Sequence[int], int]] = None,
-        idb_one_is_identity: bool = False,
     ):
         self.ir = ir
         self.domain = tuple(fallback_domain)
@@ -267,7 +264,6 @@ class _SourceGen:
             step.slot for step in ir.steps if step.slot in carried_slots
         )
         self.variant = variant
-        self.idb_one_is_identity = idb_one_is_identity
         #: Per-leaf counter increments, folded into one multiply at the
         #: flush (``_n`` counts the leaves).
         self._leaf_hits = self._leaf_lookups = 0
@@ -710,7 +706,11 @@ class _SourceGen:
             names.append(name)
         add, mul = self._leaf_ops()
         # Fold left from 1 in body order — the exact BodyValue fold.
-        if names and self._one_is_identity(self.body.factors[0]):
+        if (
+            names
+            and self.pops.caps.canonical is not None
+            and isinstance(self.body.factors[0], RelAtom)
+        ):
             acc, names = names[0], names[1:]
         else:
             acc = self.ref(self.pops.one, "one")
@@ -736,16 +736,6 @@ class _SourceGen:
             f"{self.ref(getattr(self.pops, op), op)}({{0}}, {{1}})"
             for op in ("add", "mul")
         )
-
-    def _one_is_identity(self, factor: Factor) -> bool:
-        """Whether ``1 ⊗ v`` is ``v`` bit for bit for every value the
-        body's first factor, ``factor``, reads (routed like
-        :meth:`_atom_expr`)."""
-        if not isinstance(factor, RelAtom):
-            return False
-        if factor.relation in self.idb_names:
-            return self.idb_one_is_identity
-        return self.database.one_is_identity(factor.relation)
 
     def _gen_flush(self) -> None:
         w = self.w
@@ -815,7 +805,6 @@ def generate_rule_kernel(
     stats: Optional[JoinStats] = None,
     variant: Optional[Tuple[Sequence[int], int]] = None,
     label: str = "rule",
-    idb_one_is_identity: bool = False,
 ) -> CodegenKernel:
     """Generate the accumulate-mode kernel of one rule body.
 
@@ -826,9 +815,7 @@ def generate_rule_kernel(
     ``(new, delta, old)`` store triple), and every match's ⊗-product is
     ⊕-accumulated into ``bucket`` under its head key — join, factor
     evaluation, head extraction and accumulation all in one flat
-    function, no per-match callback.  ``idb_one_is_identity`` licenses
-    dropping the leading ``1 ⊗`` before an IDB read (see
-    :meth:`~repro.core.kernels.BodyKernels.admit`).
+    function, no per-match callback.
     """
     gen = _SourceGen(
         ir,
@@ -844,7 +831,6 @@ def generate_rule_kernel(
         idb_names=idb_names,
         carried_slots=carried_slots,
         variant=variant,
-        idb_one_is_identity=idb_one_is_identity,
     )
     return _finalize(gen, label)
 

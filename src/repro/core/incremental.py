@@ -49,7 +49,7 @@ because both run the same engines over the same domain ordering.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..semirings.base import FunctionRegistry
@@ -364,7 +364,9 @@ class IncrementalInstance:
         """Apply a mutation batch, maintaining the fixpoint.
 
         Only each ``(relation, key)``'s last write in the batch counts:
-        a key written and then restored is a no-op.  Raises
+        a key written and then restored is a no-op.  Written values take
+        the space's canonical form (``pops.caps.canonical``), the one
+        :class:`Database` stores hold, before they are compared.  Raises
         :class:`ValueError` on malformed batches (unknown or IDB
         relation, missing value) *before* any state changes.  Expected
         degradations (budget blown, non-maintainable space) never raise
@@ -378,6 +380,12 @@ class IncrementalInstance:
         started = time.perf_counter()
         self.stats["incremental_applies"] += 1
         pops = self.pops
+        canonical = pops.caps.canonical
+        if canonical is not None:
+            muts = [
+                m if m.value is None else replace(m, value=canonical(m.value))
+                for m in muts
+            ]
 
         # Classify each (relation, key) by its net effect — the batch's
         # last write to it against the current EDB; drop net no-ops.

@@ -47,23 +47,21 @@ def _freeze_key(key: Iterable[Any]) -> Key:
 
 class _IndexCell:
     """One store's frozen :class:`~repro.core.indexes.KeyIndex`, built
-    on first demand, and the store's ``1 ⊗`` licence, checked on first
-    demand.
+    on first demand.
 
     Every database holding the store holds the same cell
     (:meth:`Database.derive` hands untouched relations' cells on), so a
-    store is indexed and checked at most once and the mask tables
+    store is indexed at most once and the mask tables
     solves publish into its index serve all of them.  Two threads
     racing on the first build each get a complete index; the last one
     stays.
     """
 
-    __slots__ = ("store", "index", "one_is_identity")
+    __slots__ = ("store", "index")
 
     def __init__(self, store: Any):
         self.store = store
         self.index: Optional[KeyIndex] = None
-        self.one_is_identity: Optional[bool] = None
 
     def get(self) -> KeyIndex:
         index = self.index
@@ -83,7 +81,9 @@ class Database:
         bool_relations: ``{name: set(key_tuple)}`` — standard relations.
 
     A database is immutable.  Construction copies and validates the
-    stores once (tuple keys, ``⊥`` dropped); afterwards ``relations``
+    stores once (tuple keys, ``⊥`` dropped, values in the space's
+    canonical form ``1 ⊗ v`` where it declares one, see
+    :mod:`repro.semirings.capabilities`); afterwards ``relations``
     maps each name to a read-only mapping and ``bool_relations`` to a
     frozen key set, and writing through either raises ``TypeError``.
     Everything derived from the stores is computed at most once per
@@ -100,15 +100,18 @@ class Database:
 
     def __post_init__(self) -> None:
         eq, bottom = self.pops.eq, self.pops.bottom
+        stores = {
+            name: {_freeze_key(k): v for k, v in rel.items() if not eq(v, bottom)}
+            for name, rel in self.relations.items()
+        }
+        canonical = self.pops.caps.canonical
+        if canonical is not None:
+            stores = {
+                name: {k: canonical(v) for k, v in store.items()}
+                for name, store in stores.items()
+            }
         self._install(
-            {
-                name: {
-                    _freeze_key(k): v
-                    for k, v in rel.items()
-                    if not eq(v, bottom)
-                }
-                for name, rel in self.relations.items()
-            },
+            stores,
             {
                 name: frozenset(_freeze_key(k) for k in rel)
                 for name, rel in self.bool_relations.items()
@@ -249,24 +252,6 @@ class Database:
         relation is not stored): compiled kernels bind its ``get`` on
         their hot path and never write it."""
         return self._stores.get(relation)
-
-    def one_is_identity(self, relation: str) -> bool:
-        """Whether ``1 ⊗ v`` is ``v`` bit for bit for every value an atom
-        of ``relation`` reads here (``pops.caps.one_is_identity_on``):
-        the stored values, else the Boolean embedding's ``1`` and ``0``,
-        else ``⊥``.  A store is checked once, for every database that
-        holds it."""
-        holds = self.pops.caps.one_is_identity_on
-        if holds is None:
-            return False
-        if relation in self._stores:
-            cell = self._cell("edb", relation)
-            if cell.one_is_identity is None:
-                cell.one_is_identity = all(map(holds, cell.store.values()))
-            return cell.one_is_identity
-        if relation in self._bool_stores:
-            return holds(self.pops.one) and holds(self.pops.zero)
-        return holds(self.pops.bottom)
 
     def active_domain(self) -> FrozenSet[Any]:
         """Return ``ADom(I)``: constants in the support of any relation,

@@ -1112,13 +1112,11 @@ class BodyKernels:
     query's :class:`KernelScope`), the codegen mode takes each kernel
     from the scope's templates instead of planning and generating it.
 
-    The generated leaf may drop a leading ``1 ⊗`` over an IDB read
-    (``idb_one_is_identity``, codegen mode only): ``1 ⊗`` fixes ``⊥``
-    and, by closure, every product and sum a kernel forms, so only an
-    instance the kernels did not produce — a naïve warm start — is
-    checked, by :meth:`admit`.  Semi-naïve never holds the licence: a
-    value space with ``⊖`` may not declare ``one_is_identity_on``
-    (:func:`~repro.semirings.capabilities.probe_capabilities`).
+    The generated leaf may drop a leading ``1 ⊗`` over a relation read
+    (codegen mode only) in a space with a canonical form ``1 ⊗ v``
+    (``pops.caps.canonical``): the stores and warm starts hold
+    canonical values and every kernel's products and sums stay
+    canonical, so the drop needs no check of the data.
     """
 
     def __init__(
@@ -1152,27 +1150,6 @@ class BodyKernels:
         #: Boolean lookups go through the scope's base database, which
         #: answers them alike for every solve (:meth:`KernelScope.admits`).
         self.bool_lookup = (self.scope.base if self.scope else database).bool_holds
-        self.idb_one_is_identity = (
-            self.mode == "codegen"
-            and database.pops.caps.one_is_identity_on is not None
-        )
-
-    def admit(self, instance: Instance) -> None:
-        """Check ``instance``, which the kernels will read but did not
-        produce.  If ``1 ⊗`` does not fix one of its IDB values bit for
-        bit, no kernel drops the leading ``1 ⊗`` of an IDB read any
-        more: those built so far are discarded."""
-        if not self.idb_one_is_identity:
-            return
-        holds = self.database.pops.caps.one_is_identity_on
-        if all(
-            all(map(holds, instance.support(rel).values()))
-            for rel in self.idb_names
-        ):
-            return
-        self.idb_one_is_identity = False
-        self._cache = KernelCache(stats=self._cache.stats)
-        self.scope = None
 
     def get(self, key: Hashable, guards: Sequence[Guard], body: SumProduct, **spec):
         """The cached kernel under ``key``, built on first demand from
@@ -1229,14 +1206,8 @@ class BodyKernels:
         carried = frozenset(
             g.slot for g in guards if g.carries_value and g.slot is not None
         )
-        # Only the generated leaf lowers the product (see :meth:`admit`).
-        licence = (
-            {"idb_one_is_identity": self.idb_one_is_identity}
-            if self.mode == "codegen"
-            else {}
-        )
         return getattr(module, rule_kernel)(
             ir, body, head_args, pops, database, self.functions,
             self.idb_names, self.bool_lookup, carried, self.domain,
-            stats=self.stats, variant=variant, label=label, **licence,
+            stats=self.stats, variant=variant, label=label,
         )

@@ -23,11 +23,12 @@ rest are carried over.  The first round, and one after which over half
 of the instance changed, is full; steps, budget partials and traces
 stay Algorithm 1's.  A recomputed head may ⊕-accumulate in another order,
 so :meth:`NaiveEvaluator.run` licenses the rounds only for a sparse
-space without ``⊖`` declaring ``caps.one_is_identity_on`` (Trop+_p,
-whose ``⊕`` is order-free on those values), a compiled engine, and that
-predicate on every EDB store, constant and start value, with no
-interpreted function or key read as a value; else
-``stats["frontier_refusal"]`` says why.
+space without ``⊖`` whose values are held in a canonical form on which
+``⊕`` is order-free (``caps.canonical``, Trop+_p), a compiled engine,
+and no interpreted function or key read as a value; else
+``stats["frontier_refusal"]`` says why.  Every value in a round is
+canonical: the database's stores and a warm start are mapped to the
+form on entry, and every product folds from ``1``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .guardrails import Budget, BudgetExceeded, PartialResult, attach_partial
 from .indexes import IndexManager, JoinStats
 from .instance import Database, Instance, Key
 from .kernels import BodyKernels, KernelScope
-from .rules import FuncFactor, KeyAsValue, Program, RelAtom, Rule, SumProduct, ValueConst
+from .rules import FuncFactor, KeyAsValue, Program, Rule, SumProduct
 from .valuations import (
     body_guards,
     is_indexed_plan,
@@ -399,9 +400,9 @@ class NaiveEvaluator:
         """One application of the immediate consequence operator: a
         frontier round inside a licensed :meth:`run` when ``instance``
         is this evaluator's last output and at most half of it changed,
-        else a full round."""
-        if instance is not self._produced():
-            self._kernels.admit(instance)
+        else a full round.  ``instance`` is read as given: in a space
+        with a canonical form its values must be in it (:meth:`run`
+        maps a warm start)."""
         self._current = instance
         self._epoch += 1
         delta = self._delta
@@ -502,15 +503,14 @@ class NaiveEvaluator:
         return delta
 
     # ------------------------------------------------------------------
-    def _frontier_refusal(self, start: Optional[Instance]) -> Optional[str]:
-        """Why a chain from ``start`` may not take frontier rounds
-        (module docstring), or ``None`` when it may."""
+    def _frontier_refusal(self) -> Optional[str]:
+        """Why a chain may not take frontier rounds (module docstring),
+        or ``None`` when it may."""
         caps = self.pops.caps
-        holds = caps.one_is_identity_on
         if caps.has_minus:
             return "the space has ⊖"
-        if not caps.sparse or holds is None:
-            return "⊕ is not known to be order-free (no one_is_identity_on)"
+        if not caps.sparse or caps.canonical is None:
+            return "⊕ is not known to be order-free (no canonical form)"
         if not self.compiled:
             return "the interpreted engine"
         if self.total_heads:
@@ -518,19 +518,6 @@ class NaiveEvaluator:
         for factor in (f for rule in self.program.rules for b in rule.bodies for f in b.factors):
             if isinstance(factor, (FuncFactor, KeyAsValue)):
                 return f"a {type(factor).__name__}: {factor}"
-            if isinstance(factor, RelAtom):
-                rel = factor.relation
-                if rel not in self.idb_names and not self.database.one_is_identity(rel):
-                    return f"store {rel} is not canonical"
-                continue
-            values = (factor.value,) if isinstance(factor, ValueConst) else (
-                factor.true_value, factor.false_value
-            )
-            if not all(holds(v) for v in values if v is not None):
-                return f"a non-canonical constant: {factor}"
-        for rel in start.relations() if start is not None else ():
-            if not all(map(holds, start.support(rel).values())):
-                return f"the start instance's {rel} is not canonical"
         return None
 
     def _frontier_plans(self) -> Tuple[list, BodyKernels]:
@@ -638,7 +625,8 @@ class NaiveEvaluator:
         the surviving instance of
         :mod:`repro.core.incremental`'s warm restart), from which it
         reaches the same least fixpoint; ``steps`` then counts from
-        ``start``.
+        ``start``.  A space's canonical form (``pops.caps.canonical``)
+        is applied to ``start``'s values on entry.
 
         A tripped budget (wall poll inside :meth:`ico`, or the
         per-iteration size/wall charge) raises
@@ -648,12 +636,21 @@ class NaiveEvaluator:
         subclasses the old ``DivergenceError``), with the final iterate
         attached.
         """
-        refusal = self._frontier_refusal(start)
+        refusal = self._frontier_refusal()
         if refusal is not None and self.stats.frontier_refusal is None:
             self.stats.frontier_refusal = refusal
         self._armed, self._delta = refusal is None, None
         budget = self.budget
-        current = start if start is not None else Instance(self.pops)
+        canonical = self.pops.caps.canonical
+        if start is None:
+            current = Instance(self.pops)
+        elif canonical is None:
+            current = start
+        else:
+            current = Instance(self.pops, {
+                rel: {key: canonical(v) for key, v in start.support(rel).items()}
+                for rel in start.relations()
+            })
         trace: List[Instance] = [current.copy()] if capture_trace else []
         for step in range(self.max_iterations):
             self.stats.iterations += 1

@@ -264,38 +264,32 @@ class DatalogService:
             entries = list(support.items()) if hasattr(
                 support, "items"
             ) else [(k, True) for k in support]
-            return self._clip(entries, deadline, limit)
+            return self._clip(
+                entries, deadline, limit, "scan exceeded its wall budget"
+            )
         mask = tuple(
             i for i, v in enumerate(pattern) if v is not None
         )
         values = tuple(pattern[i] for i in mask)
         index = self._scan_index(relation, mask, support, version)
-        out: List[Tuple[Tuple, Any]] = []
-        for n, entry in enumerate(index.probe_entries(mask, values)):
-            if n % _SCAN_POLL_EVERY == 0 and time.monotonic() > deadline:
-                self.stats["query_timeouts"] += 1
-                raise ServeError(
-                    408,
-                    "query-budget",
-                    f"scan of {relation!r} exceeded its "
-                    f"{budget:g}s wall budget",
-                )
-            out.append((entry[0], entry[1]))
-            if limit is not None and len(out) >= limit:
-                break
-        return out
+        return self._clip(
+            ((entry[0], entry[1]) for entry in index.probe_entries(mask, values)),
+            deadline,
+            limit,
+            f"scan of {relation!r} exceeded its {budget:g}s wall budget",
+        )
 
-    def _clip(self, entries, deadline, limit):
+    def _clip(self, entries, deadline, limit, timeout_message):
+        """The first ``limit`` (all, when ``None``) of ``entries``,
+        polling the wall ``deadline`` as they are read."""
         out = []
         for n, item in enumerate(entries):
+            if n == limit:
+                break
             if n % _SCAN_POLL_EVERY == 0 and time.monotonic() > deadline:
                 self.stats["query_timeouts"] += 1
-                raise ServeError(
-                    408, "query-budget", "scan exceeded its wall budget"
-                )
+                raise ServeError(408, "query-budget", timeout_message)
             out.append(item)
-            if limit is not None and len(out) >= limit:
-                break
         return out
 
     def _support(self, relation: str):

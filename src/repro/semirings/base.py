@@ -71,12 +71,17 @@ class PreSemiring(ABC):
         native_source: The same ``(⊕, ⊗)`` expressions as Python
             source templates over the operands ``{0}`` and ``{1}``, for
             generated code; declared only next to those methods.
+        one_mul_canonical: ``v ↦ 1 ⊗ v`` is a canonical form: ``1 ⊗``
+            fixes its values bit for bit, the operations keep them in
+            it and ``⊕`` is order-free on them; declared only next to
+            :meth:`add` and :meth:`mul`.
     """
 
     name: str = "pre-semiring"
     is_semiring: bool = False
     native_ops: Optional[Tuple[Callable, Callable]] = None
     native_source: Optional[Tuple[str, str]] = None
+    one_mul_canonical: bool = False
 
     #: distinguished elements; set by subclasses (attribute or property).
     zero: Value

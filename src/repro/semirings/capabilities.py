@@ -14,21 +14,22 @@ Every shortcut the engines take rests on one law of the value space:
 * the join cores may swap ``⊕``/``⊗`` for a builtin pair that *is* the
   same expression (``native_ops``), and the codegen leaf may write
   ``⊕``/``⊗`` as that expression's source (``native_source``);
-* a generated leaf may drop the leading ``1 ⊗`` of its product where
-  every value the first factor reads is one ``1 ⊗`` fixes bit for bit
-  (``one_is_identity_on``) — a fact about the stored data, which the
-  engines check per store and per naïve warm start.  A class declares
-  it only where ``⊕`` is also order-free on those values, so the same
-  predicate licenses naïve's frontier rounds, which may ⊕-accumulate a
-  head's matches in another order than a full round
-  (:mod:`repro.core.naive`).
+* a generated leaf may drop the leading ``1 ⊗`` of its product, and
+  naïve's frontier rounds may ⊕-accumulate a head's matches in another
+  order than a full round (:mod:`repro.core.naive`), where ``v ↦ 1 ⊗ v``
+  is a canonical form — ``1 ⊗`` fixes its values bit for bit, ``⊕``,
+  ``⊗`` (and ``⊖``) keep them canonical and ``⊕`` is order-free on them
+  (``canonical``).  Values enter the engines in that form: a
+  :class:`~repro.core.instance.Database`'s stores, incremental mutation
+  values and a naïve warm start are mapped through it, and every value
+  an engine computes folds a product from ``1``.
 
 :class:`Capabilities` is the one record of those facts per value
 space, built on first access to :attr:`PreSemiring.caps
 <repro.semirings.base.PreSemiring.caps>` and kept for the instance's
 lifetime.  The declared fields come from the class flags
 (``is_semiring``, ``is_naturally_ordered``, ``supports_minus``,
-``native_ops``, ``native_source``, ``one_is_identity_on``); the probed
+``native_ops``, ``native_source``, ``one_mul_canonical``); the probed
 ones are checked once over ``sample_values() ∪ {0, 1}`` and keep their
 first counterexample, so the refusal texts that quote it stay stable.
 """
@@ -36,6 +37,7 @@ first counterexample, so the refusal texts that quote it stay stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Tuple
 
 from .base import PreSemiring, Value
@@ -64,13 +66,10 @@ class Capabilities:
             ``mul`` itself (a subclass overriding either gets ``None``).
         native_source: The ``(⊕, ⊗)`` source templates the class
             declares, under ``native_ops``' rule.
-        one_is_identity_on: The class's predicate "``1 ⊗ v`` is ``v``
-            bit for bit, and ``⊕`` is order-free on such values",
-            honoured only when that class also defines ``mul`` itself
-            (a subclass that overrides ``add`` alone loses it);
-            ``None`` when there is none.  Only naïve
-            checks warm starts against it, so a value space with ``⊖``
-            may not declare it.
+        canonical: The map ``v ↦ 1 ⊗ v`` where the class declares it a
+            canonical form on which ``⊕`` is order-free
+            (``one_mul_canonical``), under ``native_ops``' rule;
+            ``None`` otherwise.
     """
 
     absorbing_zero: bool
@@ -81,7 +80,7 @@ class Capabilities:
     zero_divisors: Optional[Tuple[Value, Value]]
     native_ops: Optional[Tuple[Callable, Callable]]
     native_source: Optional[Tuple[str, str]]
-    one_is_identity_on: Optional[Callable[[Value], bool]]
+    canonical: Optional[Callable[[Value], Value]]
 
     @property
     def idempotent_add(self) -> bool:
@@ -113,21 +112,10 @@ def probe_capabilities(structure: PreSemiring) -> Capabilities:
     absorbing = bool(structure.is_semiring)
     witnesses = tuple(structure.sample_values()) + (structure.zero, structure.one)
     bad = check_idempotent_add(structure, witnesses)
-    has_minus = bool(getattr(structure, "supports_minus", False))
-    one_is_identity_on = (
-        structure.one_is_identity_on
-        if _own(structure, "one_is_identity_on", "mul") is not None
-        else None
-    )
-    if has_minus and one_is_identity_on is not None:
-        raise TypeError(
-            f"{structure.name} declares both ⊖ and one_is_identity_on: "
-            "semi-naïve warm starts are not checked against the 1 ⊗ licence"
-        )
     return Capabilities(
         absorbing_zero=absorbing,
         sparse=absorbing and bool(getattr(structure, "is_naturally_ordered", False)),
-        has_minus=has_minus,
+        has_minus=bool(getattr(structure, "supports_minus", False)),
         natural_preorder=all(
             natural_preorder_holds(structure, structure.zero, v, witnesses)
             for v in witnesses
@@ -136,5 +124,9 @@ def probe_capabilities(structure: PreSemiring) -> Capabilities:
         zero_divisors=_zero_divisors(structure, witnesses),
         native_ops=_own(structure, "native_ops", "add", "mul"),
         native_source=_own(structure, "native_source", "add", "mul"),
-        one_is_identity_on=one_is_identity_on,
+        canonical=(
+            partial(structure.mul, structure.one)
+            if _own(structure, "one_mul_canonical", "add", "mul")
+            else None
+        ),
     )

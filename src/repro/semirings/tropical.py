@@ -99,6 +99,14 @@ class TropicalPSemiring(NaturallyOrderedSemiring):
     union/sum and a single final ``min_p``; the operations below apply
     ``min_p`` eagerly, which is equivalent.
 
+    ``1 ⊗ v`` adds ``0.0`` to every element and re-sorts, so its value is
+    a sorted tuple of non-negative floats without ``-0.0`` (``0.0 + 3``
+    is ``3.0``, ``0.0 + -0.0`` is ``0.0``), which ``1 ⊗`` fixes bit for
+    bit.  Sums and products of such bags are such bags, and ``⊕`` is
+    order-free on them: equal floats are the same float, so
+    ``_min_p``'s sort keeps the same elements whatever the order of its
+    input (``one_mul_canonical``).
+
     The natural order admits the closed form::
 
         x ⪯ y  ⟺  {e ∈ x : e < max(y)} ⊆ y   (as bags)
@@ -106,6 +114,8 @@ class TropicalPSemiring(NaturallyOrderedSemiring):
     because in ``min_p(x ⊎ z)`` every element of ``x`` strictly below
     ``max(y)`` necessarily survives selection.
     """
+
+    one_mul_canonical = True
 
     def __init__(self, p: int):
         if p < 0:
@@ -138,23 +148,6 @@ class TropicalPSemiring(NaturallyOrderedSemiring):
             isinstance(a, tuple)
             and len(a) == self.p + 1
             and all(_is_length(x) for x in a)
-            and list(a) == sorted(a)
-        )
-
-    def one_is_identity_on(self, a: Value) -> bool:
-        """Whether ``1 ⊗ a`` is ``a`` bit for bit: a sorted ``(p+1)``-tuple
-        of non-negative floats.  Ints and ``-0.0`` are not, because ``1 ⊗``
-        adds ``0.0`` to every element: ``0.0 + 3`` is ``3.0`` and
-        ``0.0 + -0.0`` is ``0.0``.  On such values ``⊕`` is order-free too:
-        equal floats are the same float, so ``_min_p``'s sort keeps the
-        same elements whatever the order of its input."""
-        return (
-            type(a) is tuple
-            and len(a) == self.p + 1
-            and all(
-                type(x) is float and x >= 0 and math.copysign(1.0, x) > 0
-                for x in a
-            )
             and list(a) == sorted(a)
         )
 

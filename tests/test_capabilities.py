@@ -10,6 +10,8 @@ parameterised constructions.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import repro.semirings as semirings
@@ -111,8 +113,7 @@ def test_overriding_subclass_loses_native_ops():
 
 
 # ---------------------------------------------------------------------------
-# Source templates (``native_source``) and the ``1 ⊗`` licence
-# (``one_is_identity_on``).
+# Source templates (``native_source``).
 # ---------------------------------------------------------------------------
 
 
@@ -140,42 +141,84 @@ def test_native_source_declared_on_trop_only():
     assert named == {"Trop+"}
 
 
-def test_one_is_identity_on_declared_on_trop_p_only():
-    named = {
-        s.name for s in STRUCTURES if s.caps.one_is_identity_on is not None
-    }
-    assert named == {"Trop+_2"}
+# ---------------------------------------------------------------------------
+# The canonical form ``v ↦ 1 ⊗ v`` (``canonical``).
+# ---------------------------------------------------------------------------
+
+DECLARING = [
+    s
+    for s in STRUCTURES + [TropicalPSemiring(0), TropicalPSemiring(1)]
+    if s.caps.canonical is not None
+]
 
 
-@pytest.mark.parametrize("p", [0, 1, 2])
-def test_one_is_identity_on_means_one_fixes_the_value(p):
-    tp = TropicalPSemiring(p)
-    holds = tp.caps.one_is_identity_on
-    values = tuple(tp.sample_values()) + (
-        (3,) + (INF,) * p,
-        (-0.0,) + (INF,) * p,
-        (0.0,) * (p + 1),
+def _raw_bags(structure, seed, n=40):
+    """Random ``Trop+_p`` bags as a user may write them: ints, ``-0.0``,
+    ``∞``, unsorted."""
+    rng = random.Random(seed)
+    elements = (0, 1, 3, 0.0, -0.0, 1.5, 2.5, 7.0, INF)
+    return tuple(
+        tuple(rng.choice(elements) for _ in range(structure.p + 1))
+        for _ in range(n)
     )
-    for value in values:
-        fixed = tp.mul(tp.one, value)
-        exact = [_strict(x) for x in fixed] == [_strict(x) for x in value]
-        if holds(value):
-            assert exact, value
-    assert holds(tp.one) and holds(tp.zero)
 
 
-def test_one_is_identity_on_refused_next_to_minus():
-    class Licensed(TropicalSemiring):
-        name = "Trop+licensed"
+def _canonical_values(structure, seed):
+    c = structure.caps.canonical
+    return [c(v) for v in _samples(structure) + _raw_bags(structure, seed)]
 
-        def mul(self, a, b):
-            return a + b
 
-        def one_is_identity_on(self, a):
-            return type(a) is float
+def test_canonical_declared_on_trop_p_only():
+    assert {s.name for s in STRUCTURES if s.caps.canonical is not None} == {
+        "Trop+_2"
+    }
+    assert all(isinstance(s, TropicalPSemiring) for s in DECLARING)
 
-    with pytest.raises(TypeError, match="one_is_identity_on"):
-        Licensed().caps
+
+@pytest.mark.parametrize("structure", DECLARING, ids=lambda s: s.name)
+def test_canonical_form_is_idempotent(structure):
+    c = structure.caps.canonical
+    for v in _samples(structure) + _raw_bags(structure, 1):
+        assert repr(c(c(v))) == repr(c(v)), v
+    for v in _samples(structure):  # the samples, 0 and 1 are canonical
+        assert repr(c(v)) == repr(v), v
+
+
+@pytest.mark.parametrize("structure", DECLARING, ids=lambda s: s.name)
+def test_operations_keep_values_canonical(structure):
+    c = structure.caps.canonical
+    values = _canonical_values(structure, 2)
+    ops = [structure.add, structure.mul]
+    if structure.caps.has_minus:
+        ops.append(structure.minus)
+    for op in ops:
+        for a in values:
+            for b in values:
+                out = op(a, b)
+                assert repr(c(out)) == repr(out), (op.__name__, a, b)
+
+
+@pytest.mark.parametrize("structure", DECLARING, ids=lambda s: s.name)
+def test_add_is_order_free_on_canonical_values(structure):
+    """Every ⊕ order gives the same value, ``repr`` for ``repr``."""
+    add, rng = structure.add, random.Random(3)
+    values = _canonical_values(structure, 3)
+    for _ in range(200):
+        picked = rng.sample(values, 4)
+        shuffled = rng.sample(picked, 4)
+        left = add(add(add(picked[0], picked[1]), picked[2]), picked[3])
+        right = add(shuffled[0], add(shuffled[1], add(shuffled[2], shuffled[3])))
+        assert repr(left) == repr(right), picked
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+def test_overriding_subclass_loses_the_canonical_form(op):
+    def swapped(self, a, b):
+        return getattr(TropicalPSemiring, op)(self, b, a)
+
+    Reordered = type("Reordered", (TropicalPSemiring,), {op: swapped})
+    assert Reordered(1).caps.canonical is None
+    assert TropicalPSemiring(1).caps.canonical is not None
 
 
 def _tc_kernel_source(pops):

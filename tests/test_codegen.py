@@ -26,6 +26,7 @@ Covers the codegen pipeline end to end:
 
 from __future__ import annotations
 
+import dataclasses
 import linecache
 import os
 import random
@@ -38,7 +39,6 @@ from repro.core import Database, HybridEvaluator, Instance, ThresholdRule, solve
 from repro.core.ast import Compare, Constant, terms, var
 from repro.core.grounding import ground_program
 from repro.core.incremental import fingerprint
-from repro.core.kernels import BodyKernels
 from repro.core.naive import NaiveEvaluator
 from repro.core.rules import (
     FuncFactor,
@@ -514,10 +514,18 @@ class TestLeafLoweringExactness:
             start.set("T", key, tuple(x if x == INF else int(x) for x in value))
         return start
 
+    @staticmethod
+    def _plant_identity_pass(monkeypatch, pops):
+        """Replace the canonical pass ``v ↦ 1 ⊗ v`` with the identity,
+        keeping the space's declaration (and so the dropped ``1 ⊗``)."""
+        caps = dataclasses.replace(pops.caps, canonical=lambda v: v)
+        monkeypatch.setitem(vars(pops), "caps", caps)
+
     @pytest.mark.parametrize("p", [1, 2])
     def test_warm_start_with_int_bags(self, p, monkeypatch):
-        """A start instance the store check never saw: ``1 ⊗`` does not
-        fix its int bags, so they must reach ``K`` through it."""
+        """A start instance of int bags, which ``1 ⊗`` does not fix: the
+        run maps it to the canonical form, so every engine's ``K``
+        holds floats."""
         pops = TropicalPSemiring(p)
         db = _mixed_db(f"trop_p{p}", 4)
         prog = _first_factor_program(pops)
@@ -533,34 +541,34 @@ class TestLeafLoweringExactness:
         want = run("interpreted")
         for engine in ENGINES:
             assert run(engine) == want, engine
-        # Planted: without the start check the codegen leaf hands the
-        # int bags through.
-        monkeypatch.setattr(BodyKernels, "admit", lambda self, instance: None)
+        # Planted: without the canonical pass on the start the codegen
+        # leaf hands the int bags through.
+        self._plant_identity_pass(monkeypatch, db.pops)
         assert run("codegen") != want
 
-    def test_planted_drop_without_licence_changes_the_fingerprint(
-        self, monkeypatch
-    ):
+    def test_planted_identity_pass_changes_the_fingerprint(self, monkeypatch):
         pops = TropicalPSemiring(2)
-        db = Database(
-            pops=pops, relations={"E": {("a", "b"): (3, INF, INF)}}
-        )
+        relations = {"E": {("a", "b"): (3, INF, INF)}}
+        db = Database(pops=pops, relations=relations)
+        assert repr(db.value("E", ("a", "b"))) == "(3.0, inf, inf)"
         prog = programs.apsp()
         want = fingerprint(solve(prog, db, engine="interpreted").instance)
         assert fingerprint(solve(prog, db, engine="codegen").instance) == want
-        assert not db.one_is_identity("E")
-        monkeypatch.setattr(Database, "one_is_identity", lambda self, rel: True)
+        self._plant_identity_pass(monkeypatch, pops)
+        db = Database(pops=pops, relations=relations)
         planted = fingerprint(solve(prog, db, engine="codegen").instance)
         assert planted != want
 
-    def test_solve_bags_kernel_drops_the_leading_one(self):
+    @pytest.mark.parametrize("weight", [float, int])
+    def test_solve_bags_kernel_drops_the_leading_one(self, weight):
+        """The drop needs no check of the data: int weights enter as
+        floats."""
         pops = TropicalPSemiring(2)
-        edges = {(f"n{i}", f"n{(i + 1) % 5}"): float(i + 1) for i in range(5)}
+        edges = {(f"n{i}", f"n{(i + 1) % 5}"): weight(i + 1) for i in range(5)}
         db = Database(
             pops=pops,
             relations={"E": {k: pops.singleton(w) for k, w in edges.items()}},
         )
-        assert db.one_is_identity("E")
         evaluator = NaiveEvaluator(programs.apsp(), db, engine="codegen")
         for plan in (0, 1):  # T :- E | T * E
             source = evaluator.kernel(plan).source

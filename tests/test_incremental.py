@@ -24,7 +24,7 @@ from repro.core.incremental import (
     Mutation,
     fingerprint,
 )
-from repro.semirings import BOOL, BOTTLENECK, THREE, TROP, VITERBI
+from repro.semirings import BOOL, BOTTLENECK, THREE, TROP, VITERBI, TropicalPSemiring
 from repro.semirings.base import FunctionRegistry
 
 ENGINES = [
@@ -235,6 +235,23 @@ class TestNetEffect:
         ])
         assert inc.query("E", ("a", "b")) == 7.0
         ref = solve(inc.program, inc.database, method="seminaive")
+        assert fingerprint(inc.instance) == fingerprint(ref.instance)
+
+    def test_trop_p_value_equal_in_canonical_form(self):
+        """Over Trop+_p a written bag is compared in the stored form
+        ``1 ⊗ v``: ints and an unsorted bag equal to the stored value
+        are no-ops, and a new int bag is stored as floats."""
+        pops = TropicalPSemiring(2)
+        db = core.Database(
+            pops=pops, relations={"E": {("a", "b"): (1.0, 2.0, math.inf)}}
+        )
+        inc = IncrementalInstance(programs.apsp(), db)
+        for same in [(1, 2, math.inf), (2.0, 1.0, math.inf)]:
+            summary = inc.apply([Mutation("insert", "E", ("a", "b"), same)])
+            assert summary.path == "noop", same
+        inc.apply([Mutation("insert", "E", ("b", "c"), (3, math.inf, math.inf))])
+        assert repr(inc.query("E", ("b", "c"))) == "(3.0, inf, inf)"
+        ref = solve(inc.program, inc.database, engine="interpreted")
         assert fingerprint(inc.instance) == fingerprint(ref.instance)
 
     def test_bool_restored_fact(self):

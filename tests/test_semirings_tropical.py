@@ -245,28 +245,31 @@ class TestBagValidity:
         assert not te.is_valid(())
 
 
-class TestOneIsIdentityOn:
-    """``Trop+_p``'s licence: ``1 ⊗ v`` is ``v`` bit for bit."""
+class TestCanonicalForm:
+    """``Trop+_p``'s canonical form ``1 ⊗ v``: sorted non-negative floats
+    without ``-0.0``."""
 
     @pytest.mark.parametrize(
         "bag", [(0.0, INF, INF), (1.0, 2.5, 2.5), (INF,) * 3, (4.0, 5.0, 6.0)]
     )
-    def test_float_bags_hold_and_are_fixed(self, bag):
-        t2 = TropicalPSemiring(2)
-        assert t2.one_is_identity_on(bag)
-        fixed = t2.mul(t2.one, bag)
+    def test_float_bags_are_fixed(self, bag):
+        fixed = TropicalPSemiring(2).caps.canonical(bag)
         assert [(type(x), repr(x)) for x in fixed] == [
             (type(x), repr(x)) for x in bag
         ]
 
     @pytest.mark.parametrize(
-        "bag",
-        [(3, INF, INF), (-0.0, INF, INF), (0.0, -0.0, INF), (True, INF, INF),
-         (2.0, 1.0, INF), (1.0, INF), [1.0, INF, INF], (math.nan, INF, INF)],
+        "bag,canonical",
+        [((3, INF, INF), "(3.0, inf, inf)"),
+         ((-0.0, INF, INF), "(0.0, inf, inf)"),
+         ((0.0, -0.0, INF), "(0.0, 0.0, inf)"),
+         ((True, INF, INF), "(1.0, inf, inf)"),
+         ((2.0, 1.0, INF), "(1.0, 2.0, inf)"),
+         ((1.0, INF), "(1.0, inf, inf)"),
+         ([1.0, INF, INF], "(1.0, inf, inf)")],
     )
-    def test_ints_signed_zeros_and_malformed_bags_do_not(self, bag):
-        t2 = TropicalPSemiring(2)
-        assert not t2.one_is_identity_on(bag)
+    def test_ints_signed_zeros_and_malformed_bags_are_mapped(self, bag, canonical):
+        assert repr(TropicalPSemiring(2).caps.canonical(bag)) == canonical
 
     def test_ints_and_signed_zeros_really_change(self):
         t2 = TropicalPSemiring(2)

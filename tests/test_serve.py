@@ -6,6 +6,7 @@ import http.client
 import json
 import socket
 import statistics
+import subprocess
 import sys
 import threading
 import time
@@ -16,13 +17,14 @@ import pytest
 
 from repro import core, programs, workloads
 from repro.core.incremental import Mutation, fingerprint
+from repro.core.io import decode_value
 from repro.core.serve import (
     DatalogService,
     ServeError,
     _parse_key,
     make_server,
 )
-from repro.semirings import TROP
+from repro.semirings import INF, TROP, TropicalPSemiring
 
 
 def trop_db():
@@ -79,6 +81,16 @@ class TestQueries:
         bound = dict(service.scan("E", pattern=("a", None)))
         assert bound[("a", "b")] == 1.0
         assert ("b", "d") not in bound
+
+    @pytest.mark.parametrize("pattern", [None, ("a", None)])
+    def test_scan_limit_is_exact(self, service, pattern):
+        """``limit=n`` returns at most ``n`` entries, none for ``0``, on
+        the enumeration path and on the index-probe path."""
+        full = service.scan("E", pattern=pattern)
+        assert len(full) >= 2
+        assert service.scan("E", pattern=pattern, limit=0) == []
+        assert service.scan("E", pattern=pattern, limit=1) == full[:1]
+        assert service.scan("E", pattern=pattern, limit=len(full) + 1) == full
 
     def test_scan_budget_is_structured_not_a_hang(self, service):
         with pytest.raises(ServeError) as exc:
@@ -326,6 +338,14 @@ class TestHttp:
         assert status == 200 and doc["seq"] == 1
         assert self._get(endpoint + "/stats")[1]["mutation_batches"] == 1
 
+    @pytest.mark.parametrize("pattern", ["", "&pattern=a,_"])
+    def test_scan_limit_zero_is_empty(self, endpoint, pattern):
+        url = endpoint + "/scan?relation=E" + pattern
+        assert self._get(url + "&limit=0") == (
+            200, {"relation": "E", "entries": []}
+        )
+        assert len(self._get(url + "&limit=1")[1]["entries"]) == 1
+
     def test_mutate_reports_products_and_stats_sum_them(self, endpoint):
         total = 0
         for op in ("insert", "delete"):
@@ -427,6 +447,84 @@ class TestHttp:
         for t in threads:
             t.join()
         assert errors == []
+
+
+class TestTropPCanonical:
+    """Over Trop+_p, an int-valued bag a client posts is stored and read
+    back as ``1 ⊗ v`` (floats); the IDB is that of the float bag, and a
+    SIGKILLed server recovers both."""
+
+    PROGRAM = "T(X, Y) :- E(X, Y) | T(X, Z) * E(Z, Y).\n"
+    EDGES = {("a", "b"): 1.0, ("b", "c"): 2.0, ("c", "a"): 0.5}
+
+    @staticmethod
+    def _boot(tmp_path, *extra):
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "serve",
+             str(tmp_path / "tc.dl"), "--pops", "tropp:1",
+             "--data-dir", str(tmp_path / "state"), "--port", "0",
+             "--threads", "1", *extra],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        banner = proc.stdout.readline()
+        assert banner.startswith("# serving on http://"), banner
+        return proc, banner.split()[3]
+
+    @staticmethod
+    def _call(endpoint, path, payload=None):
+        data = None if payload is None else json.dumps(payload).encode()
+        with urllib.request.urlopen(endpoint + path, data=data, timeout=10) as r:
+            return json.loads(r.read())
+
+    def _state(self, endpoint):
+        return {
+            rel: sorted(
+                map(json.dumps, self._call(endpoint, f"/scan?relation={rel}")["entries"])
+            )
+            for rel in ("E", "T")
+        }
+
+    def test_int_bag_is_stored_canonical_and_recovered(self, tmp_path):
+        (tmp_path / "tc.dl").write_text(self.PROGRAM)
+        (tmp_path / "g.json").write_text(json.dumps({"relations": {
+            "E": [[list(k), w] for k, w in self.EDGES.items()]
+        }}))
+        pops = TropicalPSemiring(1)
+        floats = {k: (w, INF) for k, w in {**self.EDGES, ("c", "d"): 3.0}.items()}
+        want = {
+            tuple(key): value
+            for key, value in core.solve(
+                core.parse_program(self.PROGRAM),
+                core.Database(pops=pops, relations={"E": floats}),
+            ).instance.support("T").items()
+        }
+        proc, endpoint = self._boot(tmp_path, "--edb", str(tmp_path / "g.json"))
+        try:
+            self._call(endpoint, "/mutate", {"mutations": [{
+                "op": "insert", "relation": "E", "key": ["c", "d"],
+                "value": {"bag": [3, {"inf": True}]},
+            }]})
+            edge = self._call(endpoint, "/query?relation=E&key=c,d")["value"]
+            assert edge == {"bag": [3.0, {"inf": True}]}
+            assert type(edge["bag"][0]) is float
+            got = {
+                tuple(key): decode_value(value)
+                for key, value in self._call(endpoint, "/scan?relation=T")["entries"]
+            }
+            assert {k: repr(v) for k, v in got.items()} == {
+                k: repr(v) for k, v in want.items()
+            }
+            live = self._state(endpoint)
+        finally:
+            proc.kill()
+            proc.wait()
+        proc, endpoint = self._boot(tmp_path)
+        try:
+            assert self._state(endpoint) == live
+            assert self._call(endpoint, "/stats")["recoveries"] == 1
+        finally:
+            proc.kill()
+            proc.wait()
 
 
 def _serving(service, handler=None):

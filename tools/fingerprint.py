@@ -82,7 +82,7 @@ def _spaces() -> Dict[str, Tuple[Any, Callable[[Any], Any], bool]]:
         return lift
 
     def canonical_bag(p: int) -> Callable[[Any], Any]:
-        # Positively signed floats, which Trop+_p's frontier rounds need.
+        # Positively signed floats: already Trop+_p's canonical form.
         return lambda w: bag(p)(float(w) + 0.0)
 
     def unit(w: Any) -> Any:  # into [0, 1], keeping 0, -0.0 and 1 as given
