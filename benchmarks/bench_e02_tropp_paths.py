@@ -11,7 +11,7 @@ from __future__ import annotations
 from conftest import emit_table, sized
 
 from repro import core, programs, semirings, workloads
-from repro.core.incremental import fingerprint
+from repro.core.incremental import IncrementalInstance, Mutation, fingerprint
 
 PAPER = {
     "a": (0.0, 3.0),
@@ -171,3 +171,44 @@ def test_e02_frontier_naive_apsp(benchmark, quick, counters):
     assert fingerprint(frontier.instance) == fingerprint(plain.instance)
     assert frontier.steps == plain.steps
     assert frontier.stats["products"] < plain.stats["products"]
+
+
+def test_e02_warm_insert_apsp(benchmark, quick, counters):
+    """A one-edge insert through :class:`IncrementalInstance` over
+    ``Trop+_2``: the warm-naïve path seeds round 1's frontier with the
+    new ``E`` atom, so round 1 recomputes only the heads that read it.
+    The maintained fixpoint is a cold solve's byte for byte, for fewer
+    products; the gated ``valuations`` (the apply's products) ceiling
+    fails if round 1 goes back to recomputing every head."""
+    n = sized(quick, 16, 10)
+    edges = workloads.random_weighted_digraph(n, 0.35, seed=21)
+    tp = semirings.TropicalPSemiring(2)
+    db = core.Database(
+        pops=tp,
+        relations={"E": {e: tp.singleton(w) for e, w in edges.items()}},
+    )
+    prog = programs.apsp()
+    new = next((a, b) for a in range(n) for b in range(n) if a != b and (a, b) not in edges)
+    batch = [Mutation("insert", "E", new, tp.singleton(1.0))]
+
+    def apply():
+        inc = IncrementalInstance(prog, db)
+        return inc, inc.apply(batch)
+
+    inc, summary = benchmark(apply)
+    counters.record(
+        "e02/apsp-tropp2/warm-insert",
+        {"valuations": summary.products, "keys_examined": summary.keys_examined},
+    )
+    cold = core.solve(prog, inc.database, method="naive")
+    emit_table(
+        f"E2: one-edge insert, APSP over Trop+_2 on random digraph(n={n})",
+        ("evaluation", "steps", "products"),
+        [
+            ("cold solve", cold.steps, cold.stats["products"]),
+            ("warm insert", summary.steps, summary.products),
+        ],
+    )
+    assert summary.path == "warm-naive"
+    assert fingerprint(inc.instance) == fingerprint(cold.instance)
+    assert summary.products < cold.stats["products"]

@@ -13,9 +13,13 @@ The paper's semiring framing makes this precise:
   (Theorem 6.5) rides it with one restricted bootstrap step as ``δ⁽⁰⁾``.
 * **Deletions / value shrink**: DRed-style over-delete/re-derive.  The
   over-deletion pass marks, bottom-up from the shrunk EDB facts, every
-  IDB atom with *some* derivation through a shrunk fact (enumerated
-  against the pre-mutation database and fixpoint), erases the marked
-  atoms, and restarts the chain from the surviving instance ``J⁻``:
+  IDB atom with *some* derivation through a shrunk fact, erases the
+  marked atoms, and restarts the chain from the surviving instance
+  ``J⁻``.  Marking is a key-only evaluation of delta rules (Gupta,
+  Mumick & Subrahmanian), which is what the frontier's delta bodies
+  are: each round asks :meth:`NaiveEvaluator.affected
+  <repro.core.naive.NaiveEvaluator.affected>`, over the pre-mutation
+  database and fixpoint, on the engine's kernels.  Then
   every surviving atom's value is exactly the ⊕-sum of its surviving
   derivation trees, hence ``J⁻ ⊑ F′(J⁻)`` and ``J⁻ ⊑ lfp(F′)`` — the
   same warm-restart lemma applies.
@@ -27,9 +31,10 @@ The paper's semiring framing makes this precise:
   erased head keys.  Both are ordinary bodies over relations the batch
   adds with :meth:`Database.derive`, so every engine runs them; why
   they give the same ``δ⁽⁰⁾`` key for key is argued on
-  :meth:`IncrementalInstance._continue_seminaive`.  Over-deletion
-  marking probes indexes over the pre-mutation stores, so neither pass
-  re-joins the whole fixpoint.
+  :meth:`IncrementalInstance._continue_seminaive`.  Marking is driven
+  by each round's frontier, so neither pass re-joins the whole
+  fixpoint.  Without ``⊖`` (Trop+_p) the warm naïve chain seeds round
+  1's frontier with the batch's grown EDB keys instead.
 * **Everything else** — non-naturally-ordered spaces (``THREE``, lifted
   orders: an EDB mutation is not monotone in the knowledge order, so no
   warm restart is sound), Boolean-relation mutations and programs whose
@@ -53,20 +58,13 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..semirings.base import FunctionRegistry
-from .ast import eval_term
 from .guardrails import BudgetExceeded
-from .indexes import JoinStats, KeyIndex
 from .instance import Database, Instance, Key
 from .io import decode_value, encode_value
-from .naive import DELTA_PREFIX, EvalStats, EvaluationResult, NaiveEvaluator
-from .naive import _relation_equal, footprint_program
-from .rules import Program, SumProduct
+from .naive import AFFECTED_PREFIX, DELTA_PREFIX, EvalStats, EvaluationResult
+from .naive import NaiveEvaluator, _relation_equal, footprint_program
+from .rules import Program
 from .seminaive import SemiNaiveEvaluator, seminaive_refusal
-from .valuations import Guard, enumerate_matches, is_indexed_plan
-
-#: Prefix of the Boolean relations (added with ``Database.derive``) that
-#: restrict a batch-sized bootstrap to the over-deleted keys of ``T``.
-ERASED_PREFIX = "__erased_"
 
 
 def fingerprint(instance: Instance) -> str:
@@ -455,9 +453,7 @@ class IncrementalInstance:
         dred_rounds = 0
         if not fallback and shrink:
             try:
-                j_minus, erased, dred_rounds = self._overdelete(
-                    shrink, work.join
-                )
+                j_minus, erased, dred_rounds = self._overdelete(shrink, work)
             except DredBudgetExceeded:
                 fallback = True
 
@@ -477,19 +473,21 @@ class IncrementalInstance:
                 # Insert-only growth: warm-restart straight from the
                 # current fixpoint (the continuation works on copies).
                 j_minus = self.instance
+            grown: Dict[str, Dict[Key, bool]] = {}
+            for m in grow:
+                grown.setdefault(m.relation, {})[m.key] = True
             try:
                 if self._seminaive_ok:
                     path = "seminaive"
-                    grown: Dict[str, Dict[Key, bool]] = {}
-                    for m in grow:
-                        grown.setdefault(m.relation, {})[m.key] = True
                     instance = self._continue_seminaive(
                         database, j_minus, grown, erased, work,
                         full_bootstrap=domain_grew,
                     )
                 else:
                     path = "warm-naive"
-                    instance = self._warm_naive(database, j_minus, work)
+                    instance = self._warm_naive(
+                        database, j_minus, work, None if domain_grew else grown
+                    )
             except BudgetExceeded:
                 path = "resolve"
         resolved_keys = 0
@@ -534,7 +532,7 @@ class IncrementalInstance:
     # DRed over-deletion
     # ------------------------------------------------------------------
     def _overdelete(
-        self, shrink: Sequence[Tuple[str, Key]], stats: JoinStats
+        self, shrink: Sequence[Tuple[str, Key]], stats: EvalStats
     ) -> Tuple[Instance, Dict[str, Dict[Key, bool]], int]:
         """Mark-and-erase every IDB atom with a derivation through a
         shrunk fact, bottom-up against the *pre-mutation* database and
@@ -543,27 +541,27 @@ class IncrementalInstance:
         Over-marking is always sound: re-derivation restores anything
         erased too eagerly.
 
-        Each round, every occurrence of a frontier relation — nested
-        under a :class:`FuncFactor` too, since a monotone function of a
-        shrunk value may shrink — is driven by the frontier, and every
-        other atom reads the pre-mutation store.  Reading ``J`` rather
-        than the instance erased so far is what finds a head whose
-        derivation joins two atoms erased in the same round; a match
-        through an atom erased in an earlier round finds a head that
-        round already erased.  Under an indexed ``plan`` the stores are
-        probed: ``J``'s relations and the database's are indexed once
-        per pass, the frontier once per round.
+        Each round asks :meth:`NaiveEvaluator.affected` — the frontier's
+        delta bodies, key-only on the engine's kernels — for the heads
+        with a grounding through an atom of the round's frontier (an
+        occurrence under a :class:`FuncFactor` too, since a monotone
+        function of a shrunk value may shrink), every other atom read
+        from the pre-mutation stores.  Reading ``J`` rather than the
+        instance erased so far is what finds a head whose derivation
+        joins two atoms erased in the same round; a match through an
+        atom erased in an earlier round finds a head that round already
+        erased, and is dropped here.
         """
         pops = self.pops
-        database = self.database
         before = self.instance
         working = before.copy()
         cap = self.dred_cap
         if cap is None:
             cap = max(256, 2 * before.size())
-        domain = sorted(self._domain, key=repr)
-        indexed = is_indexed_plan(self.plan)
-        store_indexes: Dict[Tuple[str, str], KeyIndex] = {}
+        finder = NaiveEvaluator(
+            self.program, self.database, functions=self.functions,
+            plan=self.plan, engine=self.engine, stats=stats,
+        )
         erased: Dict[str, Dict[Key, bool]] = {}
         marked_total = 0
         rounds = 0
@@ -572,45 +570,11 @@ class IncrementalInstance:
             frontier.setdefault(rel, {})[tuple(key)] = True
         while frontier:
             rounds += 1
-            front_indexes = {
-                rel: KeyIndex(keys) if indexed else None
-                for rel, keys in frontier.items()
-            }
-            hits: Dict[str, Set[Key]] = {}
-            for rule in self.program.rules:
-                for body in rule.bodies:
-                    for pos, (atom, _under) in enumerate(body.atoms()):
-                        front = frontier.get(atom.relation)
-                        if front is None:
-                            continue
-                        guards = self._dred_guards(
-                            body, pos, front, front_indexes[atom.relation],
-                            store_indexes if indexed else None, stats,
-                        )
-                        for valuation, _slots in enumerate_matches(
-                            body.enumeration_order(),
-                            guards,
-                            domain,
-                            body.condition,
-                            database.bool_holds,
-                            plan=self.plan,
-                            stats=stats,
-                        ):
-                            head_key = tuple(
-                                eval_term(t, valuation)
-                                for t in rule.head_args
-                            )
-                            if pops.eq(
-                                working.get(rule.head_relation, head_key),
-                                pops.bottom,
-                            ):
-                                continue
-                            hits.setdefault(
-                                rule.head_relation, set()
-                            ).add(head_key)
             next_frontier: Dict[str, Dict[Key, bool]] = {}
-            for rel, keys in hits.items():
-                for key in keys:
+            for rel, heads in finder.affected(frontier, before).items():
+                for key in heads:
+                    if pops.eq(working.get(rel, key), pops.bottom):
+                        continue
                     working.set(rel, key, pops.bottom)
                     marked_total += 1
                     erased.setdefault(rel, {})[key] = True
@@ -624,67 +588,6 @@ class IncrementalInstance:
         self.stats["dred_rounds"] += rounds
         self.stats["dred_deletions"] += marked_total
         return working, erased, rounds
-
-    def _dred_guards(
-        self,
-        body: SumProduct,
-        frontier_pos: int,
-        front: Dict[Key, bool],
-        front_index: Optional[KeyIndex],
-        store_indexes: Optional[Dict[Tuple[str, str], KeyIndex]],
-        stats: JoinStats,
-    ) -> List[Guard]:
-        """Guards for one over-deletion enumeration: the frontier drives
-        atom occurrence ``frontier_pos`` (in :meth:`SumProduct.atoms`
-        order); other positive top-level atoms read the pre-mutation
-        fixpoint (IDB) or database (EDB/Boolean).  Atoms under a
-        function bind nothing unless they drive.  Skipping absent atoms
-        is sound here because the DRed path only runs over naturally
-        ordered semirings.  ``store_indexes`` (``None`` under
-        ``plan="naive"``) caches one index per store for the pass.
-        """
-        database = self.database
-        guards: List[Guard] = []
-        for pos, (atom, under) in enumerate(body.atoms()):
-            rel = atom.relation
-            if pos == frontier_pos:
-                guards.append(
-                    Guard(
-                        args=atom.args,
-                        keys=lambda f=front: f,
-                        name=f"front:{rel}",
-                        index=front_index,
-                    )
-                )
-                continue
-            if under:
-                continue
-            if rel in self._idb_names:
-                kind, store = "idb", self.instance.support(rel)
-            elif rel in database.bool_relations:
-                kind, store = "bool", database.bool_relations[rel]
-            else:
-                kind, store = "edb", database.support(rel)
-            index = None
-            if store_indexes is not None:
-                index = store_indexes.get((kind, rel))
-                if index is None:
-                    if kind == "idb":
-                        index = KeyIndex(store, stats=stats)
-                    elif kind == "bool":
-                        index = database.bool_index(rel).view(stats)
-                    else:
-                        index = database.index(rel).view(stats)
-                    store_indexes[kind, rel] = index
-            guards.append(
-                Guard(
-                    args=atom.args,
-                    keys=lambda s=store: s,
-                    name=f"{kind}:{rel}",
-                    index=index,
-                )
-            )
-        return guards
 
     # ------------------------------------------------------------------
     # warm continuation
@@ -735,12 +638,11 @@ class IncrementalInstance:
         if full_bootstrap:
             program, boot_database = self.program, database
         else:
-            program = footprint_program(
-                self.program, grown=grown, restricted=erased, restrict_prefix=ERASED_PREFIX
-            )
+            program = footprint_program(self.program, grown=grown, restricted=erased)
             if program is None:
                 # No rule reads a changed relation: the fixpoint is
                 # exactly the surviving instance.
+                self.steps = 0
                 return j_minus
             deltas: Dict[str, Dict[Key, Any]] = {}
             for rel, keys in grown.items():
@@ -750,7 +652,7 @@ class IncrementalInstance:
             boot_database = database.derive(
                 relations=deltas,
                 bool_relations={
-                    ERASED_PREFIX + rel: frozenset(keys)
+                    AFFECTED_PREFIX + rel: frozenset(keys)
                     for rel, keys in erased.items()
                 },
             )
@@ -782,6 +684,7 @@ class IncrementalInstance:
             j_minus.copy(),
         )
         if delta.size() == 0:
+            self.steps = 0
             return new
         result = evaluator.run(start=(delta, new, j_minus))
         self.steps = result.steps
@@ -789,10 +692,16 @@ class IncrementalInstance:
         return result.instance
 
     def _warm_naive(
-        self, database: Database, j_minus: Instance, stats: EvalStats
+        self,
+        database: Database,
+        j_minus: Instance,
+        stats: EvalStats,
+        grown: Optional[Dict[str, Dict[Key, bool]]],
     ) -> Instance:
         """Warm restart without ⊖: iterate the naïve ICO from ``J⁻``
-        over the mutated ``database``; returns the new fixpoint."""
+        over the mutated ``database``; returns the new fixpoint.  The
+        batch's ``grown`` keys (``None`` when the active domain grew)
+        seed round 1's frontier."""
         evaluator = NaiveEvaluator(
             self.program,
             database,
@@ -802,8 +711,7 @@ class IncrementalInstance:
             engine=self.engine,
             stats=stats,
         )
-        result = evaluator.run(start=j_minus)
+        result = evaluator.run(start=j_minus, changed=grown)
         self.steps = result.steps
         self.stats["warm_iterations"] += result.steps + 1
         return result.instance
-

@@ -19,16 +19,24 @@ read no atom of ``Δ⁽ᵗ⁾ = {a : J⁽ᵗ⁾(a) ≠ J⁽ᵗ⁻¹⁾(a)}`` kee
 Over a sparse space the chain grows and absent atoms zero a grounding
 in both rounds, so the *delta bodies* of :func:`footprint_program`,
 run key-only over ``Δ⁽ᵗ⁾``, find exactly the heads to recompute; the
-rest are carried over.  The first round, and one after which over half
-of the instance changed, is full; steps, budget partials and traces
-stay Algorithm 1's.  A recomputed head may ⊕-accumulate in another order,
-so :meth:`NaiveEvaluator.run` licenses the rounds only for a sparse
-space without ``⊖`` whose values are held in a canonical form on which
-``⊕`` is order-free (``caps.canonical``, Trop+_p), a compiled engine,
-and no interpreted function or key read as a value; else
-``stats["frontier_refusal"]`` says why.  Every value in a round is
-canonical: the database's stores and a warm start are mapped to the
-form on entry, and every product folds from ``1``.
+rest are carried over.  That finder, :meth:`NaiveEvaluator.affected`,
+takes a change set of any relation a body reads, EDB included, and
+reads no value, so it needs no licence: DRed's over-deletion marking
+(:mod:`repro.core.incremental`) calls it over the pre-mutation
+database.  Round 1 is full from ``⊥``; from a warm start ``J`` (a
+fixpoint) ``run(start=J, changed=Δ_EDB)`` seeds it with the batch's
+grown EDB keys, since ``F_new(J)(h) = F_old(J)(h) = J(h)`` at every
+head that reads none of them; a grown active domain keeps it full.  A
+round after which over half of the instance changed is full too;
+steps, budget partials and traces stay Algorithm 1's.  A recomputed
+head may ⊕-accumulate in another order, so :meth:`NaiveEvaluator.run`
+licenses the rounds only for a sparse space without ``⊖`` whose values
+are held in a canonical form on which ``⊕`` is order-free
+(``caps.canonical``, Trop+_p), a compiled engine, and no interpreted
+function or key read as a value; else ``stats["frontier_refusal"]``
+says why.  Every value in a round is canonical: the database's stores
+and a warm start are mapped to the form on entry, and every product
+folds from ``1``.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tu
 from ..semirings.base import FunctionRegistry, Value
 from .ast import And, BoolAtom, Term, TrueCond, Variable, eval_term
 from .guardrails import Budget, BudgetExceeded, PartialResult, attach_partial
-from .indexes import IndexManager, JoinStats
+from .indexes import IndexManager, JoinStats, KeyIndex
 from .instance import Database, Instance, Key
 from .kernels import BodyKernels, KernelScope
 from .rules import FuncFactor, KeyAsValue, Program, Rule, SumProduct
@@ -162,39 +170,46 @@ DELTA_PREFIX = "__delta_"
 AFFECTED_PREFIX = "__affected_"
 
 
+def _conjoin(atom: BoolAtom, body: SumProduct) -> SumProduct:
+    """``body`` with ``atom`` conjoined first to its condition, where it
+    is a positive guard."""
+    condition = (
+        atom if isinstance(body.condition, TrueCond) else And((atom, body.condition))
+    )
+    return SumProduct(body.factors, condition)
+
+
 def footprint_program(
     program: Program,
     grown: Collection[str] = (),
     restricted: Collection[str] = (),
-    restrict_prefix: str = AFFECTED_PREFIX,
+    key_only: bool = False,
 ) -> Optional[Program]:
     """The *delta bodies* — per atom occurrence of a relation ``R`` in
     ``grown`` (under a function too), the body with it reading
     ``DELTA_PREFIX + R`` — and the *restricted bodies* — every body of a
-    relation ``T`` in ``restricted``, conjoined with ``restrict_prefix +
-    T(head args)`` — or ``None`` when there are none.  Frontier rounds
-    and :mod:`repro.core.incremental`'s bootstrap run them."""
+    relation ``T`` in ``restricted``, conjoined with ``AFFECTED_PREFIX +
+    T(head args)`` — or ``None`` when there are none.  A ``key_only``
+    delta body whose occurrence sits under a function also conjoins its
+    delta atom, which then drives enumeration (an atom under a function
+    binds nothing).  Frontier rounds, the affected-heads finder and
+    :mod:`repro.core.incremental`'s bootstrap run them."""
     rules: List[Rule] = []
     for rule in program.rules:
         bodies: List[SumProduct] = []
-        restrict = (
-            BoolAtom(restrict_prefix + rule.head_relation, rule.head_args)
-            if rule.head_relation in restricted
-            else None
-        )
+        restrict = rule.head_relation in restricted
         for body in rule.bodies:
-            if restrict is not None:
-                # The atom first, so it is a positive guard.
-                condition = (
-                    restrict if isinstance(body.condition, TrueCond)
-                    else And((restrict, body.condition))
-                )
-                bodies.append(SumProduct(body.factors, condition))
-            for pos, (atom, _under) in enumerate(body.atoms()):
+            if restrict:
+                bodies.append(_conjoin(
+                    BoolAtom(AFFECTED_PREFIX + rule.head_relation, rule.head_args), body
+                ))
+            for pos, (atom, under) in enumerate(body.atoms()):
                 if atom.relation in grown:
-                    bodies.append(
-                        body.with_atom_renamed(pos, DELTA_PREFIX + atom.relation)
-                    )
+                    name = DELTA_PREFIX + atom.relation
+                    delta = body.with_atom_renamed(pos, name)
+                    if under and key_only:
+                        delta = _conjoin(BoolAtom(name, atom.args), delta)
+                    bodies.append(delta)
         if bodies:
             rules.append(Rule(rule.head_relation, rule.head_args, tuple(bodies)))
     if not rules:
@@ -312,7 +327,7 @@ class NaiveEvaluator:
         #: where the last output differs from its input (``None``: unknown).
         self._armed = False
         self._delta: Optional[Dict[str, List[Key]]] = None
-        self._frontier: Optional[Tuple[list, BodyKernels]] = None
+        self._frontier: Optional[Tuple[list, Dict[str, Dict[Key, None]], BodyKernels]] = None
 
     # ------------------------------------------------------------------
     def _build_plans(self) -> List[Tuple[Rule, SumProduct, list, tuple]]:
@@ -520,28 +535,39 @@ class NaiveEvaluator:
                 return f"a {type(factor).__name__}: {factor}"
         return None
 
-    def _frontier_plans(self) -> Tuple[list, BodyKernels]:
-        """Per delta body, then per restricted body, built once: rule,
-        body, guards, conjuncts, the ``gate`` guard over the footprint
-        of ``relation`` (changed atoms of an IDB read, or affected head
-        keys) and ``relation``."""
+    def _frontier_plans(self) -> Tuple[list, Dict[str, Dict[Key, None]], BodyKernels]:
+        """Built once: per delta body (one per atom occurrence of every
+        relation a body reads, EDB included), then per restricted body,
+        its rule, body, guards, conjuncts, its ``gate`` guard, the name
+        of the footprint the gate reads and whether it is restricted;
+        the footprints by relation name; and their kernels.  The
+        footprints (the changed atoms of ``R`` in ``DELTA_PREFIX + R``,
+        the affected head keys of ``T`` in ``AFFECTED_PREFIX + T``) are
+        Boolean relations of a derived database that, unlike any other
+        database's, are refilled before each pass: lookups and scans
+        read them as the gates' indexes do."""
         if self._frontier is None:
-            idbs = self.program.idbs
-            prefixes = (DELTA_PREFIX, AFFECTED_PREFIX)
+            program = self.program
+            reads = {
+                atom.relation for rule in program.rules for body in rule.bodies
+                for atom, _ in body.atoms()
+            }
+            footprints: Dict[str, Dict[Key, None]] = {DELTA_PREFIX + rel: {} for rel in reads}
+            footprints.update((AFFECTED_PREFIX + rel, {}) for rel in program.idbs)
             database = self.database.derive(bool_relations={
-                prefix + rel: frozenset() for prefix in prefixes for rel in idbs
+                name: keys.keys() for name, keys in footprints.items()
             })
             kernels = BodyKernels(
                 self.engine, self.plan, database, self.functions, self.idb_names, self.domain,
                 stats=self.stats.join, poll=self._poll,
             )
             plans = []
-            for restricted, program in enumerate((
-                footprint_program(self.program, grown=idbs),
-                footprint_program(self.program, restricted=idbs),
+            for restricted, bodies in enumerate((
+                footprint_program(program, grown=reads, key_only=True),
+                footprint_program(program, restricted=program.idbs),
             )):
-                prefix = "bool:" + (AFFECTED_PREFIX if restricted else DELTA_PREFIX)
-                for rule in program.rules if program is not None else ():
+                prefix = AFFECTED_PREFIX if restricted else DELTA_PREFIX
+                for rule in bodies.rules if bodies is not None else ():
                     for body in rule.bodies:
                         guards = body_guards(
                             body, self.pops, database, self.idb_names,
@@ -550,52 +576,86 @@ class NaiveEvaluator:
                         # IDB stores grow after planning: the planner breaks
                         # cost ties by guard order, so toward the frozen stores.
                         guards.sort(key=lambda g: g.name.startswith("idb:"))
-                        gate = next(g for g in guards if g.name.startswith(prefix))
+                        gate = next(g for g in guards if g.name.startswith("bool:" + prefix))
                         plans.append((
                             rule, body, guards,
                             pushable_indicator_conditions(body, self.pops, False),
-                            gate, gate.name[len(prefix):], restricted,
+                            gate, gate.name[len("bool:"):], bool(restricted),
                         ))
-            self._frontier = (plans, kernels)
+            self._frontier = (plans, footprints, kernels)
         return self._frontier
 
-    def _frontier_ico(self, instance: Instance) -> Instance:
-        """One frontier round: ``F(instance)``, where ``instance`` is
-        ``F`` of the previous input and differs from it exactly on
-        ``self._delta``.  The delta bodies find the affected heads
-        key-only; the restricted bodies recompute them in full."""
-        plans, kernels = self._frontier_plans()
-        for rel in self._delta:
+    def _see(self, instance: Instance, changed: Optional[Collection[str]]) -> None:
+        """Make ``instance`` the one IDB guards read, advancing the index
+        versions of the relations where it differs from the last one
+        seen: ``changed``, or every IDB when that is unknown."""
+        if instance is self._last_seen:
+            return
+        known = changed is not None and self._last_seen is not None
+        for rel in changed if known else self.program.idbs:
             self._rel_versions[rel] = self._rel_versions.get(rel, 0) + 1
-        self._last_seen = instance
-        affected: Dict[str, Dict[Key, None]] = {}
-        buckets: Dict[str, Dict[Key, Value]] = {}
-        for idx, (rule, body, guards, extra, gate, relation, restricted) in enumerate(plans):
-            # The delta bodies come first, so the affected heads are
-            # complete before any restricted body reads them.
-            footprint = (affected if restricted else self._delta).get(relation)
-            if not footprint:
+        self._current = self._last_seen = instance
+
+    def _frontier_pass(
+        self, restricted: bool, footprint: Dict[str, Collection[Key]], instance: Instance
+    ) -> Dict[str, Dict[Key, Any]]:
+        """Every delta body (or restricted body) whose footprint relation
+        holds a key of ``footprint``, over ``instance``: per head
+        relation, the heads found key-only (or their recomputed sums)."""
+        plans, footprints, kernels = self._frontier_plans()
+        prefix = AFFECTED_PREFIX if restricted else DELTA_PREFIX
+        # Fresh gate indexes: the interpreted engine plans from their
+        # probe observations, and the last pass's frontier is not this one's.
+        gates: Dict[str, KeyIndex] = {}
+        for name, keys in footprints.items():
+            if name.startswith(prefix):
+                keys.clear()
+                keys.update(dict.fromkeys(footprint.get(name[len(prefix):], ())))
+                if keys:
+                    gates[name] = KeyIndex(list(keys), stats=self.stats.join)
+        out: Dict[str, Dict[Key, Any]] = {}
+        for idx, (rule, body, guards, extra, gate, name, kind) in enumerate(plans):
+            if kind != restricted or name not in gates:
                 continue
             if self._poll is not None:
                 self._poll()
             self.stats.rule_applications += 1
             refresh_guard_indexes(guards, self.indexes, self._epoch, versions=self._rel_versions)
-            gate.index = self.indexes.get(
-                ("frontier", gate.name), list(footprint), version=self._epoch
-            )
+            gate.index = gates[name]
             kernel = kernels.get(
                 idx, guards, body, extra_conjuncts=extra,
                 head_args=rule.head_args if restricted else None,
                 label=f"{rule.head_relation}.frontier{idx}",
             )
-            head = rule.head_relation
+            found = out.setdefault(rule.head_relation, {})
             if restricted:
-                matched = kernel.run(guards, instance, buckets.setdefault(head, {}))
+                matched = kernel.run(guards, instance, found)
                 self.stats.valuations += matched
                 self.stats.products += matched
             else:
-                found, key_of = affected.setdefault(head, {}).setdefault, _head_key(rule.head_args)
-                kernel.execute(guards, lambda valu, _slots: found(key_of(valu)))
+                add, key_of = found.setdefault, _head_key(rule.head_args)
+                kernel.execute(guards, lambda valu, _slots: add(key_of(valu)))
+        return out
+
+    def affected(
+        self, delta: Dict[str, Collection[Key]], instance: Instance
+    ) -> Dict[str, Dict[Key, None]]:
+        """Per head relation, the heads with a grounding over
+        ``instance`` and this evaluator's database that reads an atom of
+        ``delta`` (keys per relation, EDB or IDB): the delta bodies of
+        :func:`footprint_program`, run key-only on the engine's kernels.
+        No value is read, so no space needs a licence for it."""
+        self._see(instance, None)
+        return self._frontier_pass(False, delta, instance)
+
+    def _frontier_ico(self, instance: Instance) -> Instance:
+        """One frontier round: ``F(instance)``, where ``instance`` is
+        ``F`` of the previous input, or a seeded warm start, and differs
+        from it exactly on ``self._delta``.  The finder picks the heads;
+        the restricted bodies recompute them in full."""
+        self._see(instance, self._delta)
+        affected = self.affected(self._delta, instance)
+        buckets = self._frontier_pass(True, affected, instance)
         out = instance.copy()
         for rel, heads in affected.items():
             self.stats.heads_recomputed += len(heads)
@@ -616,7 +676,10 @@ class NaiveEvaluator:
         )
 
     def run(
-        self, capture_trace: bool = False, start: Optional[Instance] = None
+        self,
+        capture_trace: bool = False,
+        start: Optional[Instance] = None,
+        changed: Optional[Dict[str, Collection[Key]]] = None,
     ) -> EvaluationResult:
         """Iterate the ICO until convergence (Algorithm 1).
 
@@ -627,6 +690,14 @@ class NaiveEvaluator:
         reaches the same least fixpoint; ``steps`` then counts from
         ``start``.  A space's canonical form (``pops.caps.canonical``)
         is applied to ``start``'s values on entry.
+
+        ``changed`` seeds round 1's frontier: ``start`` must then be a
+        fixpoint of the program over a database that differs from this
+        evaluator's only in the grown EDB keys it lists per relation,
+        with the same active domain.  A head that reads none of them
+        keeps its value in ``F(start)``, so a licensed run recomputes
+        only the heads the finder reaches from those keys (unless the
+        half rule makes round 1 full).
 
         A tripped budget (wall poll inside :meth:`ico`, or the
         per-iteration size/wall charge) raises
@@ -651,6 +722,9 @@ class NaiveEvaluator:
                 rel: {key: canonical(v) for key, v in start.support(rel).items()}
                 for rel in start.relations()
             })
+        if changed and self._armed and start is not None:
+            self._delta = {rel: list(keys) for rel, keys in changed.items()}
+            self._produced, self._last_seen = weakref.ref(current), None
         trace: List[Instance] = [current.copy()] if capture_trace else []
         for step in range(self.max_iterations):
             self.stats.iterations += 1

@@ -227,6 +227,50 @@ def test_incremental_insert_matches_scratch(engine):
     assert fingerprint(inc.instance) == fingerprint(scratch.instance)
 
 
+@pytest.mark.parametrize("engine", COMPILED)
+class TestSeededRound:
+    """An insert batch seeds round 1's frontier with its grown ``E``
+    atoms: the warm chain is Algorithm 1's from the old fixpoint
+    (iterates and steps of the interpreted engine's full first round),
+    ends at a cold solve's fixpoint, and recomputes fewer heads than a
+    warm run whose round 1 is full; a new constant keeps round 1 full."""
+
+    PROGRAM = programs.transitive_closure()
+
+    def _apply(self, engine, key):
+        pops = TropicalPSemiring(2)
+        db = database(pops, cyclic_graph(3, nodes=8, edges=16))
+        inc = IncrementalInstance(self.PROGRAM, db, engine=engine)
+        start = inc.instance
+        summary = inc.apply([Mutation("insert", "E", key, bag(pops, 0.5))])
+        assert summary.path == "warm-naive"
+        scratch = solve(self.PROGRAM, inc.database, engine="interpreted")
+        assert fingerprint(inc.instance) == fingerprint(scratch.instance)
+        return inc, start, summary
+
+    def _run(self, inc, engine, start, changed=None):
+        evaluator = NaiveEvaluator(self.PROGRAM, inc.database, engine=engine)
+        return evaluator.run(start=start, changed=changed, capture_trace=True)
+
+    def test_insert_recomputes_only_affected_heads(self, engine):
+        key = ("n2", "n5")
+        inc, start, summary = self._apply(engine, key)
+        oracle = self._run(inc, "interpreted", start)
+        seeded = self._run(inc, engine, start, changed={"E": [key]})
+        full = self._run(inc, engine, start)
+        assert summary.steps == seeded.steps == oracle.steps
+        assert [fingerprint(j) for j in seeded.trace] == [
+            fingerprint(j) for j in oracle.trace
+        ]
+        assert summary.products == seeded.stats["products"]
+        assert seeded.stats["heads_recomputed"] < full.stats["heads_recomputed"]
+        assert seeded.stats["products"] < full.stats["products"]
+
+    def test_new_constant_keeps_round_one_full(self, engine):
+        inc, start, summary = self._apply(engine, ("n7", "z"))
+        assert summary.products == self._run(inc, engine, start).stats["products"]
+
+
 def test_layered_ring_products_drop():
     pops = TropicalPSemiring(2)
     db = database(pops, layered_ring(10, 5))

@@ -5,8 +5,9 @@ The load-bearing invariant, hypothesis-tested across TROP/BOOL/THREE and
 sequence, the maintained fixpoint is byte-identical (via
 :func:`fingerprint`) to ``solve()``-from-scratch on the final EDB.
 
-``DATALOGO_ENGINE`` restricts the shape differential and the
-batch-proportionality pins to one engine (the CI matrix leg).
+``DATALOGO_ENGINE`` restricts the shape differential, the DRed marking
+pins (``dred_marked``/``dred_rounds``) and the batch-proportionality
+pins to one engine (the CI matrix leg).
 """
 
 from __future__ import annotations
@@ -142,14 +143,16 @@ class TestMaintenancePaths:
         assert inc.stats["incremental_fallbacks"] == 0
         assert inc.query("L", ("d",)) == 0.5
 
-    def test_pure_dred_deletion_no_full_resolve(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_pure_dred_deletion_no_full_resolve(self, engine):
         """The acceptance-criteria path: a deletion maintained entirely
-        by over-delete/re-derive, with zero full re-solves after warmup."""
-        inc = IncrementalInstance(programs.sssp("a"), trop_db())
+        by over-delete/re-derive, with zero full re-solves after warmup.
+        Every engine's finder marks the same atoms in as many rounds."""
+        inc = IncrementalInstance(programs.sssp("a"), trop_db(), engine=engine)
         solves_before = inc.stats["full_solves"]
         summary = inc.apply([Mutation("delete", "E", ("a", "b"), None)])
         assert summary.path in ("seminaive", "warm-naive")
-        assert summary.dred_marked > 0
+        assert (summary.dred_marked, summary.dred_rounds) == (4, 4)
         assert inc.stats["full_solves"] == solves_before
         assert inc.stats["incremental_fallbacks"] == 0
         assert inc.stats["dred_deletions"] > 0
@@ -166,15 +169,19 @@ class TestMaintenancePaths:
         ref = solve(inc.program, inc.database, method="seminaive")
         assert fingerprint(inc.instance) == fingerprint(ref.instance)
 
-    def test_cyclic_self_support_does_not_survive_deletion(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_cyclic_self_support_does_not_survive_deletion(self, engine):
         """Regression: with a self-loop E(a,a), T(b,a) supports itself
         via T(b,a) ⊗ E(a,a).  A maintainer that counts that cyclic
         derivation as a survivor skips the over-delete and leaves
         T(b,a)/T(b,b) stale."""
-        inc = IncrementalInstance(programs.transitive_closure(), bool_db())
+        inc = IncrementalInstance(
+            programs.transitive_closure(), bool_db(), engine=engine
+        )
         inc.apply([Mutation("insert", "E", ("a", "a"), True)])
         inc.apply([Mutation("insert", "E", ("b", "a"), True)])
-        inc.apply([Mutation("delete", "E", ("b", "a"), None)])
+        summary = inc.apply([Mutation("delete", "E", ("b", "a"), None)])
+        assert (summary.dred_marked, summary.dred_rounds) == (8, 4)
         assert not inc.query("T", ("b", "a"))
         assert not inc.query("T", ("b", "b"))
         ref = solve(inc.program, inc.database, method="seminaive")
@@ -193,6 +200,23 @@ class TestMaintenancePaths:
         summary = inc.apply([Mutation("delete", "E", ("a", "b"), None)])
         assert summary.path == "resolve"
         assert inc.stats["incremental_fallbacks"] == 1
+        ref = solve(inc.program, inc.database, method="seminaive")
+        assert fingerprint(inc.instance) == fingerprint(ref.instance)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_batch_without_delta_reports_no_steps(self, engine):
+        """A batch whose continuation finds no change ran no chain: its
+        ``steps`` is 0, not the count of the batch before it."""
+        db = core.Database(pops=TROP, relations={"E": {
+            ("a", "b"): 1.0, ("b", "c"): 1.0, ("c", "d"): 1.0, ("a", "c"): 5.0,
+        }})
+        inc = IncrementalInstance(programs.apsp(), db, engine=engine)
+        steps = [
+            inc.apply([Mutation("insert", "E", key, value)]).steps
+            for key, value in ((("d", "a"), 1.0), (("a", "c"), 4.0), (("a", "c"), 3.5))
+        ]
+        assert steps == [4, 0, 0]
+        assert inc.steps == 0
         ref = solve(inc.program, inc.database, method="seminaive")
         assert fingerprint(inc.instance) == fingerprint(ref.instance)
 
@@ -314,7 +338,8 @@ class TestFunctionFactorOverdeletion:
 
     PROGRAM = "T(X, Y) :- scale(E(X, Y)) | T(X, Z) * E(Z, Y)."
 
-    def test_shrink_under_function_is_maintained(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_shrink_under_function_is_maintained(self, engine):
         functions = FunctionRegistry()
         functions.register("scale", lambda v: 2 * v)
         db = core.Database(
@@ -324,15 +349,16 @@ class TestFunctionFactorOverdeletion:
             },
         )
         inc = IncrementalInstance(
-            parse_program(self.PROGRAM), db, functions=functions
+            parse_program(self.PROGRAM), db, functions=functions, engine=engine
         )
-        for mutation, want in (
-            (Mutation("insert", "E", ("a", "b"), 0.5), 1.0),
-            (Mutation("insert", "E", ("a", "b"), 3.0), 6.0),
-            (Mutation("delete", "E", ("a", "b"), None), math.inf),
+        for mutation, want, marked in (
+            (Mutation("insert", "E", ("a", "b"), 0.5), 1.0, (0, 0)),
+            (Mutation("insert", "E", ("a", "b"), 3.0), 6.0, (2, 3)),
+            (Mutation("delete", "E", ("a", "b"), None), math.inf, (2, 3)),
         ):
             summary = inc.apply([mutation])
             assert summary.path == "seminaive"
+            assert (summary.dred_marked, summary.dred_rounds) == marked
             assert inc.query("T", ("a", "b")) == want
             ref = solve(
                 inc.program, inc.database, method="seminaive",
@@ -342,7 +368,8 @@ class TestFunctionFactorOverdeletion:
 
 
 class TestNonLinearOverdeletion:
-    def test_same_round_pair_is_marked(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_same_round_pair_is_marked(self, engine):
         """``T(x,y)``'s only derivation joins ``T(x,z)`` and ``T(z,y)``,
         both erased in the same marking round: the next round must still
         find it through the pair."""
@@ -351,12 +378,14 @@ class TestNonLinearOverdeletion:
         inc = IncrementalInstance(
             program,
             core.Database(pops=BOOL, relations={"E": dict.fromkeys(edges, True)}),
+            engine=engine,
         )
         summary = inc.apply(
             [Mutation("delete", "E", ("x", "z")),
              Mutation("delete", "E", ("z", "y"))]
         )
         assert summary.path == "seminaive"
+        assert (summary.dred_marked, summary.dred_rounds) == (5, 3)
         assert not inc.query("T", ("x", "y"))
         ref = solve(inc.program, inc.database, method="seminaive")
         assert fingerprint(inc.instance) == fingerprint(ref.instance)
