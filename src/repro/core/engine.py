@@ -61,7 +61,13 @@ def collector_paused() -> Iterator[None]:
     A fixpoint allocates millions of tuples, lists and dicts, and
     reference counting frees the short-lived ones on its own; the
     collector would still scan every few hundred allocations, and its
-    full collections walk the growing, cycle-free relations.  Entries
+    full collections walk the growing, cycle-free relations.  It wraps
+    :func:`solve`, the CLI's JSON encoding of a fixpoint, and the
+    write path:
+    :meth:`IncrementalInstance.apply
+    <repro.core.incremental.IncrementalInstance.apply>` and
+    :class:`~repro.core.journal.DurableInstance`'s ``apply``,
+    ``checkpoint`` and recovery rebuild.  Entries
     nest across threads (served bound queries run ``solve`` on pool
     threads): the outermost entry disables the collector if it was
     enabled, and the last exit — also by an exception such as

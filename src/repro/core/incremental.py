@@ -35,12 +35,33 @@ The paper's semiring framing makes this precise:
   by each round's frontier, so neither pass re-joins the whole
   fixpoint.  Without ``⊖`` (Trop+_p) the warm naïve chain seeds round
   1's frontier with the batch's grown EDB keys instead.
+* **Indexes are derived, not rebuilt.**  The instance keeps one frozen
+  :class:`~repro.core.indexes.KeyIndex` per IDB relation a body reads,
+  over the published fixpoint (*resident* indexes).  DRed's finder and
+  the bootstrap read them through views (:meth:`NaiveEvaluator.pin_indexes
+  <repro.core.naive.NaiveEvaluator.pin_indexes>`); each batch derives
+  them (:meth:`KeyIndex.derive <repro.core.indexes.KeyIndex.derive>`)
+  by the erased keys to ``J⁻`` and by the continuation's merged δs to
+  the new ``J``, with every mask table they carry.  They are dropped
+  when a batch re-solves or takes the warm naïve path, and the next
+  batch that needs them builds them again.  The EDB stores a batch
+  replaces derive their indexes from the published database's in the
+  same way (:meth:`Database.derive`).  A derived index enumerates
+  exactly as a fresh one would, so join orders, probe order, ⊕ order
+  and every work counter but ``index_builds`` are unchanged.
+* **The active domain counts only where a body reads it.**  A variable
+  no guard binds is enumerated over (or checked against) ``ADom``; a
+  program whose plans have none (:meth:`NaiveEvaluator.reads_domain
+  <repro.core.naive.NaiveEvaluator.reads_domain>`) is range restricted,
+  and its fixpoint does not depend on the domain, so a batch that adds
+  or removes constants takes the same paths as any other.
 * **Everything else** — non-naturally-ordered spaces (``THREE``, lifted
   orders: an EDB mutation is not monotone in the knowledge order, so no
   warm restart is sound), Boolean-relation mutations and programs whose
   conditions read an IDB (both gate conditions non-monotonically),
-  domain shrinkage, a blown DRed marking
-  cap (``dred_cap``) or a continuation that exceeds ``max_iterations``
+  domain shrinkage under a program that reads the domain, a blown DRed
+  marking cap (``dred_cap``) or a continuation that exceeds
+  ``max_iterations``
   — degrades honestly to a full re-solve, counted in
   ``stats["incremental_fallbacks"]``.
 
@@ -58,7 +79,9 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..semirings.base import FunctionRegistry
+from .engine import collector_paused
 from .guardrails import BudgetExceeded
+from .indexes import KeyIndex
 from .instance import Database, Instance, Key
 from .io import decode_value, encode_value
 from .naive import AFFECTED_PREFIX, DELTA_PREFIX, EvalStats, EvaluationResult
@@ -148,6 +171,9 @@ class ApplySummary:
     products: int = 0
     #: Candidate keys its joins examined, over-deletion marking included.
     keys_examined: int = 0
+    #: Mask tables its joins built (:attr:`JoinStats.index_builds
+    #: <repro.core.indexes.JoinStats.index_builds>`).
+    index_builds: int = 0
     wall_s: float = 0.0
     changed_relations: List[str] = field(default_factory=list)
 
@@ -160,9 +186,32 @@ class ApplySummary:
             "steps": self.steps,
             "products": self.products,
             "keys_examined": self.keys_examined,
+            "index_builds": self.index_builds,
             "wall_s": self.wall_s,
             "changed_relations": list(self.changed_relations),
         }
+
+
+class _Continuation(SemiNaiveEvaluator):
+    """The warm chain's evaluator.  It also collects what every
+    :meth:`advance` merges into ``J``: per relation, each merged key's
+    last value, keys in the order they were first merged — the order
+    in which the instance's dict appends them."""
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        super().__init__(*args, **kwargs)
+        self.merged: Dict[str, Dict[Key, Any]] = {}
+
+    def advance(
+        self, buckets: Dict[str, Dict[Key, Any]], new: Instance
+    ) -> Tuple[Instance, Instance]:
+        delta, merged_into = super().advance(buckets, new)
+        for rel in delta.relations():
+            values = merged_into.support(rel)
+            self.merged.setdefault(rel, {}).update(
+                (key, values[key]) for key in delta.support(rel)
+            )
+        return delta, merged_into
 
 
 class IncrementalInstance:
@@ -218,16 +267,32 @@ class IncrementalInstance:
         }
         self.steps = warm_steps
         self._idb_names = program.idb_names()
+        #: The IDB relations some body reads, and the resident indexes
+        #: over them (module docstring): ``(instance, {relation:
+        #: index})``, valid while ``instance`` is the published one.
+        self._idb_reads = sorted({
+            atom.relation
+            for rule in program.rules
+            for body in rule.bodies
+            for atom, _ in body.atoms()
+            if atom.relation in self._idb_names
+        })
+        self._resident: Tuple[Optional[Instance], Dict[str, KeyIndex]] = (None, {})
         #: Conditions that read an IDB (stratified negation) make the
         #: ICO non-monotone in that IDB: no warm restart is sound.
         self._stratified = bool(program.condition_idbs())
         self._seminaive_ok = seminaive_refusal(program, self.pops) is None
+        #: Whether the fixpoint depends on the active domain at all.
+        self._reads_domain = NaiveEvaluator(
+            program, database, functions=self.functions,
+            plan=self.plan, engine=self.engine,
+        ).reads_domain()
         if warm_instance is not None:
             self.instance = warm_instance
             self._bump_versions(self._all_relations())
         else:
             self.instance = self._resolve(database).instance
-        self._domain = self._domain_of(database)
+        self._domain = self._domain_of(database) if self._reads_domain else set()
 
     # ------------------------------------------------------------------
     # helpers
@@ -241,6 +306,19 @@ class IncrementalInstance:
 
     def _domain_of(self, database: Database) -> Set[Any]:
         return set(database.active_domain()) | set(self.program.constants())
+
+    def _fixpoint_indexes(self) -> Dict[str, KeyIndex]:
+        """The resident indexes over the published fixpoint, building
+        the ones missing (the first batch, or the first after a
+        re-solve)."""
+        instance, indexes = self._resident
+        if instance is not self.instance:
+            indexes = {}
+            self._resident = (self.instance, indexes)
+        for rel in self._idb_reads:
+            if rel not in indexes:
+                indexes[rel] = KeyIndex(self.instance.support(rel))
+        return indexes
 
     def _bump_versions(self, relations: Iterable[str]) -> None:
         for rel in relations:
@@ -324,11 +402,13 @@ class IncrementalInstance:
 
     def _mutated_database(self, mutations: Sequence[Mutation]) -> Database:
         """The post-batch EDB, derived copy-on-write: each touched
-        relation is copied once and mutated in the copy; the published
-        database is not written."""
+        relation is copied once and mutated in the copy, each key once
+        (``mutations`` are net); the published database is not written,
+        and each copy's index is derived from the published one's."""
         pops = self.pops
         database = self.database
         relations: Dict[str, Dict[Key, Any]] = {}
+        changed: Dict[str, List[Key]] = {}
         bool_relations: Dict[str, Set[Key]] = {}
         for m in mutations:
             if self._is_bool_relation(m.relation):
@@ -351,13 +431,16 @@ class IncrementalInstance:
                     support.pop(m.key, None)
                 else:
                     support[m.key] = m.value
+                changed.setdefault(m.relation, []).append(m.key)
         return database.derive(
             relations=relations,
             bool_relations={
                 rel: frozenset(keys) for rel, keys in bool_relations.items()
             },
+            changed=changed,
         )
 
+    @collector_paused()
     def apply(self, mutations: Sequence[Any]) -> ApplySummary:
         """Apply a mutation batch, maintaining the fixpoint.
 
@@ -453,19 +536,24 @@ class IncrementalInstance:
         dred_rounds = 0
         if not fallback and shrink:
             try:
-                j_minus, erased, dred_rounds = self._overdelete(shrink, work)
+                j_minus, erased, dred_rounds = self._overdelete(
+                    shrink, work, self._fixpoint_indexes()
+                )
             except DredBudgetExceeded:
                 fallback = True
 
         before = self.instance
         database = self._mutated_database(effective)
-        new_domain = self._domain_of(database)
-        if self._domain - new_domain:
-            # Constants left the active domain: totalization sets and
-            # enumeration fallbacks shrink, which no warm state predicts.
-            fallback = True
-        domain_grew = bool(new_domain - self._domain)
+        new_domain, domain_grew = self._domain, False
+        if self._reads_domain:
+            new_domain = self._domain_of(database)
+            if self._domain - new_domain:
+                # Constants left the active domain: totalization sets and
+                # enumeration fallbacks shrink, which no warm state predicts.
+                fallback = True
+            domain_grew = bool(new_domain - self._domain)
 
+        resident: Dict[str, KeyIndex] = {}
         if fallback:
             path = "resolve"
         else:
@@ -479,9 +567,10 @@ class IncrementalInstance:
             try:
                 if self._seminaive_ok:
                     path = "seminaive"
-                    instance = self._continue_seminaive(
+                    instance, resident = self._continue_seminaive(
                         database, j_minus, grown, erased, work,
                         full_bootstrap=domain_grew,
+                        indexes=self._fixpoint_indexes(),
                     )
                 else:
                     path = "warm-naive"
@@ -490,16 +579,18 @@ class IncrementalInstance:
                     )
             except BudgetExceeded:
                 path = "resolve"
-        resolved_keys = 0
+        resolved_keys = resolved_builds = 0
         if path == "resolve":
             result = self._resolve(database)
             instance = result.instance
             work.products += result.stats.get("products", 0)
             resolved_keys = result.stats.get("keys_examined", 0)
+            resolved_builds = result.stats.get("index_builds", 0)
             self.stats["incremental_fallbacks"] += 1
         # Publish the successor EDB with its fixpoint; until here every
         # reader saw the previous pair.
         self.database, self.instance = database, instance
+        self._resident = (instance, resident)
         self._domain = new_domain
         self.stats["incremental_products"] += work.products
         changed = sorted(
@@ -514,6 +605,7 @@ class IncrementalInstance:
             steps=self.steps,
             products=work.products,
             keys_examined=work.join.keys_examined + resolved_keys,
+            index_builds=work.join.index_builds + resolved_builds,
             wall_s=time.perf_counter() - started,
             changed_relations=changed,
         )
@@ -532,7 +624,10 @@ class IncrementalInstance:
     # DRed over-deletion
     # ------------------------------------------------------------------
     def _overdelete(
-        self, shrink: Sequence[Tuple[str, Key]], stats: EvalStats
+        self,
+        shrink: Sequence[Tuple[str, Key]],
+        stats: EvalStats,
+        indexes: Dict[str, KeyIndex],
     ) -> Tuple[Instance, Dict[str, Dict[Key, bool]], int]:
         """Mark-and-erase every IDB atom with a derivation through a
         shrunk fact, bottom-up against the *pre-mutation* database and
@@ -550,7 +645,8 @@ class IncrementalInstance:
         instance erased so far is what finds a head whose derivation
         joins two atoms erased in the same round; a match through an
         atom erased in an earlier round finds a head that round already
-        erased, and is dropped here.
+        erased, and is dropped here.  The fixpoint is read through its
+        resident ``indexes``.
         """
         pops = self.pops
         before = self.instance
@@ -562,6 +658,7 @@ class IncrementalInstance:
             self.program, self.database, functions=self.functions,
             plan=self.plan, engine=self.engine, stats=stats,
         )
+        finder.pin_indexes(indexes, before)
         erased: Dict[str, Dict[Key, bool]] = {}
         marked_total = 0
         rounds = 0
@@ -600,9 +697,13 @@ class IncrementalInstance:
         erased: Dict[str, Dict[Key, bool]],
         stats: EvalStats,
         full_bootstrap: bool,
-    ) -> Instance:
+        indexes: Dict[str, KeyIndex],
+    ) -> Tuple[Instance, Dict[str, KeyIndex]]:
         """Restart the semi-naïve chain from ``J⁻`` over the mutated
-        ``database``; returns the new fixpoint.
+        ``database``; returns the new fixpoint and its resident indexes,
+        derived from ``J``'s (``indexes``): to ``J⁻`` by the erased
+        keys, which the bootstrap reads, then by every δ the chain
+        merges.
 
         The bootstrap computes ``δ⁽⁰⁾ = F′(J⁻) ⊖ J⁻`` from the batch's
         footprint alone, with one naïve ICO application of two kinds of
@@ -635,6 +736,10 @@ class IncrementalInstance:
         full program over ``J⁻``.  The differential loop is
         :meth:`SemiNaiveEvaluator.run`, entered mid-chain.
         """
+        indexes = {
+            rel: index.derive(removed=erased[rel]) if rel in erased else index
+            for rel, index in indexes.items()
+        }
         if full_bootstrap:
             program, boot_database = self.program, database
         else:
@@ -643,7 +748,7 @@ class IncrementalInstance:
                 # No rule reads a changed relation: the fixpoint is
                 # exactly the surviving instance.
                 self.steps = 0
-                return j_minus
+                return j_minus, indexes
             deltas: Dict[str, Dict[Key, Any]] = {}
             for rel, keys in grown.items():
                 # Post-batch values: each grown key's last write.
@@ -656,7 +761,7 @@ class IncrementalInstance:
                     for rel, keys in erased.items()
                 },
             )
-        evaluator = SemiNaiveEvaluator(
+        evaluator = _Continuation(
             self.program,
             database,
             functions=self.functions,
@@ -676,6 +781,7 @@ class IncrementalInstance:
             indexes=evaluator.indexes,
             engine=self.engine,
         )
+        bootstrap.pin_indexes(indexes, j_minus)
         image = bootstrap.ico(j_minus)
         # δ⁽⁰⁾ = F′(J⁻) ⊖ J⁻, applied to a copy: a failed continuation
         # must leave the surviving instance as it was.
@@ -685,11 +791,16 @@ class IncrementalInstance:
         )
         if delta.size() == 0:
             self.steps = 0
-            return new
-        result = evaluator.run(start=(delta, new, j_minus))
-        self.steps = result.steps
-        self.stats["warm_iterations"] += result.steps
-        return result.instance
+        else:
+            result = evaluator.run(start=(delta, new, j_minus))
+            self.steps = result.steps
+            self.stats["warm_iterations"] += result.steps
+            new = result.instance
+        merged = evaluator.merged
+        return new, {
+            rel: index.derive(upserted=merged[rel]) if rel in merged else index
+            for rel, index in indexes.items()
+        }
 
     def _warm_naive(
         self,

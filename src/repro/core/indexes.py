@@ -25,7 +25,10 @@ structure that turns those scans into O(1) hash probes:
   the plans they steer — stay per solve.  IDB and delta indexes are
   versioned: rebuilt when the caller's version moves, inheriting
   (decayed) probe observations from their predecessor so selectivity
-  estimates stay adaptive across iterations.
+  estimates stay adaptive across iterations — except for a store the
+  caller :meth:`~IndexManager.pin`-s to a frozen index that already
+  holds it, as incremental maintenance does with its resident indexes
+  over the fixpoint.
 * :class:`JoinStats` — probe/scan/fallback/pushdown counters for the
   join core, surfaced through ``EvalStats`` so benchmarks (E2, E12,
   E21, E23) can report the saving of indexed over naïve enumeration.
@@ -42,6 +45,7 @@ from collections.abc import Mapping as _Mapping, Set as _Set
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
+from types import MappingProxyType
 from typing import (
     Any,
     Callable,
@@ -103,6 +107,12 @@ def _projector(mask: Mask) -> Callable[[Key], Tuple[Hashable, ...]]:
         (column,) = mask
         return lambda key: (key[column],)
     return itemgetter(*mask)
+
+
+def _by_key(entries: List[Entry]) -> Dict[Key, Entry]:
+    """``key ↦ entry`` over ``entries``, in their order (later
+    duplicates win)."""
+    return dict(zip(map(itemgetter(0), entries), entries))
 
 
 @dataclass
@@ -253,6 +263,7 @@ class JoinStats:
 
 
 _EMPTY: Tuple[Entry, ...] = ()
+_NO_KEYS: Mapping[Key, Any] = MappingProxyType({})
 
 
 class KeyIndex:
@@ -275,7 +286,10 @@ class KeyIndex:
 
     An index a database owns is *frozen*: solves read it only through
     :meth:`view`, which shares its entries and the mask tables already
-    built, and publishes the ones it builds itself.
+    built, and publishes the ones it builds itself.  A mutation batch
+    does not rebuild a frozen index: :meth:`derive` makes the index over
+    the store after the batch from it, copy-on-write, with every mask
+    table published so far.
     """
 
     __slots__ = (
@@ -295,9 +309,10 @@ class KeyIndex:
         stats: Optional[JoinStats] = None,
     ):
         self._entries: List[Entry] = []
-        #: key -> position in ``_entries``; ``None`` until :meth:`add`
-        #: (or a bulk load that has to look for duplicates) needs it.
-        self._pos: Optional[Dict[Key, int]] = None
+        #: key -> its entry, in ``_entries``' order; ``None`` until
+        #: :meth:`add`, :meth:`derive` (or a bulk load that has to look
+        #: for duplicates) needs it.
+        self._pos: Optional[Dict[Key, Entry]] = None
         self._maps: Dict[Mask, Dict[Tuple[Hashable, ...], List[Entry]]] = {}
         #: Per-mask probe observations: mask -> [probes, entries returned].
         self._observed: Dict[Mask, List[int]] = {}
@@ -335,6 +350,88 @@ class KeyIndex:
         view.has_values = self.has_values
         return view
 
+    def derive(
+        self,
+        removed: Iterable[Key] = (),
+        upserted: Mapping[Key, Any] = _NO_KEYS,
+    ) -> "KeyIndex":
+        """A new frozen index over this one's store after a batch.
+
+        The batch deletes every key of ``removed``, then writes every
+        key of ``upserted`` with its value: in place where the key is
+        present, appended in ``upserted``'s order where it is not — what
+        ``pop`` and item assignment do to a dict.  The result enumerates
+        its entries, and the bucket of every mask table this index had
+        built, in exactly the order of a fresh :class:`KeyIndex` over
+        the resulting dict, so scans, probes and every ⊕ fed from them
+        run in the same order.
+
+        Copy-on-write, at the cost of the batch plus C-level copies of
+        the key map, the entry list, each touched table and each touched
+        bucket: untouched entries, buckets and tables are shared; a
+        written key gets a new entry and each bucket it touches a new
+        list.  So this index must be frozen (never :meth:`add`-ed to
+        again), and nothing of it is written — a solve may still be
+        reading it, and views publish their tables into ``_maps``, which
+        is snapshotted before it is read.  Probe observations and
+        distinct counts start empty, as a view's do.
+        """
+        by_key = self._pos.copy() if self._pos is not None else _by_key(self._entries)
+        olds: List[Entry] = []  # the entries a key leaves
+        #: id(old entry) -> its new entry, or ``None`` where it was deleted
+        replaced: Dict[int, Optional[Entry]] = {}
+        appended: List[Entry] = []
+        for key in removed:
+            old = by_key.pop(key, None)
+            if old is not None:
+                olds.append(old)
+                replaced[id(old)] = None
+        for key, value in upserted.items():
+            old = by_key.get(key)
+            entry: Entry = [key, value]
+            by_key[key] = entry
+            if old is None:
+                appended.append(entry)
+            else:
+                olds.append(old)
+                replaced[id(old)] = entry
+
+        derived = KeyIndex.__new__(KeyIndex)
+        derived._entries = list(by_key.values())
+        derived._pos = by_key
+        derived._observed = {}
+        derived._distinct = {}
+        derived._published = None
+        derived.stats = None
+        derived.has_values = bool(derived._entries) and (
+            self.has_values or bool(upserted)
+        )
+        derived._maps = {}
+        for mask, table in dict(self._maps).items():
+            project = _projector(mask)
+            top = mask[-1] if mask else -1
+            # Per bucket a changed key lands in: (entries it leaves, appended).
+            touched: Dict[Tuple[Hashable, ...], Tuple[List[Entry], List[Entry]]] = {}
+            for at, changed in enumerate((olds, appended)):
+                for entry in changed:
+                    if top < len(entry[0]):
+                        touched.setdefault(project(entry[0]), ([], []))[at].append(entry)
+            if touched:  # else the parent's table, never written, is shared
+                table = table.copy()
+            for proj, (left, tail) in touched.items():
+                bucket = table.get(proj, _EMPTY)
+                if left:
+                    # Each entry a key leaves becomes its new entry, or
+                    # drops out where the key was deleted.
+                    bucket = filter(None, map(replaced.get, map(id, bucket), bucket))
+                bucket = [*bucket, *tail]
+                if bucket:
+                    table[proj] = bucket
+                else:
+                    del table[proj]
+            derived._maps[mask] = table
+        return derived
+
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._entries)
@@ -359,19 +456,17 @@ class KeyIndex:
         if self._published is not None:
             raise TypeError("a view of a frozen index is read-only")
         key = tuple(key)
-        positions = self._pos
-        if positions is None:
-            positions = self._pos = {
-                entry[0]: i for i, entry in enumerate(self._entries)
-            }
-        pos = positions.get(key)
-        if pos is not None:
+        by_key = self._pos
+        if by_key is None:
+            by_key = self._pos = _by_key(self._entries)
+        entry = by_key.get(key)
+        if entry is not None:
             if value is not NO_VALUE:
-                self._entries[pos][1] = value
+                entry[1] = value
                 self.has_values = True
             return False
-        entry: Entry = [key, value]
-        positions[key] = len(self._entries)
+        entry = [key, value]
+        by_key[key] = entry
         self._entries.append(entry)
         if self._distinct:
             self._distinct.clear()
@@ -400,11 +495,11 @@ class KeyIndex:
             if {type(entry[0]) for entry in entries} <= {tuple}:
                 # Mappings and sets cannot repeat a key; anything else
                 # is checked through the position map it then keeps.
-                positions = None
+                by_key = None
                 if not isinstance(keys, (_Mapping, _Set)):
-                    positions = {e[0]: i for i, e in enumerate(entries)}
-                if positions is None or len(positions) == len(entries):
-                    self._entries, self._pos = entries, positions
+                    by_key = _by_key(entries)
+                if by_key is None or len(by_key) == len(entries):
+                    self._entries, self._pos = entries, by_key
                     self.has_values = isinstance(keys, _Mapping) and bool(entries)
                     return len(entries)
             return sum(
@@ -559,6 +654,12 @@ class KeyIndex:
 class _Entry:
     index: KeyIndex
     version: Hashable
+    #: The store a :meth:`IndexManager.pin`-ned entry indexes.
+    store: Any = None
+
+
+#: The version of a :meth:`IndexManager.pin`-ned entry.
+_PINNED = object()
 
 
 class IndexManager:
@@ -596,6 +697,8 @@ class IndexManager:
         if entry is not None and entry.version == version:
             return entry.index
         material = keys() if callable(keys) else keys
+        if entry is not None and entry.version is _PINNED and material is entry.store:
+            return entry.index
         index = KeyIndex(material, stats=self.stats)
         if entry is not None:
             index.inherit_observations(entry.index)
@@ -612,6 +715,17 @@ class IndexManager:
         index = shared.view(self.stats)
         self._entries[name] = _Entry(index=index, version=shared)
         return index
+
+    def pin(self, name: Hashable, shared: KeyIndex, store: Any) -> None:
+        """Serve ``name`` from this manager's view of the frozen index
+        ``shared`` while :meth:`get` is asked to index ``store`` itself,
+        whatever the version; any other store is indexed as usual, and
+        replaces the pin.  The caller promises that ``store`` holds
+        exactly ``shared``'s entries, in its order, and is not written
+        while pinned."""
+        self._entries[name] = _Entry(
+            index=shared.view(self.stats), version=_PINNED, store=store
+        )
 
     def peek(self, name: Hashable) -> Optional[KeyIndex]:
         """Return the cached index without building (None when absent)."""

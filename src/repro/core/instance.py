@@ -46,27 +46,45 @@ def _freeze_key(key: Iterable[Any]) -> Key:
 
 
 class _IndexCell:
-    """One store's frozen :class:`~repro.core.indexes.KeyIndex`, built
+    """One store's frozen :class:`~repro.core.indexes.KeyIndex`, made
     on first demand.
 
     Every database holding the store holds the same cell
     (:meth:`Database.derive` hands untouched relations' cells on), so a
     store is indexed at most once and the mask tables
-    solves publish into its index serve all of them.  Two threads
-    racing on the first build each get a complete index; the last one
-    stays.
+    solves publish into its index serve all of them.  A cell that
+    replaced a store whose index was built, with the keys the batch
+    changed, derives its index from that one (:meth:`KeyIndex.derive
+    <repro.core.indexes.KeyIndex.derive>`) instead of building it.  Two
+    threads racing on the first demand each get a complete index; the
+    last one stays.
     """
 
-    __slots__ = ("store", "index")
+    __slots__ = ("store", "index", "_parent")
 
-    def __init__(self, store: Any):
+    def __init__(
+        self,
+        store: Any,
+        parent: Optional[Tuple[KeyIndex, Iterable[Key]]] = None,
+    ):
         self.store = store
         self.index: Optional[KeyIndex] = None
+        #: ``(replaced store's index, changed keys)`` until the first demand.
+        self._parent = parent
 
     def get(self) -> KeyIndex:
         index = self.index
         if index is None:
-            index = self.index = KeyIndex(self.store)
+            parent, store = self._parent, self.store
+            if parent is None:
+                index = KeyIndex(store)
+            else:
+                base, changed = parent
+                index = base.derive(
+                    removed=[key for key in changed if key not in store],
+                    upserted={key: store[key] for key in changed if key in store},
+                )
+            self.index, self._parent = index, None
         return index
 
 
@@ -151,6 +169,7 @@ class Database:
         relations: Optional[Mapping[str, Dict[Key, Value]]] = None,
         bool_relations: Optional[Mapping[str, AbstractSet[Key]]] = None,
         key_views: Optional[Mapping[str, str]] = None,
+        changed: Optional[Mapping[str, Iterable[Key]]] = None,
     ) -> "Database":
         """The one constructor for a changed database.
 
@@ -158,7 +177,14 @@ class Database:
         its frozen index — for every relation not named here.
         ``relations`` / ``bool_relations`` add or replace stores, taken
         as they are: tuple keys, no ``⊥`` values, never written again
-        (nothing is re-validated).  ``key_views`` adds Boolean relations
+        (nothing is re-validated).  ``changed`` names, for a relation
+        whose store ``relations`` replaces, the keys where the new store
+        differs from this database's: a copy of it in which each was
+        deleted, overwritten in place or added, once and in this order.
+        Where the replaced store's index is built, the new store's is
+        then derived from it on first demand (sharing every untouched
+        entry, bucket and published mask table) instead of built from
+        scratch.  ``key_views`` adds Boolean relations
         that are the key set of one of the result's POPS relations
         (this database's, or one ``relations`` adds), sharing its store
         and its index.  A result that only adds key views reuses this
@@ -180,6 +206,10 @@ class Database:
             for name, cell in self._cells.items()
             if name[1] not in (relations if name[0] == "edb" else bool_relations)
         }
+        for name, keys in (changed or {}).items():
+            built = self._cells.get(("edb", name))
+            if built is not None and built.index is not None:
+                cells["edb", name] = _IndexCell(relations[name], (built.index, keys))
         for view, relation in (key_views or {}).items():
             store = stores.get(relation, _NO_STORE)
             cell = cells.get(("edb", relation))

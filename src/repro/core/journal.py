@@ -511,6 +511,7 @@ class DurableInstance:
                 stacklevel=3,
             )
 
+    @collector_paused()
     def apply(self, mutations: Sequence[Any]) -> ApplySummary:
         """Write-ahead apply: journal (durable) → memory → checkpoint.
 
@@ -566,6 +567,7 @@ class DurableInstance:
             self.checkpoint()
         return summary
 
+    @collector_paused()
     def checkpoint(self) -> None:
         """Snapshot the full state atomically, then rotate the journal."""
         if not self.healthy:

@@ -53,6 +53,7 @@ from .guardrails import Budget, BudgetExceeded, PartialResult, attach_partial
 from .indexes import IndexManager, JoinStats, KeyIndex
 from .instance import Database, Instance, Key
 from .kernels import BodyKernels, KernelScope
+from .pushdown import compile_schedule
 from .rules import FuncFactor, KeyAsValue, Program, Rule, SumProduct
 from .valuations import (
     body_guards,
@@ -347,6 +348,30 @@ class NaiveEvaluator:
                 )
                 plans.append((rule, body, guards, extra))
         return plans
+
+    def reads_domain(self) -> bool:
+        """Whether some body's plan reads the active domain
+        (:attr:`PushdownSchedule.reads_domain
+        <repro.core.pushdown.PushdownSchedule.reads_domain>`).  If none
+        does, every valuation joins stored atoms: the program is range
+        restricted, and its fixpoint does not depend on the domain."""
+        return any(
+            compile_schedule(
+                body.condition, extra, (),
+                [guard for guard in guards if guard.simple_args()],
+                body.enumeration_order(),
+            ).reads_domain
+            for _rule, body, guards, extra in self._plans
+        )
+
+    def pin_indexes(self, frozen: Dict[str, KeyIndex], instance: Instance) -> None:
+        """Read each IDB ``R`` of ``frozen`` in ``instance`` through a
+        view of the frozen index ``frozen[R]``, which must hold exactly
+        ``R``'s entries there, in their order, instead of indexing it
+        (:meth:`IndexManager.pin <repro.core.indexes.IndexManager.pin>`).
+        Any other instance's ``R`` is indexed as usual."""
+        for rel, index in frozen.items():
+            self.indexes.pin(("idb", f"idb:{rel}"), index, instance.support(rel))
 
     def _idb_supplier(self, name: str):
         # The mapping (not just its keys) feeds the guard index, so

@@ -153,6 +153,13 @@ class PushdownSchedule:
     residual: Tuple[Condition, ...] = ()
     needs_domain_set: bool = field(default=False)
 
+    @property
+    def reads_domain(self) -> bool:
+        """Whether running the schedule reads the fallback domain: it
+        enumerates a variable over it or checks a binding against it.
+        Which variables that is depends on the guards, not their order."""
+        return bool(self.fallback) or self.needs_domain_set
+
 
 def naive_schedule(
     condition: Condition, remaining: Sequence[str]

@@ -1,5 +1,6 @@
 """The cold ``datalogo run`` path: lazy package namespaces, the paused
-cyclic collector around ``solve``, and the one-line JSON output."""
+cyclic collector around ``solve`` and the write path, and the one-line
+JSON output."""
 
 from __future__ import annotations
 
@@ -16,7 +17,9 @@ import repro
 from repro.cli import main
 from repro.core import BudgetExceeded, Database, Instance, parse_program, solve
 from repro.core.engine import collector_paused
+from repro.core.incremental import IncrementalInstance, Mutation
 from repro.core.io import instance_from_dict, instance_to_dict
+from repro.core.journal import DurableInstance
 from repro.semirings import BOTTLENECK, INF, TROP, TropicalPSemiring
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -207,6 +210,66 @@ class TestCollectorPaused:
         assert not errors
         assert len(results) == 10 and all(r.equals(expected) for r in results)
         assert gc.isenabled()
+
+
+class TestCollectorOnWritePath:
+    """A mutation batch runs with the collector paused — in memory and
+    through the journal, checkpoints included — and restores it after
+    every outcome."""
+
+    def _probe(self, monkeypatch, cls, name):
+        """Record the collector's state whenever ``cls.name`` runs."""
+        seen = []
+        real = getattr(cls, name)
+
+        def probing(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, probing)
+        return seen
+
+    def test_good_batch(self, monkeypatch):
+        inc = IncrementalInstance(parse_program(TC), _tc_database())
+        seen = self._probe(monkeypatch, IncrementalInstance, "_mutated_database")
+        assert inc.apply([Mutation("insert", "E", ("v3", "v9"), 0.5)]).path == "seminaive"
+        assert seen == [False] and gc.isenabled()
+
+    def test_value_error_batch(self):
+        inc = IncrementalInstance(parse_program(TC), _tc_database())
+        with pytest.raises(ValueError):
+            inc.apply([Mutation("insert", "T", ("v0", "v1"), 1.0)])
+        assert gc.isenabled()
+
+    def test_batch_falling_back_to_a_nested_solve(self, monkeypatch):
+        # Conditions reading an IDB gate it both ways: always a re-solve.
+        program = parse_program(
+            TC + "U(X) :- { E(X, Y) if not T(Y, X) }.\n"
+        )
+        inc = IncrementalInstance(program, _tc_database())
+        seen = self._probe(monkeypatch, IncrementalInstance, "_resolve")
+        assert inc.apply([Mutation("delete", "E", ("v3", "v4"))]).path == "resolve"
+        assert seen == [False] and gc.isenabled()
+
+    def test_durable_apply_abort_and_checkpoint(self, tmp_path, monkeypatch):
+        dur = DurableInstance(
+            str(tmp_path), parse_program(TC), TROP, database=_tc_database(),
+            checkpoint_every=1,
+        )
+        seen = self._probe(monkeypatch, DurableInstance, "_fault")
+        dur.apply([Mutation("insert", "E", ("v3", "v9"), 0.5)])
+        # journal, apply and checkpoint sites, all inside the pause.
+        assert seen and not any(seen) and gc.isenabled()
+
+        def failing(mutations):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(dur.inc, "apply", failing)
+        with pytest.raises(RuntimeError, match="synthetic"):
+            dur.apply([Mutation("insert", "E", ("v4", "v9"), 0.5)])
+        assert dur.stats["apply_aborts"] == 1 and dur.healthy
+        assert gc.isenabled()
+        dur.close()
 
 
 def _run_json(tmp_path, capsys, pops: str, edges) -> str:

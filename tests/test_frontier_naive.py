@@ -233,23 +233,30 @@ class TestSeededRound:
     atoms: the warm chain is Algorithm 1's from the old fixpoint
     (iterates and steps of the interpreted engine's full first round),
     ends at a cold solve's fixpoint, and recomputes fewer heads than a
-    warm run whose round 1 is full; a new constant keeps round 1 full."""
+    warm run whose round 1 is full.  A new constant keeps round 1 full
+    where a body enumerates the active domain; a range-restricted
+    program's fixpoint does not depend on the domain, so it is seeded."""
 
     PROGRAM = programs.transitive_closure()
+    #: TC plus a body with a variable no guard binds (``Y``).
+    READS_DOMAIN = parse_program(
+        "T(X, Y) :- E(X, Y) | T(X, Z) * E(Z, Y)."
+        " U(X, Y) :- { T(X, Z) if Y != Z }."
+    )
 
-    def _apply(self, engine, key):
+    def _apply(self, engine, key, program=PROGRAM):
         pops = TropicalPSemiring(2)
         db = database(pops, cyclic_graph(3, nodes=8, edges=16))
-        inc = IncrementalInstance(self.PROGRAM, db, engine=engine)
+        inc = IncrementalInstance(program, db, engine=engine)
         start = inc.instance
         summary = inc.apply([Mutation("insert", "E", key, bag(pops, 0.5))])
         assert summary.path == "warm-naive"
-        scratch = solve(self.PROGRAM, inc.database, engine="interpreted")
+        scratch = solve(program, inc.database, engine="interpreted")
         assert fingerprint(inc.instance) == fingerprint(scratch.instance)
         return inc, start, summary
 
     def _run(self, inc, engine, start, changed=None):
-        evaluator = NaiveEvaluator(self.PROGRAM, inc.database, engine=engine)
+        evaluator = NaiveEvaluator(inc.program, inc.database, engine=engine)
         return evaluator.run(start=start, changed=changed, capture_trace=True)
 
     def test_insert_recomputes_only_affected_heads(self, engine):
@@ -267,8 +274,15 @@ class TestSeededRound:
         assert seeded.stats["products"] < full.stats["products"]
 
     def test_new_constant_keeps_round_one_full(self, engine):
-        inc, start, summary = self._apply(engine, ("n7", "z"))
+        inc, start, summary = self._apply(engine, ("n7", "z"), self.READS_DOMAIN)
         assert summary.products == self._run(inc, engine, start).stats["products"]
+
+    def test_new_constant_seeds_a_range_restricted_program(self, engine):
+        key = ("n7", "z")
+        inc, start, summary = self._apply(engine, key)
+        seeded = self._run(inc, engine, start, changed={"E": [key]})
+        assert summary.products == seeded.stats["products"]
+        assert seeded.stats["products"] < self._run(inc, engine, start).stats["products"]
 
 
 def test_layered_ring_products_drop():
