@@ -55,6 +55,33 @@ The paper's semiring framing makes this precise:
   <repro.core.naive.NaiveEvaluator.reads_domain>`) is range restricted,
   and its fixpoint does not depend on the domain, so a batch that adds
   or removes constants takes the same paths as any other.
+* **A session is kept across batches.**  Besides the resident indexes,
+  the instance keeps what every batch's evaluators would otherwise
+  work out again from the whole program or fixpoint:
+
+  - the enumeration domain, where a plan reads it: ``ADom ∪`` the
+    program's constants, sorted as
+    :meth:`~repro.core.instance.Database.enumeration_domain` sorts it,
+    with a count per constant of the EDB facts holding it.  Each batch
+    updates it from the facts it adds or removes, and no store is
+    walked again.  A range-restricted program keeps it empty;
+  - the codegen kernels earlier batches generated, in a
+    :class:`~repro.core.kernels.KernelScope` without a base database.
+    Each batch plans every body itself, so its join orders and work
+    counters are the ones it would have alone; a kernel generated
+    before for the same plan and body is re-bound to the batch's
+    counters.  A kernel that holds one of a batch's stores, or reads
+    the domain, is built per batch.  A re-solve drops neither (the
+    domain follows the EDB, a kernel holds no batch's state), and an
+    apply that raises commits nothing to them.
+
+  A warm semi-naïve batch writes ``J`` at the erased and the merged
+  keys only, so the relations it changed — which bump
+  :attr:`IncrementalInstance.versions`, the serve layer's cache keys —
+  are found by comparing ``J`` before and after at those keys; the
+  ``warm-naive`` and ``resolve`` paths compare every relation.  DRed's
+  ``J⁻`` is the batch's own copy of ``J``, and the continuation merges
+  into it: a batch copies the fixpoint once.
 * **Everything else** — non-naturally-ordered spaces (``THREE``, lifted
   orders: an EDB mutation is not monotone in the knowledge order, so no
   warm restart is sound), Boolean-relation mutations and programs whose
@@ -75,6 +102,7 @@ because both run the same engines over the same domain ordering.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -84,8 +112,9 @@ from .guardrails import BudgetExceeded
 from .indexes import KeyIndex
 from .instance import Database, Instance, Key
 from .io import decode_value, encode_value
+from .kernels import KernelScope
 from .naive import AFFECTED_PREFIX, DELTA_PREFIX, EvalStats, EvaluationResult
-from .naive import NaiveEvaluator, _relation_equal, footprint_program
+from .naive import _ABSENT, NaiveEvaluator, _relation_equal, footprint_program
 from .rules import Program
 from .seminaive import SemiNaiveEvaluator, seminaive_refusal
 
@@ -285,14 +314,28 @@ class IncrementalInstance:
         #: Whether the fixpoint depends on the active domain at all.
         self._reads_domain = NaiveEvaluator(
             program, database, functions=self.functions,
-            plan=self.plan, engine=self.engine,
+            plan=self.plan, engine=self.engine, domain=(),
         ).reads_domain()
+        # The maintenance session (module docstring): the domain every
+        # warm evaluator enumerates, and the kernels batches generated.
+        self._fixed_constants = program.constants()
+        #: Per constant, the EDB facts holding it (counted once per
+        #: position), kept only where a plan reads the domain.
+        self._constants: Counter = Counter()
+        #: ``database.enumeration_domain(program constants)``, kept
+        #: current batch by batch; empty where no plan reads it.
+        self._domain: List[Any] = []
+        if self._reads_domain:
+            for store in (*database.relations.values(), *database.bool_relations.values()):
+                for key in store:
+                    self._constants.update(key)
+            self._domain = database.enumeration_domain(self._fixed_constants)
+        self._kernel_templates: Dict[Any, Any] = {}
         if warm_instance is not None:
             self.instance = warm_instance
             self._bump_versions(self._all_relations())
         else:
             self.instance = self._resolve(database).instance
-        self._domain = self._domain_of(database) if self._reads_domain else set()
 
     # ------------------------------------------------------------------
     # helpers
@@ -304,8 +347,44 @@ class IncrementalInstance:
             | set(self.database.bool_relations)
         )
 
-    def _domain_of(self, database: Database) -> Set[Any]:
-        return set(database.active_domain()) | set(self.program.constants())
+    def _domain_after(
+        self, flips: Sequence[Tuple[Key, int]]
+    ) -> Tuple[List[Any], bool, bool, Dict[Any, int]]:
+        """The session domain after a batch in which the EDB facts of
+        ``flips`` appeared (``+1``) or disappeared (``-1``): ``(domain,
+        whether a constant entered it, whether one left it, the change
+        of each constant's count)``.  Only the batch's keys are read."""
+        change: Dict[Any, int] = {}
+        for key, sign in flips:
+            for constant in key:
+                change[constant] = change.get(constant, 0) + sign
+        gained: List[Any] = []
+        lost: Set[Any] = set()
+        for constant, moved in change.items():
+            held = self._constants[constant]
+            if constant in self._fixed_constants or (held > 0) == (held + moved > 0):
+                continue
+            if held:
+                lost.add(constant)
+            else:
+                gained.append(constant)
+        domain = self._domain
+        if lost:
+            domain = [constant for constant in domain if constant not in lost]
+        if gained:
+            domain = sorted(domain + gained, key=repr)
+        return domain, bool(gained), bool(lost), change
+
+    def _kernel_scope(self) -> Optional[KernelScope]:
+        """The batch's view of the session's generated kernels (``None``
+        when a registered function cannot key them)."""
+        registry = self.functions.snapshot() if self.functions is not None else None
+        prefix = (self.plan, registry)
+        try:
+            hash(prefix)
+        except TypeError:
+            return None
+        return KernelScope(self._kernel_templates, prefix, None)
 
     def _fixpoint_indexes(self) -> Dict[str, KeyIndex]:
         """The resident indexes over the published fixpoint, building
@@ -477,6 +556,8 @@ class IncrementalInstance:
         shrink: List[Tuple[str, Key]] = []
         bool_changes = 0
         effective: List[Mutation] = []
+        #: The facts that appear (+1) or disappear (-1).
+        flips: List[Tuple[Key, int]] = []
         for m in last.values():
             if self._is_bool_relation(m.relation):
                 present = m.key in self.database.bool_relations.get(
@@ -486,6 +567,7 @@ class IncrementalInstance:
                     continue
                 bool_changes += 1
                 effective.append(m)
+                flips.append((m.key, -1 if present else 1))
                 continue
             old = self.database.value(m.relation, m.key)
             if m.op == "delete" or pops.eq(m.value, pops.bottom):
@@ -493,10 +575,13 @@ class IncrementalInstance:
                     continue
                 shrink.append((m.relation, m.key))
                 effective.append(m)
+                flips.append((m.key, -1))
                 continue
             if pops.eq(old, m.value):
                 continue
             effective.append(m)
+            if pops.eq(old, pops.bottom):
+                flips.append((m.key, 1))
             if pops.leq(old, m.value):
                 grow.append(m)
             else:
@@ -531,35 +616,39 @@ class IncrementalInstance:
             or (bool(shrink) and not self._seminaive_ok)
         )
         work = EvalStats()
+        scope = self._kernel_scope()
         j_minus: Optional[Instance] = None
         erased: Dict[str, Dict[Key, bool]] = {}
         dred_rounds = 0
         if not fallback and shrink:
             try:
                 j_minus, erased, dred_rounds = self._overdelete(
-                    shrink, work, self._fixpoint_indexes()
+                    shrink, work, self._fixpoint_indexes(), scope
                 )
             except DredBudgetExceeded:
                 fallback = True
 
         before = self.instance
         database = self._mutated_database(effective)
-        new_domain, domain_grew = self._domain, False
+        new_domain, domain_grew, domain_change = self._domain, False, {}
         if self._reads_domain:
-            new_domain = self._domain_of(database)
-            if self._domain - new_domain:
+            new_domain, domain_grew, shrank, domain_change = self._domain_after(flips)
+            if shrank:
                 # Constants left the active domain: totalization sets and
                 # enumeration fallbacks shrink, which no warm state predicts.
                 fallback = True
-            domain_grew = bool(new_domain - self._domain)
 
         resident: Dict[str, KeyIndex] = {}
+        merged: Dict[str, Dict[Key, Any]] = {}
         if fallback:
             path = "resolve"
         else:
+            # DRed's surviving instance is the batch's own copy; the
+            # current fixpoint is published, so the continuation copies it.
+            private = j_minus is not None
             if j_minus is None:
                 # Insert-only growth: warm-restart straight from the
-                # current fixpoint (the continuation works on copies).
+                # current fixpoint.
                 j_minus = self.instance
             grown: Dict[str, Dict[Key, bool]] = {}
             for m in grow:
@@ -567,15 +656,17 @@ class IncrementalInstance:
             try:
                 if self._seminaive_ok:
                     path = "seminaive"
-                    instance, resident = self._continue_seminaive(
+                    instance, resident, merged = self._continue_seminaive(
                         database, j_minus, grown, erased, work,
                         full_bootstrap=domain_grew,
                         indexes=self._fixpoint_indexes(),
+                        domain=new_domain, scope=scope, private=private,
                     )
                 else:
                     path = "warm-naive"
                     instance = self._warm_naive(
-                        database, j_minus, work, None if domain_grew else grown
+                        database, j_minus, work, None if domain_grew else grown,
+                        new_domain, scope,
                     )
             except BudgetExceeded:
                 path = "resolve"
@@ -592,9 +683,16 @@ class IncrementalInstance:
         self.database, self.instance = database, instance
         self._resident = (instance, resident)
         self._domain = new_domain
+        for constant, moved in domain_change.items():
+            self._constants[constant] += moved
+            if not self._constants[constant]:
+                del self._constants[constant]
         self.stats["incremental_products"] += work.products
+        # A warm semi-naïve batch wrote the erased and the merged keys
+        # only; any other path is compared in full.
+        touched = [*erased.items(), *merged.items()] if path == "seminaive" else None
         changed = sorted(
-            {m.relation for m in effective} | self._changed_idbs(before)
+            {m.relation for m in effective} | self._changed_idbs(before, touched)
         )
         self._bump_versions(changed)
         return ApplySummary(
@@ -610,14 +708,34 @@ class IncrementalInstance:
             changed_relations=changed,
         )
 
-    def _changed_idbs(self, before: Instance) -> Set[str]:
+    def _changed_idbs(
+        self,
+        before: Instance,
+        touched: Optional[Sequence[Tuple[str, Iterable[Key]]]] = None,
+    ) -> Set[str]:
+        """The IDB relations where the published fixpoint differs from
+        ``before``: compared at the ``touched`` keys of each relation,
+        where a batch that wrote only those keys can differ, or, without
+        them, everywhere."""
         after = self.instance
+        if touched is None:
+            return {
+                rel
+                for rel in set(before.relations()) | set(after.relations())
+                if not _relation_equal(self.pops, after.support(rel), before.support(rel))
+            }
+        eq = self.pops.eq
         changed: Set[str] = set()
-        for rel in set(before.relations()) | set(after.relations()):
-            if not _relation_equal(
-                self.pops, after.support(rel), before.support(rel)
-            ):
-                changed.add(rel)
+        for rel, keys in touched:
+            old, new = before.support(rel), after.support(rel)
+            for key in keys:
+                value = new.get(key, _ABSENT)
+                was = old.get(key, _ABSENT)
+                if (value is _ABSENT) is not (was is _ABSENT) or (
+                    value is not _ABSENT and not eq(value, was)
+                ):
+                    changed.add(rel)
+                    break
         return changed
 
     # ------------------------------------------------------------------
@@ -628,13 +746,14 @@ class IncrementalInstance:
         shrink: Sequence[Tuple[str, Key]],
         stats: EvalStats,
         indexes: Dict[str, KeyIndex],
+        scope: Optional[KernelScope],
     ) -> Tuple[Instance, Dict[str, Dict[Key, bool]], int]:
         """Mark-and-erase every IDB atom with a derivation through a
         shrunk fact, bottom-up against the *pre-mutation* database and
         fixpoint.  Returns the surviving instance ``J⁻``, the erased
         keys per relation and the number of marking rounds.
         Over-marking is always sound: re-derivation restores anything
-        erased too eagerly.
+        erased too eagerly.  ``J⁻`` is the batch's own copy of ``J``.
 
         Each round asks :meth:`NaiveEvaluator.affected` — the frontier's
         delta bodies, key-only on the engine's kernels — for the heads
@@ -657,6 +776,7 @@ class IncrementalInstance:
         finder = NaiveEvaluator(
             self.program, self.database, functions=self.functions,
             plan=self.plan, engine=self.engine, stats=stats,
+            domain=self._domain, kernel_scope=scope,
         )
         finder.pin_indexes(indexes, before)
         erased: Dict[str, Dict[Key, bool]] = {}
@@ -698,12 +818,17 @@ class IncrementalInstance:
         stats: EvalStats,
         full_bootstrap: bool,
         indexes: Dict[str, KeyIndex],
-    ) -> Tuple[Instance, Dict[str, KeyIndex]]:
+        domain: List[Any],
+        scope: Optional[KernelScope],
+        private: bool,
+    ) -> Tuple[Instance, Dict[str, KeyIndex], Dict[str, Dict[Key, Any]]]:
         """Restart the semi-naïve chain from ``J⁻`` over the mutated
-        ``database``; returns the new fixpoint and its resident indexes,
-        derived from ``J``'s (``indexes``): to ``J⁻`` by the erased
-        keys, which the bootstrap reads, then by every δ the chain
-        merges.
+        ``database`` and its ``domain``; returns the new fixpoint, its
+        resident indexes, derived from ``J``'s (``indexes``): to ``J⁻``
+        by the erased keys, which the bootstrap reads, then by every δ
+        the chain merges, and those δs' keys with their merged values.
+        The chain merges into ``J⁻`` itself where it is ``private`` (the
+        batch's own copy), else into a copy.
 
         The bootstrap computes ``δ⁽⁰⁾ = F′(J⁻) ⊖ J⁻`` from the batch's
         footprint alone, with one naïve ICO application of two kinds of
@@ -748,7 +873,7 @@ class IncrementalInstance:
                 # No rule reads a changed relation: the fixpoint is
                 # exactly the surviving instance.
                 self.steps = 0
-                return j_minus, indexes
+                return j_minus, indexes, {}
             deltas: Dict[str, Dict[Key, Any]] = {}
             for rel, keys in grown.items():
                 # Post-batch values: each grown key's last write.
@@ -767,8 +892,10 @@ class IncrementalInstance:
             functions=self.functions,
             max_iterations=self.max_iterations,
             plan=self.plan,
+            domain=domain,
             engine=self.engine,
             stats=stats,
+            kernel_scope=scope,
         )
         bootstrap = NaiveEvaluator(
             program,
@@ -780,14 +907,16 @@ class IncrementalInstance:
             stats=evaluator.stats,
             indexes=evaluator.indexes,
             engine=self.engine,
+            kernel_scope=scope,
         )
         bootstrap.pin_indexes(indexes, j_minus)
         image = bootstrap.ico(j_minus)
-        # δ⁽⁰⁾ = F′(J⁻) ⊖ J⁻, applied to a copy: a failed continuation
-        # must leave the surviving instance as it was.
+        bootstrap.unpin_indexes(indexes)
+        # δ⁽⁰⁾ = F′(J⁻) ⊖ J⁻.  A failed continuation must leave the
+        # published fixpoint as it was.
         delta, new = evaluator.advance(
             {rel: image.support(rel) for rel in image.relations()},
-            j_minus.copy(),
+            j_minus if private else j_minus.copy(),
         )
         if delta.size() == 0:
             self.steps = 0
@@ -800,7 +929,7 @@ class IncrementalInstance:
         return new, {
             rel: index.derive(upserted=merged[rel]) if rel in merged else index
             for rel, index in indexes.items()
-        }
+        }, merged
 
     def _warm_naive(
         self,
@@ -808,19 +937,23 @@ class IncrementalInstance:
         j_minus: Instance,
         stats: EvalStats,
         grown: Optional[Dict[str, Dict[Key, bool]]],
+        domain: List[Any],
+        scope: Optional[KernelScope],
     ) -> Instance:
         """Warm restart without ⊖: iterate the naïve ICO from ``J⁻``
-        over the mutated ``database``; returns the new fixpoint.  The
-        batch's ``grown`` keys (``None`` when the active domain grew)
-        seed round 1's frontier."""
+        over the mutated ``database`` and its ``domain``; returns the new
+        fixpoint.  The batch's ``grown`` keys (``None`` when the active
+        domain grew) seed round 1's frontier."""
         evaluator = NaiveEvaluator(
             self.program,
             database,
             functions=self.functions,
             max_iterations=self.max_iterations,
             plan=self.plan,
+            domain=domain,
             engine=self.engine,
             stats=stats,
+            kernel_scope=scope,
         )
         result = evaluator.run(start=j_minus, changed=grown)
         self.steps = result.steps

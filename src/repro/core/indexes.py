@@ -41,6 +41,7 @@ the static ``n / 4^bound`` guess the seed planner used.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping as _Mapping, Set as _Set
 from dataclasses import dataclass
 from functools import lru_cache
@@ -367,16 +368,18 @@ class KeyIndex:
         run in the same order.
 
         Copy-on-write, at the cost of the batch plus C-level copies of
-        the key map, the entry list, each touched table and each touched
-        bucket: untouched entries, buckets and tables are shared; a
-        written key gets a new entry and each bucket it touches a new
-        list.  So this index must be frozen (never :meth:`add`-ed to
-        again), and nothing of it is written — a solve may still be
-        reading it, and views publish their tables into ``_maps``, which
-        is snapshotted before it is read.  Probe observations and
-        distinct counts start empty, as a view's do.
+        the key map (rebuilt at its size where an append grew it), the
+        entry list, each touched table and each touched bucket:
+        untouched entries, buckets and tables are shared; a written key
+        gets a new entry and each bucket it touches a new list.  So this
+        index must be frozen (never :meth:`add`-ed to again), and
+        nothing of it is written — a solve may still be reading it, and
+        views publish their tables into ``_maps``, which is snapshotted
+        before it is read.  Probe observations and distinct counts start
+        empty, as a view's do.
         """
         by_key = self._pos.copy() if self._pos is not None else _by_key(self._entries)
+        size = sys.getsizeof(by_key)
         olds: List[Entry] = []  # the entries a key leaves
         #: id(old entry) -> its new entry, or ``None`` where it was deleted
         replaced: Dict[int, Optional[Entry]] = {}
@@ -396,6 +399,11 @@ class KeyIndex:
                 olds.append(old)
                 replaced[id(old)] = entry
 
+        if sys.getsizeof(by_key) > size:
+            # An append outgrew the table, and a dict grows to three
+            # times its entries; ``copy`` would keep that table in every
+            # later derivation, so the map is rebuilt at its size.
+            by_key = dict(by_key)
         derived = KeyIndex.__new__(KeyIndex)
         derived._entries = list(by_key.values())
         derived._pos = by_key

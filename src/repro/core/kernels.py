@@ -1003,15 +1003,24 @@ _PRIVATE = object()
 
 
 class KernelScope:
-    """Codegen kernels shared by every solve of one prepared demand query.
+    """Codegen kernels shared by a sequence of solves.
 
-    ``templates`` is the cache the solves share (one per prepared
-    query, see :mod:`repro.core.demand`); ``prefix`` qualifies an
-    evaluator's kernel keys (plan, function registry contents and
-    stratum); and ``base`` is the database every solve's databases
-    derive from: the per-solve ones add or replace only POPS relations
-    (the demand seed, frozen strata) and share ``base``'s Boolean
-    stores.
+    ``templates`` is the cache the solves share; ``prefix`` qualifies an
+    evaluator's kernel keys (plan, function registry contents, and for
+    a prepared query the stratum).  Two kinds of sequence use it:
+
+    * every solve of one prepared demand query (:mod:`repro.core.demand`).
+      ``base`` is the database every solve's databases derive from: the
+      per-solve ones add or replace only POPS relations (the demand
+      seed, frozen strata) and share ``base``'s Boolean stores.  A
+      kernel is planned once, by the first solve;
+    * the mutation batches of one
+      :class:`~repro.core.incremental.IncrementalInstance`, with
+      ``base`` ``None``: the batches' databases share nothing a kernel
+      may hold, so every solve plans each kernel afresh, and
+      :meth:`BodyKernels.get` keys a template by its plan as well.
+      Only the generated source is shared: a batch's join orders are
+      the ones it would plan on its own.
 
     A template is the kernel the first solve built.  Later solves get
     :meth:`~repro.core.codegen.CodegenKernel.rebind` copies, so a
@@ -1027,7 +1036,7 @@ class KernelScope:
         self,
         templates: Dict[Hashable, Any],
         prefix: Tuple[Hashable, ...],
-        base: Database,
+        base: Optional[Database],
     ):
         self.templates = templates
         self.prefix = prefix
@@ -1035,7 +1044,10 @@ class KernelScope:
 
     def admits(self, database: Database) -> bool:
         """Whether ``database`` holds exactly ``base``'s Boolean stores,
-        so a template's Boolean lookups answer alike for every solve."""
+        so a template's Boolean lookups answer alike for every solve
+        (without a ``base``, a kernel that looks one up is private)."""
+        if self.base is None:
+            return True
         mine, theirs = database.bool_relations, self.base.bool_relations
         return len(mine) == len(theirs) and all(
             theirs.get(name) is store for name, store in mine.items()
@@ -1074,8 +1086,11 @@ class KernelScope:
         owned = {id(database), id(database.relations)}
         for name in database.relations:
             store = database.raw_support(name)
-            if store is not base.raw_support(name):
+            if base is None or store is not base.raw_support(name):
                 owned.add(id(store))
+        for name, keys in database.bool_relations.items():
+            if base is None or keys is not base.bool_relations.get(name):
+                owned.add(id(keys))
         for obj in kernel.env.values():
             owner = getattr(obj, "__self__", obj)
             if id(owner) in owned or (
@@ -1108,9 +1123,11 @@ class BodyKernels:
     :meth:`get` caches by a caller-chosen key; reuse of a compiled
     kernel is counted in ``JoinStats.kernel_cache_hits``.  The
     interpreted pipeline keeps nothing between applications, so its
-    adapters count no hits.  Given a ``scope`` (a prepared demand
-    query's :class:`KernelScope`), the codegen mode takes each kernel
-    from the scope's templates instead of planning and generating it.
+    adapters count no hits.  Given a ``scope`` (a
+    :class:`KernelScope`), the codegen mode takes each kernel from the
+    scope's templates instead of generating it: a prepared demand
+    query's without planning it either, an incremental session's under
+    the plan made now.
 
     The generated leaf may drop a leading ``1 ⊗`` over a relation read
     (codegen mode only) in a space with a canonical form ``1 ⊗ v``
@@ -1149,44 +1166,57 @@ class BodyKernels:
         self.scope = scope
         #: Boolean lookups go through the scope's base database, which
         #: answers them alike for every solve (:meth:`KernelScope.admits`).
-        self.bool_lookup = (self.scope.base if self.scope else database).bool_holds
+        base = self.scope.base if self.scope is not None else None
+        self.bool_lookup = (database if base is None else base).bool_holds
 
     def get(self, key: Hashable, guards: Sequence[Guard], body: SumProduct, **spec):
         """The cached kernel under ``key``, built on first demand from
         that call's ``guards`` (see :meth:`build` for ``spec``)."""
 
-        def build():
-            return self.build(guards, body, **spec)
-
         def armed():
-            if self.scope is not None:
-                return self.scope.kernel(
-                    key, build, self.database, self.stats, self.poll
+            scope = self.scope
+            if scope is not None and scope.base is not None:
+                return scope.kernel(
+                    key, lambda: self.build(guards, body, **spec),
+                    self.database, self.stats, self.poll,
                 )
-            kernel = build()
+            ir = None
+            if scope is not None:
+                ir = self._plan(guards, body, spec.get("extra_conjuncts", ()))
+                template = self._template_key(ir, guards, body, spec)
+                if template is not None:
+                    return scope.kernel(
+                        template, lambda: self.build(guards, body, ir=ir, **spec),
+                        self.database, self.stats, self.poll,
+                    )
+            kernel = self.build(guards, body, ir=ir, **spec)
             kernel.install_poll(self.poll)
             return kernel
 
         return self._cache.get(key, armed)
 
-    def build(
-        self,
-        guards: Sequence[Guard],
-        body: SumProduct,
-        head_args: Optional[Tuple[Term, ...]] = None,
-        extra_conjuncts: Sequence[Condition] = (),
-        variant: Optional[Tuple[Sequence[int], int]] = None,
-        label: str = "rule",
+    @staticmethod
+    def _template_key(ir, guards, body, spec) -> Optional[Tuple]:
+        """A session template's key: everything the generated source
+        depends on but the database and the function registry, which
+        the scope's ownership check and prefix cover.  ``None`` for a
+        plan that reads the domain, which batches may change, or an
+        unhashable body."""
+        if ir.fallback or ir.needs_domain_set:
+            return None
+        template = (
+            ir, body, spec.get("head_args"), spec.get("variant"),
+            frozenset(g.slot for g in guards if g.carries_value and g.slot is not None),
+        )
+        try:
+            hash(template)
+        except TypeError:
+            return None
+        return template
+
+    def _plan(
+        self, guards: Sequence[Guard], body: SumProduct, extra_conjuncts: Sequence[Condition]
     ):
-        """Build one body's kernel with the mode's backend (unarmed:
-        :meth:`get` installs the budget poll)."""
-        database, pops = self.database, self.database.pops
-        if self.mode == "interpreted":
-            return InterpretedKernel(
-                body, head_args, pops, database, self.functions,
-                self.idb_names, self.domain, self.plan, stats=self.stats,
-                extra_conjuncts=extra_conjuncts, variant=variant,
-            )
         ir, _indexes = plan_body(
             guards,
             body.enumeration_order(),
@@ -1196,6 +1226,30 @@ class BodyKernels:
             extra_conjuncts=extra_conjuncts,
             n_slots=len(body.factors),
         )
+        return ir
+
+    def build(
+        self,
+        guards: Sequence[Guard],
+        body: SumProduct,
+        head_args: Optional[Tuple[Term, ...]] = None,
+        extra_conjuncts: Sequence[Condition] = (),
+        variant: Optional[Tuple[Sequence[int], int]] = None,
+        label: str = "rule",
+        ir=None,
+    ):
+        """Build one body's kernel with the mode's backend (unarmed:
+        :meth:`get` installs the budget poll), under ``ir`` if it was
+        planned already."""
+        database, pops = self.database, self.database.pops
+        if self.mode == "interpreted":
+            return InterpretedKernel(
+                body, head_args, pops, database, self.functions,
+                self.idb_names, self.domain, self.plan, stats=self.stats,
+                extra_conjuncts=extra_conjuncts, variant=variant,
+            )
+        if ir is None:
+            ir = self._plan(guards, body, extra_conjuncts)
         module_name, rule_kernel, join_kernel = _BACKENDS[self.mode]
         module = importlib.import_module(f".{module_name}", __package__)
         if head_args is None:

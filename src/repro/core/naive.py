@@ -259,7 +259,8 @@ class NaiveEvaluator:
         but ``"interpreted"`` (the re-planned differential baseline)
         additionally gets delta-driven rule activation.
         ``kernel_scope`` hands the scheduler's stratum of a prepared
-        demand query the kernels earlier solves of that query built.
+        demand query the kernels earlier solves of that query built, and
+        an incremental batch the kernels earlier batches generated.
         """
         self.program = program
         self.database = database
@@ -293,6 +294,7 @@ class NaiveEvaluator:
         self._produced: Callable[[], Optional[Instance]] = lambda: None
         self._last_seen: Optional[Instance] = None
         self._rel_versions: Dict[str, int] = {}
+        self._kernel_scope = kernel_scope
         self._plans = self._build_plans()
         # One kernel per plan for the evaluator's lifetime (= one
         # stratum under the SCC scheduler); for the compiled engines
@@ -372,6 +374,12 @@ class NaiveEvaluator:
         Any other instance's ``R`` is indexed as usual."""
         for rel, index in frozen.items():
             self.indexes.pin(("idb", f"idb:{rel}"), index, instance.support(rel))
+
+    def unpin_indexes(self, frozen: Dict[str, KeyIndex]) -> None:
+        """Drop the pins of :meth:`pin_indexes`: the pinned instance may
+        be written from here on."""
+        for rel in frozen:
+            self.indexes.invalidate(("idb", f"idb:{rel}"))
 
     def _idb_supplier(self, name: str):
         # The mapping (not just its keys) feeds the guard index, so
@@ -584,7 +592,7 @@ class NaiveEvaluator:
             })
             kernels = BodyKernels(
                 self.engine, self.plan, database, self.functions, self.idb_names, self.domain,
-                stats=self.stats.join, poll=self._poll,
+                stats=self.stats.join, poll=self._poll, scope=self._kernel_scope,
             )
             plans = []
             for restricted, bodies in enumerate((
