@@ -288,7 +288,10 @@ class NaiveEvaluator:
             indexes if indexes is not None else IndexManager(stats=self.stats.join)
         )
         self._epoch = 0
-        self._current: Instance = Instance(self.pops)
+        #: The instance IDB guards read, in a cell of its own: a guard
+        #: that referenced the evaluator would make a reference cycle,
+        #: and leave every evaluator to the cyclic collector.
+        self._reading: List[Instance] = [Instance(self.pops)]
         #: The last instance :meth:`ico` returned, held weakly: a stratum's
         #: evaluator must not keep its result alive.
         self._produced: Callable[[], Optional[Instance]] = lambda: None
@@ -384,7 +387,8 @@ class NaiveEvaluator:
     def _idb_supplier(self, name: str):
         # The mapping (not just its keys) feeds the guard index, so
         # probed factor values ride along with the probed keys.
-        return lambda: self._current.support(name)
+        reading = self._reading
+        return lambda: reading[0].support(name)
 
     # ------------------------------------------------------------------
     def _bump_changed_relations(self, instance: Instance) -> None:
@@ -451,7 +455,7 @@ class NaiveEvaluator:
         else a full round.  ``instance`` is read as given: in a space
         with a canonical form its values must be in it (:meth:`run`
         maps a warm start)."""
-        self._current = instance
+        self._reading[0] = instance
         self._epoch += 1
         delta = self._delta
         if delta is not None and instance is self._produced() and (
@@ -627,7 +631,7 @@ class NaiveEvaluator:
         known = changed is not None and self._last_seen is not None
         for rel in changed if known else self.program.idbs:
             self._rel_versions[rel] = self._rel_versions.get(rel, 0) + 1
-        self._current = self._last_seen = instance
+        self._reading[0] = self._last_seen = instance
 
     def _frontier_pass(
         self, restricted: bool, footprint: Dict[str, Collection[Key]], instance: Instance

@@ -3,8 +3,9 @@
 A warm batch pays for its footprint only.  It does not walk the active
 domain (the session keeps it, from the batches' keys, and only where a
 plan reads it), it compares the fixpoint before and after only at the
-keys it wrote, it copies the fixpoint once, and it generates no kernel
-source that an earlier batch generated for the same plan.  Each check
+keys it wrote, it copies the fixpoint once, it generates no kernel
+source that an earlier batch generated for the same plan, and it leaves
+no garbage that only the cyclic collector can free.  Each check
 here is against what the batch would do without the session: the full
 comparison, a cold ``solve()``, a session that kept nothing.
 
@@ -12,6 +13,8 @@ comparison, a cold ``solve()``, a session that kept nothing.
 """
 
 from __future__ import annotations
+
+import gc
 
 import pytest
 from test_derived_indexes import EDGES, ENGINES, SCRIPT, dele, ins
@@ -214,6 +217,26 @@ class TestResidentKernels:
             cold = solve(programs.apsp(), durable.database, method="seminaive", engine=engine)
             assert fingerprint(durable.instance) == fingerprint(cold.instance)
         durable.close()
+
+    @pytest.mark.parametrize("engine", [e for e in ENGINES if e != "interpreted"])
+    def test_a_batch_leaves_no_cyclic_garbage(self, engine):
+        """Reference counting frees everything a warm batch built: the
+        evaluators, their guards, kernels and derived databases form no
+        cycle, so the cyclic collector finds nothing to do after it.
+        (The interpreted pipeline, the differential baseline, leaves the
+        recursive closures of each rule application to the collector.)"""
+        inc = warm(engine=engine)
+        inc.apply([ins("c", "h", 2.0), dele("h", "i")])
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for batch in ([ins("b", "k", 1.0)], [dele("e", "f")], [ins("a", "e", 2.0)]):
+                inc.apply(batch)
+                assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_the_published_fixpoint_is_never_written(self):
         inc = warm()
