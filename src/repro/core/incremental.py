@@ -59,21 +59,20 @@ The paper's semiring framing makes this precise:
   the instance keeps what every batch's evaluators would otherwise
   work out again from the whole program or fixpoint:
 
-  - the enumeration domain, where a plan reads it: ``ADom ∪`` the
-    program's constants, sorted as
-    :meth:`~repro.core.instance.Database.enumeration_domain` sorts it,
-    with a count per constant of the EDB facts holding it.  Each batch
-    updates it from the facts it adds or removes, and no store is
-    walked again.  A range-restricted program keeps it empty;
-  - the codegen kernels earlier batches generated, in a
-    :class:`~repro.core.kernels.KernelScope` without a base database.
-    Each batch plans every body itself, so its join orders and work
-    counters are the ones it would have alone; a kernel generated
-    before for the same plan and body is re-bound to the batch's
-    counters.  A kernel that holds one of a batch's stores, or reads
-    the domain, is built per batch.  A re-solve drops neither (the
-    domain follows the EDB, a kernel holds no batch's state), and an
-    apply that raises commits nothing to them.
+  - the enumeration domain every warm evaluator enumerates.  A
+    range-restricted program keeps it empty, and its batches walk no
+    store for it; where a plan reads it, each batch takes the mutated
+    database's :meth:`~repro.core.instance.Database.enumeration_domain`
+    and compares it with the last one;
+  - the codegen kernels earlier batches generated, keyed by plan IR
+    (:meth:`BodyKernels.session_kernel
+    <repro.core.kernels.BodyKernels.session_kernel>`).  Each batch
+    plans every body itself, so its join orders and work counters are
+    the ones it would have alone; a kernel generated before for the
+    same plan and body is re-bound to the batch's counters.  A kernel
+    that holds one of a batch's stores, or reads the domain, is built
+    per batch.  A re-solve drops neither (a kernel holds no batch's
+    state), and an apply that raises commits nothing to them.
 
   A warm semi-naïve batch writes ``J`` at the erased and the merged
   keys only, so the relations it changed — which bump
@@ -102,7 +101,6 @@ because both run the same engines over the same domain ordering.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -112,7 +110,6 @@ from .guardrails import BudgetExceeded
 from .indexes import KeyIndex
 from .instance import Database, Instance, Key
 from .io import decode_value, encode_value
-from .kernels import KernelScope
 from .naive import AFFECTED_PREFIX, DELTA_PREFIX, EvalStats, EvaluationResult
 from .naive import _ABSENT, NaiveEvaluator, _relation_equal, footprint_program
 from .rules import Program
@@ -316,21 +313,14 @@ class IncrementalInstance:
             program, database, functions=self.functions,
             plan=self.plan, engine=self.engine, domain=(),
         ).reads_domain()
-        # The maintenance session (module docstring): the domain every
-        # warm evaluator enumerates, and the kernels batches generated.
-        self._fixed_constants = program.constants()
-        #: Per constant, the EDB facts holding it (counted once per
-        #: position), kept only where a plan reads the domain.
-        self._constants: Counter = Counter()
-        #: ``database.enumeration_domain(program constants)``, kept
-        #: current batch by batch; empty where no plan reads it.
-        self._domain: List[Any] = []
-        if self._reads_domain:
-            for store in (*database.relations.values(), *database.bool_relations.values()):
-                for key in store:
-                    self._constants.update(key)
-            self._domain = database.enumeration_domain(self._fixed_constants)
-        self._kernel_templates: Dict[Any, Any] = {}
+        # The maintenance session (module docstring).
+        #: The domain every warm evaluator enumerates; empty where no
+        #: plan reads it.
+        self._domain: List[Any] = (
+            self._domain_of(database) if self._reads_domain else []
+        )
+        #: Per function registry snapshot, the session's kernel templates.
+        self._kernel_templates: Dict[Any, Dict[Any, Any]] = {}
         if warm_instance is not None:
             self.instance = warm_instance
             self._bump_versions(self._all_relations())
@@ -347,44 +337,17 @@ class IncrementalInstance:
             | set(self.database.bool_relations)
         )
 
-    def _domain_after(
-        self, flips: Sequence[Tuple[Key, int]]
-    ) -> Tuple[List[Any], bool, bool, Dict[Any, int]]:
-        """The session domain after a batch in which the EDB facts of
-        ``flips`` appeared (``+1``) or disappeared (``-1``): ``(domain,
-        whether a constant entered it, whether one left it, the change
-        of each constant's count)``.  Only the batch's keys are read."""
-        change: Dict[Any, int] = {}
-        for key, sign in flips:
-            for constant in key:
-                change[constant] = change.get(constant, 0) + sign
-        gained: List[Any] = []
-        lost: Set[Any] = set()
-        for constant, moved in change.items():
-            held = self._constants[constant]
-            if constant in self._fixed_constants or (held > 0) == (held + moved > 0):
-                continue
-            if held:
-                lost.add(constant)
-            else:
-                gained.append(constant)
-        domain = self._domain
-        if lost:
-            domain = [constant for constant in domain if constant not in lost]
-        if gained:
-            domain = sorted(domain + gained, key=repr)
-        return domain, bool(gained), bool(lost), change
+    def _domain_of(self, database: Database) -> List[Any]:
+        return database.enumeration_domain(self.program.constants())
 
-    def _kernel_scope(self) -> Optional[KernelScope]:
-        """The batch's view of the session's generated kernels (``None``
-        when a registered function cannot key them)."""
+    def _session_templates(self) -> Optional[Dict[Any, Any]]:
+        """The session's generated kernels under the current function
+        registry (``None`` when a registered function cannot key them)."""
         registry = self.functions.snapshot() if self.functions is not None else None
-        prefix = (self.plan, registry)
         try:
-            hash(prefix)
+            return self._kernel_templates.setdefault(registry, {})
         except TypeError:
             return None
-        return KernelScope(self._kernel_templates, prefix, None)
 
     def _fixpoint_indexes(self) -> Dict[str, KeyIndex]:
         """The resident indexes over the published fixpoint, building
@@ -556,8 +519,6 @@ class IncrementalInstance:
         shrink: List[Tuple[str, Key]] = []
         bool_changes = 0
         effective: List[Mutation] = []
-        #: The facts that appear (+1) or disappear (-1).
-        flips: List[Tuple[Key, int]] = []
         for m in last.values():
             if self._is_bool_relation(m.relation):
                 present = m.key in self.database.bool_relations.get(
@@ -567,7 +528,6 @@ class IncrementalInstance:
                     continue
                 bool_changes += 1
                 effective.append(m)
-                flips.append((m.key, -1 if present else 1))
                 continue
             old = self.database.value(m.relation, m.key)
             if m.op == "delete" or pops.eq(m.value, pops.bottom):
@@ -575,13 +535,10 @@ class IncrementalInstance:
                     continue
                 shrink.append((m.relation, m.key))
                 effective.append(m)
-                flips.append((m.key, -1))
                 continue
             if pops.eq(old, m.value):
                 continue
             effective.append(m)
-            if pops.eq(old, pops.bottom):
-                flips.append((m.key, 1))
             if pops.leq(old, m.value):
                 grow.append(m)
             else:
@@ -616,24 +573,26 @@ class IncrementalInstance:
             or (bool(shrink) and not self._seminaive_ok)
         )
         work = EvalStats()
-        scope = self._kernel_scope()
+        templates = self._session_templates()
         j_minus: Optional[Instance] = None
         erased: Dict[str, Dict[Key, bool]] = {}
         dred_rounds = 0
         if not fallback and shrink:
             try:
                 j_minus, erased, dred_rounds = self._overdelete(
-                    shrink, work, self._fixpoint_indexes(), scope
+                    shrink, work, self._fixpoint_indexes(), templates
                 )
             except DredBudgetExceeded:
                 fallback = True
 
         before = self.instance
         database = self._mutated_database(effective)
-        new_domain, domain_grew, domain_change = self._domain, False, {}
+        new_domain, domain_grew = self._domain, False
         if self._reads_domain:
-            new_domain, domain_grew, shrank, domain_change = self._domain_after(flips)
-            if shrank:
+            new_domain = self._domain_of(database)
+            old, new = set(self._domain), set(new_domain)
+            domain_grew = bool(new - old)
+            if old - new:
                 # Constants left the active domain: totalization sets and
                 # enumeration fallbacks shrink, which no warm state predicts.
                 fallback = True
@@ -660,13 +619,13 @@ class IncrementalInstance:
                         database, j_minus, grown, erased, work,
                         full_bootstrap=domain_grew,
                         indexes=self._fixpoint_indexes(),
-                        domain=new_domain, scope=scope, private=private,
+                        domain=new_domain, templates=templates, private=private,
                     )
                 else:
                     path = "warm-naive"
                     instance = self._warm_naive(
                         database, j_minus, work, None if domain_grew else grown,
-                        new_domain, scope,
+                        new_domain, templates,
                     )
             except BudgetExceeded:
                 path = "resolve"
@@ -683,10 +642,6 @@ class IncrementalInstance:
         self.database, self.instance = database, instance
         self._resident = (instance, resident)
         self._domain = new_domain
-        for constant, moved in domain_change.items():
-            self._constants[constant] += moved
-            if not self._constants[constant]:
-                del self._constants[constant]
         self.stats["incremental_products"] += work.products
         # A warm semi-naïve batch wrote the erased and the merged keys
         # only; any other path is compared in full.
@@ -746,7 +701,7 @@ class IncrementalInstance:
         shrink: Sequence[Tuple[str, Key]],
         stats: EvalStats,
         indexes: Dict[str, KeyIndex],
-        scope: Optional[KernelScope],
+        templates: Optional[Dict[Any, Any]],
     ) -> Tuple[Instance, Dict[str, Dict[Key, bool]], int]:
         """Mark-and-erase every IDB atom with a derivation through a
         shrunk fact, bottom-up against the *pre-mutation* database and
@@ -776,7 +731,7 @@ class IncrementalInstance:
         finder = NaiveEvaluator(
             self.program, self.database, functions=self.functions,
             plan=self.plan, engine=self.engine, stats=stats,
-            domain=self._domain, kernel_scope=scope,
+            domain=self._domain, kernel_templates=templates,
         )
         finder.pin_indexes(indexes, before)
         erased: Dict[str, Dict[Key, bool]] = {}
@@ -819,7 +774,7 @@ class IncrementalInstance:
         full_bootstrap: bool,
         indexes: Dict[str, KeyIndex],
         domain: List[Any],
-        scope: Optional[KernelScope],
+        templates: Optional[Dict[Any, Any]],
         private: bool,
     ) -> Tuple[Instance, Dict[str, KeyIndex], Dict[str, Dict[Key, Any]]]:
         """Restart the semi-naïve chain from ``J⁻`` over the mutated
@@ -895,7 +850,7 @@ class IncrementalInstance:
             domain=domain,
             engine=self.engine,
             stats=stats,
-            kernel_scope=scope,
+            kernel_templates=templates,
         )
         bootstrap = NaiveEvaluator(
             program,
@@ -907,7 +862,7 @@ class IncrementalInstance:
             stats=evaluator.stats,
             indexes=evaluator.indexes,
             engine=self.engine,
-            kernel_scope=scope,
+            kernel_templates=templates,
         )
         bootstrap.pin_indexes(indexes, j_minus)
         image = bootstrap.ico(j_minus)
@@ -938,7 +893,7 @@ class IncrementalInstance:
         stats: EvalStats,
         grown: Optional[Dict[str, Dict[Key, bool]]],
         domain: List[Any],
-        scope: Optional[KernelScope],
+        templates: Optional[Dict[Any, Any]],
     ) -> Instance:
         """Warm restart without ⊖: iterate the naïve ICO from ``J⁻``
         over the mutated ``database`` and its ``domain``; returns the new
@@ -953,7 +908,7 @@ class IncrementalInstance:
             domain=domain,
             engine=self.engine,
             stats=stats,
-            kernel_scope=scope,
+            kernel_templates=templates,
         )
         result = evaluator.run(start=j_minus, changed=grown)
         self.steps = result.steps

@@ -1002,25 +1002,35 @@ _BACKENDS: Dict[str, Tuple[str, str, str]] = {
 _PRIVATE = object()
 
 
+def _carried(guards: Sequence[Guard]) -> frozenset:
+    """The factor slots whose values ride their guard's probe."""
+    return frozenset(g.slot for g in guards if g.carries_value and g.slot is not None)
+
+
+def _holds_solve_state(kernel: Any, database: Database) -> bool:
+    """Whether ``kernel``'s env references ``database``, its store map,
+    one of its stores or any database: state of the solve it was built
+    for, which a later solve must not read."""
+    owned = {id(database), id(database.relations)}
+    owned.update(id(database.raw_support(name)) for name in database.relations)
+    owned.update(id(keys) for keys in database.bool_relations.values())
+    for obj in kernel.env.values():
+        owner = getattr(obj, "__self__", obj)
+        if id(owner) in owned or isinstance(owner, Database):
+            return True
+    return False
+
+
 class KernelScope:
-    """Codegen kernels shared by a sequence of solves.
+    """Codegen kernels shared by every solve of one prepared demand query.
 
-    ``templates`` is the cache the solves share; ``prefix`` qualifies an
-    evaluator's kernel keys (plan, function registry contents, and for
-    a prepared query the stratum).  Two kinds of sequence use it:
-
-    * every solve of one prepared demand query (:mod:`repro.core.demand`).
-      ``base`` is the database every solve's databases derive from: the
-      per-solve ones add or replace only POPS relations (the demand
-      seed, frozen strata) and share ``base``'s Boolean stores.  A
-      kernel is planned once, by the first solve;
-    * the mutation batches of one
-      :class:`~repro.core.incremental.IncrementalInstance`, with
-      ``base`` ``None``: the batches' databases share nothing a kernel
-      may hold, so every solve plans each kernel afresh, and
-      :meth:`BodyKernels.get` keys a template by its plan as well.
-      Only the generated source is shared: a batch's join orders are
-      the ones it would plan on its own.
+    ``templates`` is the cache the solves share (one per prepared
+    query, see :mod:`repro.core.demand`); ``prefix`` qualifies an
+    evaluator's kernel keys (plan, function registry contents and
+    stratum); and ``base`` is the database every solve's databases
+    derive from: the per-solve ones add or replace only POPS relations
+    (the demand seed, frozen strata) and share ``base``'s Boolean
+    stores.
 
     A template is the kernel the first solve built.  Later solves get
     :meth:`~repro.core.codegen.CodegenKernel.rebind` copies, so a
@@ -1036,7 +1046,7 @@ class KernelScope:
         self,
         templates: Dict[Hashable, Any],
         prefix: Tuple[Hashable, ...],
-        base: Optional[Database],
+        base: Database,
     ):
         self.templates = templates
         self.prefix = prefix
@@ -1044,10 +1054,7 @@ class KernelScope:
 
     def admits(self, database: Database) -> bool:
         """Whether ``database`` holds exactly ``base``'s Boolean stores,
-        so a template's Boolean lookups answer alike for every solve
-        (without a ``base``, a kernel that looks one up is private)."""
-        if self.base is None:
-            return True
+        so a template's Boolean lookups answer alike for every solve."""
         mine, theirs = database.bool_relations, self.base.bool_relations
         return len(mine) == len(theirs) and all(
             theirs.get(name) is store for name, store in mine.items()
@@ -1086,11 +1093,8 @@ class KernelScope:
         owned = {id(database), id(database.relations)}
         for name in database.relations:
             store = database.raw_support(name)
-            if base is None or store is not base.raw_support(name):
+            if store is not base.raw_support(name):
                 owned.add(id(store))
-        for name, keys in database.bool_relations.items():
-            if base is None or keys is not base.bool_relations.get(name):
-                owned.add(id(keys))
         for obj in kernel.env.values():
             owner = getattr(obj, "__self__", obj)
             if id(owner) in owned or (
@@ -1123,11 +1127,12 @@ class BodyKernels:
     :meth:`get` caches by a caller-chosen key; reuse of a compiled
     kernel is counted in ``JoinStats.kernel_cache_hits``.  The
     interpreted pipeline keeps nothing between applications, so its
-    adapters count no hits.  Given a ``scope`` (a
-    :class:`KernelScope`), the codegen mode takes each kernel from the
-    scope's templates instead of generating it: a prepared demand
-    query's without planning it either, an incremental session's under
-    the plan made now.
+    adapters count no hits.  Given a ``scope`` (a prepared demand
+    query's :class:`KernelScope`), the codegen mode takes each kernel
+    from the scope's templates instead of planning and generating it;
+    given ``templates`` (an incremental session's), it plans each kernel
+    and takes only the generated source from them
+    (:meth:`session_kernel`).
 
     The generated leaf may drop a leading ``1 ⊗`` over a relation read
     (codegen mode only) in a space with a canonical form ``1 ⊗ v``
@@ -1147,6 +1152,7 @@ class BodyKernels:
         stats: Optional[JoinStats] = None,
         poll: Optional[Callable[[], None]] = None,
         scope: Optional[KernelScope] = None,
+        templates: Optional[Dict[Hashable, Any]] = None,
     ):
         self.mode = resolve_engine_mode(engine, plan)
         self.plan = plan
@@ -1164,55 +1170,62 @@ class BodyKernels:
         ):
             scope = None
         self.scope = scope
+        self.templates = templates if self.mode == "codegen" else None
         #: Boolean lookups go through the scope's base database, which
         #: answers them alike for every solve (:meth:`KernelScope.admits`).
-        base = self.scope.base if self.scope is not None else None
-        self.bool_lookup = (database if base is None else base).bool_holds
+        self.bool_lookup = (self.scope.base if self.scope else database).bool_holds
 
     def get(self, key: Hashable, guards: Sequence[Guard], body: SumProduct, **spec):
         """The cached kernel under ``key``, built on first demand from
         that call's ``guards`` (see :meth:`build` for ``spec``)."""
 
+        def build():
+            return self.build(guards, body, **spec)
+
         def armed():
-            scope = self.scope
-            if scope is not None and scope.base is not None:
-                return scope.kernel(
-                    key, lambda: self.build(guards, body, **spec),
-                    self.database, self.stats, self.poll,
+            if self.scope is not None:
+                return self.scope.kernel(
+                    key, build, self.database, self.stats, self.poll
                 )
-            ir = None
-            if scope is not None:
-                ir = self._plan(guards, body, spec.get("extra_conjuncts", ()))
-                template = self._template_key(ir, guards, body, spec)
-                if template is not None:
-                    return scope.kernel(
-                        template, lambda: self.build(guards, body, ir=ir, **spec),
-                        self.database, self.stats, self.poll,
-                    )
-            kernel = self.build(guards, body, ir=ir, **spec)
+            if self.templates is not None:
+                return self.session_kernel(guards, body, spec)
+            kernel = build()
             kernel.install_poll(self.poll)
             return kernel
 
         return self._cache.get(key, armed)
 
-    @staticmethod
-    def _template_key(ir, guards, body, spec) -> Optional[Tuple]:
-        """A session template's key: everything the generated source
-        depends on but the database and the function registry, which
-        the scope's ownership check and prefix cover.  ``None`` for a
-        plan that reads the domain, which batches may change, or an
-        unhashable body."""
-        if ir.fallback or ir.needs_domain_set:
-            return None
-        template = (
-            ir, body, spec.get("head_args"), spec.get("variant"),
-            frozenset(g.slot for g in guards if g.carries_value and g.slot is not None),
-        )
-        try:
-            hash(template)
-        except TypeError:
-            return None
-        return template
+    def session_kernel(self, guards: Sequence[Guard], body: SumProduct, spec: Dict[str, Any]):
+        """One body's kernel for a batch of an incremental session,
+        armed.  The body is planned now, so the batch's join order is
+        its own; an earlier batch's kernel for the same plan IR and body
+        is re-bound to this batch's counters instead of generated again.
+        A kernel is kept in ``templates`` only when its env references
+        no database or store (the next batch has other ones), and none
+        is kept for a plan that reads the domain, which batches change.
+        """
+        ir = self._plan(guards, body, spec.get("extra_conjuncts", ()))
+        carried = _carried(guards)
+        key = None
+        if not (ir.fallback or ir.needs_domain_set):
+            key = (ir, body, spec.get("head_args"), spec.get("variant"), carried)
+            try:
+                hash(key)
+            except TypeError:
+                key = None
+        kernel = None
+        if key is not None:
+            template = self.templates.get(key)
+            if template is None:
+                kernel = self.build(guards, body, ir=ir, carried=carried, **spec)
+                template = _PRIVATE if _holds_solve_state(kernel, self.database) else kernel
+                self.templates[key] = template
+            if template is not _PRIVATE:
+                return template.rebind(self.stats, self.poll)
+        if kernel is None:
+            kernel = self.build(guards, body, ir=ir, carried=carried, **spec)
+        kernel.install_poll(self.poll)
+        return kernel
 
     def _plan(
         self, guards: Sequence[Guard], body: SumProduct, extra_conjuncts: Sequence[Condition]
@@ -1237,10 +1250,11 @@ class BodyKernels:
         variant: Optional[Tuple[Sequence[int], int]] = None,
         label: str = "rule",
         ir=None,
+        carried: Optional[frozenset] = None,
     ):
         """Build one body's kernel with the mode's backend (unarmed:
-        :meth:`get` installs the budget poll), under ``ir`` if it was
-        planned already."""
+        :meth:`get` installs the budget poll), under ``ir`` and
+        ``carried`` if the caller worked them out already."""
         database, pops = self.database, self.database.pops
         if self.mode == "interpreted":
             return InterpretedKernel(
@@ -1257,9 +1271,8 @@ class BodyKernels:
                 ir, self.bool_lookup, self.domain,
                 stats=self.stats, label=label,
             )
-        carried = frozenset(
-            g.slot for g in guards if g.carries_value and g.slot is not None
-        )
+        if carried is None:
+            carried = _carried(guards)
         return getattr(module, rule_kernel)(
             ir, body, head_args, pops, database, self.functions,
             self.idb_names, self.bool_lookup, carried, self.domain,

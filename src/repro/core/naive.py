@@ -45,7 +45,7 @@ import itertools
 import weakref
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Collection, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..semirings.base import FunctionRegistry, Value
 from .ast import And, BoolAtom, Term, TrueCond, Variable, eval_term
@@ -246,6 +246,7 @@ class NaiveEvaluator:
         engine: str = "auto",
         budget: Optional[Budget] = None,
         kernel_scope: Optional[KernelScope] = None,
+        kernel_templates: Optional[Dict[Hashable, Any]] = None,
     ):
         """``domain``, ``stats`` and ``indexes`` exist for the stratum
         scheduler: per-stratum evaluators must enumerate over the
@@ -259,8 +260,9 @@ class NaiveEvaluator:
         but ``"interpreted"`` (the re-planned differential baseline)
         additionally gets delta-driven rule activation.
         ``kernel_scope`` hands the scheduler's stratum of a prepared
-        demand query the kernels earlier solves of that query built, and
-        an incremental batch the kernels earlier batches generated.
+        demand query the kernels earlier solves of that query built;
+        ``kernel_templates`` hands an incremental batch the kernels
+        earlier batches generated.
         """
         self.program = program
         self.database = database
@@ -298,6 +300,7 @@ class NaiveEvaluator:
         self._last_seen: Optional[Instance] = None
         self._rel_versions: Dict[str, int] = {}
         self._kernel_scope = kernel_scope
+        self._kernel_templates = kernel_templates
         self._plans = self._build_plans()
         # One kernel per plan for the evaluator's lifetime (= one
         # stratum under the SCC scheduler); for the compiled engines
@@ -306,7 +309,7 @@ class NaiveEvaluator:
         self._kernels = BodyKernels(
             engine, plan, database, self.functions, self.idb_names,
             self.domain, stats=self.stats.join, poll=self._poll,
-            scope=kernel_scope,
+            scope=kernel_scope, templates=kernel_templates,
         )
         self.mode = self._kernels.mode
         self.compiled = self.mode != "interpreted"
@@ -597,6 +600,7 @@ class NaiveEvaluator:
             kernels = BodyKernels(
                 self.engine, self.plan, database, self.functions, self.idb_names, self.domain,
                 stats=self.stats.join, poll=self._poll, scope=self._kernel_scope,
+                templates=self._kernel_templates,
             )
             plans = []
             for restricted, bodies in enumerate((

@@ -43,7 +43,7 @@ one.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..semirings.base import POPS, FunctionRegistry, Value
 from .ast import Constant, Variable
@@ -116,14 +116,16 @@ class SemiNaiveEvaluator:
         engine: str = "auto",
         budget: Optional[Budget] = None,
         kernel_scope: Optional[KernelScope] = None,
+        kernel_templates: Optional[Dict[Hashable, Any]] = None,
     ):
         """``domain``, ``stats`` and ``indexes`` serve the stratum
         scheduler exactly as in
         :class:`~repro.core.naive.NaiveEvaluator`: pinned whole-program
         domain, shared counters, shared index cache (so frozen-layer
         indexes survive across strata).  ``engine`` selects compiled
-        kernels vs the interpreted pipeline, and ``kernel_scope`` shares
-        a prepared demand query's kernels, as there.
+        kernels vs the interpreted pipeline, and ``kernel_scope`` and
+        ``kernel_templates`` share a prepared demand query's or an
+        incremental session's kernels, as there.
         """
         self.program = program
         self.database = database
@@ -154,10 +156,11 @@ class SemiNaiveEvaluator:
         self._linear = program.is_linear()
         #: One kernel per (plan, delta occurrence ``j``).
         self._kernel_scope = kernel_scope
+        self._kernel_templates = kernel_templates
         self._kernels = BodyKernels(
             engine, plan, database, self.functions, self.idb_names,
             self.domain, stats=self.stats.join, poll=self._poll,
-            scope=kernel_scope,
+            scope=kernel_scope, templates=kernel_templates,
         )
         self.mode = self._kernels.mode
         self.compiled = self.mode != "interpreted"
@@ -460,6 +463,7 @@ class SemiNaiveEvaluator:
             engine=self.engine,
             budget=self.budget,
             kernel_scope=self._kernel_scope,
+            kernel_templates=self._kernel_templates,
         )
         new = bootstrap.ico(Instance(self.pops))
         self.stats.iterations += 1

@@ -8,7 +8,8 @@ script (``perf/workloads.py``: ``ServeWorkload.build_graph``,
 HTTP, so the maintenance layer's own time can be read batch by batch:
 
 * ``apply_ms`` — one ``DurableInstance.apply`` (journal append and fsync,
-  maintenance, the checkpoint every ``--checkpoint-every`` batches);
+  maintenance, the benchmark's checkpoint every ``CHECKPOINT_EVERY``
+  batches);
 * ``domain_ms`` — time inside ``Database.active_domain`` and
   ``Database.enumeration_domain`` (a walk of the replaced stores);
 * ``full_compares`` — whole-fixpoint comparisons of the changed-relation
@@ -22,7 +23,7 @@ HTTP, so the maintenance layer's own time can be read batch by batch:
 Run it against any checkout (``--src``, default: this one) to compare two
 trees on one host::
 
-    python tools/replay_writes.py --seed 1 --ops 480
+    python tools/replay_writes.py --seed 1
     python tools/replay_writes.py --src ../parent --seed 1 --per-batch
 """
 
@@ -39,6 +40,8 @@ from collections import defaultdict
 from typing import Callable, Dict, List
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: Batches replayed after the warm-up pair.
+OPS = 480
 COLUMNS = ("apply_ms", "domain_ms", "full_compares", "kernels", "copies", "gc_ms")
 
 
@@ -46,9 +49,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", default=ROOT, help="checkout to replay (holds src/ and perf/)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--ops", type=int, default=480, help="batches after the warm-up pair")
-    parser.add_argument("--checkpoint-every", type=int, default=None,
-                        help="default: the benchmark's CHECKPOINT_EVERY")
     parser.add_argument("--per-batch", action="store_true", help="print one line per batch")
     args = parser.parse_args(argv)
     sys.path[:0] = [os.path.join(args.src, "src"), os.path.join(args.src, "perf")]
@@ -120,7 +120,7 @@ def _replay(args, scratch: str, counters: Dict[str, float], on_gc) -> List[Dict[
     durable = DurableInstance(
         os.path.join(scratch, "data"), program, pops,
         database=load_database(work.edb, pops),
-        checkpoint_every=args.checkpoint_every or workloads.CHECKPOINT_EVERY,
+        checkpoint_every=workloads.CHECKPOINT_EVERY,
     )
 
     def batch(i: int) -> List[dict]:
@@ -132,7 +132,7 @@ def _replay(args, scratch: str, counters: Dict[str, float], on_gc) -> List[Dict[
     rows: List[Dict[str, float]] = []
     gc.callbacks.append(on_gc)
     try:
-        for i in range(args.ops):
+        for i in range(OPS):
             counters.clear()
             started = time.perf_counter()
             summary = durable.apply(batch(i))
