@@ -1,8 +1,8 @@
 """The maintenance session: what an :class:`IncrementalInstance` keeps across batches.
 
 A warm batch pays for its footprint only.  It does not walk the active
-domain (the session keeps it, from the batches' keys, and only where a
-plan reads it), it compares the fixpoint before and after only at the
+domain where no plan reads it (a program that reads it takes the
+mutated database's each batch), it compares the fixpoint before and after only at the
 keys it wrote, it copies the fixpoint once, it generates no kernel
 source that an earlier batch generated for the same plan, and it leaves
 no garbage that only the cyclic collector can free.  Each check
