@@ -31,7 +31,7 @@ _EXPORTS = {
         "Mutation", "fingerprint",
     ),
     "journal": (
-        "DurableInstance", "InjectedCrash", "JournalError", "JournalWarning",
+        "DurableInstance", "JournalError", "JournalWarning",
         "MutationJournal", "load_checkpoint", "write_checkpoint",
     ),
     "guardrails": (

@@ -44,21 +44,6 @@ Each spec is ``kind@step:worker[:generation]`` with ``kind`` one of
 (only the *first* incarnation of the worker faults, so a restarted
 worker replays the step cleanly); ``*`` matches every incarnation,
 driving the full degradation ladder (restart → demote → single-process).
-
-The durability layer (:mod:`repro.core.journal` /
-:mod:`repro.core.serve`) extends the same grammar with **named
-mutation sites**: ``step`` may be a site name instead of an iteration
-number, and the worker slot carries the mutation sequence number::
-
-    DATALOGO_FAULT="crash@journal:3"    # die after durably appending
-                                        # mutation batch 3, before the
-                                        # in-memory apply
-    DATALOGO_FAULT="corrupt@journal:2"  # tear batch 2's record mid-write
-    DATALOGO_FAULT="crash@apply:1"      # die after the in-memory apply
-    DATALOGO_FAULT="crash@checkpoint:4" # die after the checkpoint temp
-                                        # file, before the atomic rename
-    DATALOGO_FAULT="crash@truncate:4"   # die after the rename, before
-                                        # the journal is rotated
 """
 
 from __future__ import annotations
@@ -67,7 +52,7 @@ import os
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..fixpoint.iteration import DivergenceError
 
@@ -75,10 +60,6 @@ from ..fixpoint.iteration import DivergenceError
 FAULT_ENV = "DATALOGO_FAULT"
 
 _FAULT_KINDS = ("crash", "stall", "corrupt")
-
-#: Named mutation sites a spec's step may address instead of an
-#: iteration number (see repro.core.journal's durability windows).
-_FAULT_SITES = frozenset({"journal", "apply", "checkpoint", "truncate"})
 
 
 # ---------------------------------------------------------------------------
@@ -386,16 +367,10 @@ def attach_partial(exc: BudgetExceeded, partial: PartialResult) -> None:
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One parsed ``kind@step:worker[:generation]`` clause.
-
-    ``step`` is an iteration number for the sharded harness, or a named
-    mutation site (``journal`` / ``apply`` / ``checkpoint`` /
-    ``truncate``) for the durability layer — in the named form the
-    ``worker`` slot carries the mutation sequence number.
-    """
+    """One parsed ``kind@step:worker[:generation]`` clause."""
 
     kind: str
-    step: Union[int, str]
+    step: int
     worker: int
     #: ``None`` means every generation (the ``*`` spec).
     generation: Optional[int] = 0
@@ -435,10 +410,7 @@ class FaultPlan:
                 )
             bits = where.split(":")
             try:
-                if bits[0] in _FAULT_SITES:
-                    step: Union[int, str] = bits[0]
-                else:
-                    step = int(bits[0])
+                step = int(bits[0])
                 worker = int(bits[1]) if len(bits) > 1 else 0
                 generation: Optional[int] = 0
                 if len(bits) > 2:
@@ -457,9 +429,7 @@ class FaultPlan:
         )
         return cls.parse(raw) if raw else cls()
 
-    def should(
-        self, kind: str, step: Union[int, str], worker: int, generation: int
-    ) -> bool:
+    def should(self, kind: str, step: int, worker: int, generation: int) -> bool:
         """Whether a fault of ``kind`` fires at this site, consuming it."""
         for i, spec in enumerate(self.specs):
             if (

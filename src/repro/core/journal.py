@@ -31,15 +31,19 @@ incremental maintenance is deterministic and byte-identical to
 ``solve()`` from scratch, so a recovered process converges to exactly
 the state an uncrashed one would hold.
 
-Every crash window is exercised deterministically through the extended
-``DATALOGO_FAULT`` grammar (named mutation sites — see
-:mod:`repro.core.guardrails`): ``crash@journal:n`` dies after batch
-``n`` is durable but before the in-memory apply, ``corrupt@journal:n``
-tears the record mid-write, ``crash@apply:n`` dies after the apply,
-``crash@checkpoint:n`` dies between the checkpoint temp file and the
-rename, and ``crash@truncate:n`` dies between the rename and the
-journal rotation.  ``tests/test_journal.py`` drives every site and
-asserts recovery lands byte-identically.
+**Storage seam** — every call that changes the data directory (open
+for create/append, write, flush, fsync, truncate, ``os.replace`` and
+the directory fsync) goes through the module-level :data:`STORAGE`, a
+:class:`FileStorage`.  Creating ``journal.log`` fsyncs the directory at
+once: ``fsync(2)`` makes a file's bytes durable, not its name.  The
+crash model the layer is held to is the conservative one of ALICE
+(Pillai et al., OSDI 2014): bytes written after a file's last fsync may
+be lost or torn at any byte, and a creation or a rename is durable only
+after its directory's fsync.  ``tests/test_crash_states.py`` swaps
+:data:`STORAGE` for a recorder, enumerates every crash state of a
+recorded history under that model, and checks that each reopens to the
+fixpoint of exactly the acknowledged batches, or of those plus the one
+batch in flight.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from warnings import warn
 
 from ..semirings.base import FunctionRegistry, POPS
 from .engine import collector_paused
-from .guardrails import FaultPlan
 from .incremental import ApplySummary, IncrementalInstance, Mutation
 from .instance import Database
 from .io import (
@@ -76,14 +79,48 @@ class JournalError(RuntimeError):
     """An unrecoverable durability-layer failure (corrupt checkpoint)."""
 
 
-class InjectedCrash(RuntimeError):
-    """A ``DATALOGO_FAULT`` mutation-site crash fired.
+class FileStorage:
+    """The persistence seam: the only calls that change a data dir.
 
-    Raised instead of ``os._exit`` so the fault matrix can run
-    in-process: the test abandons every in-memory object (exactly what
-    process death does) and re-opens the data directory; the on-disk
-    state is whatever the crash point left behind, byte for byte.
+    Reads (replay, checkpoint load, existence checks) bypass it; they
+    change nothing a crash could leave half done.
     """
+
+    def open(self, path: str, mode: str):
+        return open(path, mode)
+
+    def write(self, handle, data: bytes) -> None:
+        handle.write(data)
+
+    def flush(self, handle) -> None:
+        handle.flush()
+
+    def fsync(self, handle) -> None:
+        os.fsync(handle.fileno())
+
+    def truncate(self, handle, length: int) -> None:
+        handle.truncate(length)
+
+    def replace(self, src: str, dst: str) -> None:
+        os.replace(src, dst)
+
+    def fsync_dir(self, path: str) -> None:
+        """Make a creation or rename in ``path`` durable (best-effort on
+        exotic filesystems)."""
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except OSError:  # pragma: no cover - platform-specific
+            return
+        try:
+            os.fsync(fd)
+        except OSError:  # pragma: no cover - platform-specific
+            pass
+        finally:
+            os.close(fd)
+
+
+#: The seam every persistence call in this module goes through.
+STORAGE = FileStorage()
 
 
 def encode_record(seq: int, mutations: Sequence[Mutation]) -> bytes:
@@ -149,27 +186,24 @@ class MutationJournal:
         self.path = path
         self._handle = None
 
-    def _open(self):
+    def _open(self, mode: str):
+        """Open the journal for writing; a creation is made durable at
+        once, or every record appended until the next checkpoint's
+        directory fsync could vanish with the file."""
+        created = not os.path.exists(self.path)
+        handle = STORAGE.open(self.path, mode)
+        if created:
+            STORAGE.fsync_dir(os.path.dirname(self.path) or ".")
+        return handle
+
+    def append(self, seq: int, mutations: Sequence[Mutation]) -> None:
+        """Durably append one batch record (write + flush + fsync)."""
         if self._handle is None:
-            self._handle = open(self.path, "ab")
-        return self._handle
-
-    def append(
-        self, seq: int, mutations: Sequence[Mutation], torn_bytes: int = 0
-    ) -> None:
-        """Durably append one batch record (write + flush + fsync).
-
-        ``torn_bytes > 0`` is the fault harness's hook: only the first
-        ``torn_bytes`` of the record are written (then fsync'd), which
-        is byte-for-byte what a crash mid-``write`` leaves behind.
-        """
-        record = encode_record(seq, mutations)
-        if torn_bytes:
-            record = record[: max(1, min(torn_bytes, len(record) - 1))]
-        handle = self._open()
-        handle.write(record)
-        handle.flush()
-        os.fsync(handle.fileno())
+            self._handle = self._open("ab")
+        handle = self._handle
+        STORAGE.write(handle, encode_record(seq, mutations))
+        STORAGE.flush(handle)
+        STORAGE.fsync(handle)
 
     def size(self) -> int:
         """The journal's current on-disk length in bytes."""
@@ -187,10 +221,9 @@ class MutationJournal:
         self.close()
         if not os.path.exists(self.path):
             return
-        with open(self.path, "r+b") as handle:
-            handle.truncate(length)
-            handle.flush()
-            os.fsync(handle.fileno())
+        with STORAGE.open(self.path, "r+b") as handle:
+            STORAGE.truncate(handle, length)
+            STORAGE.fsync(handle)
 
     def replay(self) -> List[Tuple[int, List[Mutation]]]:
         """Read every whole record, truncating a torn/corrupt tail.
@@ -213,18 +246,14 @@ class MutationJournal:
                 JournalWarning,
                 stacklevel=2,
             )
-            with open(self.path, "r+b") as handle:
-                handle.truncate(good_length)
-                handle.flush()
-                os.fsync(handle.fileno())
+            self.truncate(good_length)
         return records
 
     def reset(self) -> None:
         """Rotate after a checkpoint: every record is now redundant."""
         self.close()
-        with open(self.path, "wb") as handle:
-            handle.flush()
-            os.fsync(handle.fileno())
+        with self._open("wb") as handle:
+            STORAGE.fsync(handle)
 
     def close(self) -> None:
         if self._handle is not None:
@@ -232,42 +261,20 @@ class MutationJournal:
             self._handle = None
 
 
-def _fsync_dir(path: str) -> None:
-    """Make a rename durable (best-effort on exotic filesystems)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-specific
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform-specific
-        pass
-    finally:
-        os.close(fd)
-
-
-def write_checkpoint(
-    data_dir: str,
-    payload: Dict[str, Any],
-    before_rename=None,
-) -> None:
-    """Atomically publish a checkpoint: temp file + fsync + rename.
-
-    ``before_rename`` is the fault harness's crash window between the
-    durable temp file and the atomic publish.
-    """
+def write_checkpoint(data_dir: str, payload: Dict[str, Any]) -> None:
+    """Atomically publish a checkpoint: temp file + fsync + rename +
+    directory fsync."""
     path = os.path.join(data_dir, CHECKPOINT_NAME)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        # One-shot ``dumps``: ``json.dump`` streams through the pure-Python
-        # encoder, ``dumps`` runs the C one (same bytes).
-        handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        handle.flush()
-        os.fsync(handle.fileno())
-    if before_rename is not None:
-        before_rename()
-    os.replace(tmp, path)
-    _fsync_dir(data_dir)
+    # One-shot ``dumps``: ``json.dump`` streams through the pure-Python
+    # encoder, ``dumps`` runs the C one (same bytes).
+    data = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    with STORAGE.open(tmp, "wb") as handle:
+        STORAGE.write(handle, data.encode("utf-8"))
+        STORAGE.flush(handle)
+        STORAGE.fsync(handle)
+    STORAGE.replace(tmp, path)
+    STORAGE.fsync_dir(data_dir)
 
 
 def load_checkpoint(data_dir: str) -> Optional[Dict[str, Any]]:
@@ -324,7 +331,6 @@ class DurableInstance:
         engine: str = "auto",
         max_iterations: int = 100_000,
         dred_cap: Optional[int] = None,
-        fault_plan: Optional[FaultPlan] = None,
     ):
         if checkpoint_every < 1:
             raise ValueError(
@@ -335,9 +341,6 @@ class DurableInstance:
         self.program = program
         self.pops = pops
         self.checkpoint_every = checkpoint_every
-        self.fault_plan = (
-            fault_plan if fault_plan is not None else FaultPlan.from_env()
-        )
         self.journal = MutationJournal(os.path.join(data_dir, JOURNAL_NAME))
         self.stats: Dict[str, int] = {
             "journal_records": 0,
@@ -479,10 +482,6 @@ class DurableInstance:
         return out
 
     # ------------------------------------------------------------------
-    def _fault(self, site: str, seq: int) -> None:
-        if self.fault_plan.should("crash", site, seq, 0):
-            raise InjectedCrash(f"crash@{site}:{seq}")
-
     def _abort_batch(self, pre_length: int, rebuild: bool) -> None:
         """Scrub a batch that was journaled but never acknowledged.
 
@@ -536,12 +535,6 @@ class DurableInstance:
         self.inc.validate(muts)
         seq = self.seq + 1
         pre_length = self.journal.size()
-        if self.fault_plan.should("corrupt", "journal", seq, 0):
-            # Tear the record mid-write, then die: the torn tail is what
-            # replay must detect and truncate.
-            record_len = len(encode_record(seq, muts))
-            self.journal.append(seq, muts, torn_bytes=record_len // 2)
-            raise InjectedCrash(f"corrupt@journal:{seq}")
         try:
             self.journal.append(seq, muts)
         except Exception:
@@ -550,18 +543,13 @@ class DurableInstance:
             # be truncated away on recovery despite being acknowledged.
             self._abort_batch(pre_length, rebuild=False)
             raise
-        self._fault("journal", seq)
         try:
             summary = self.inc.apply(muts)
-        except InjectedCrash:
-            # Simulated process death: leave the disk exactly as-is.
-            raise
         except Exception:
             self._abort_batch(pre_length, rebuild=True)
             raise
         self.seq = seq
         self.stats["journal_records"] += 1
-        self._fault("apply", seq)
         self._since_checkpoint += 1
         if self._since_checkpoint >= self.checkpoint_every:
             self.checkpoint()
@@ -583,12 +571,7 @@ class DurableInstance:
             "database": database_to_dict(self.inc.database),
             "instance": instance_to_dict(self.inc.instance),
         }
-        write_checkpoint(
-            self.data_dir,
-            payload,
-            before_rename=lambda: self._fault("checkpoint", self.seq),
-        )
-        self._fault("truncate", self.seq)
+        write_checkpoint(self.data_dir, payload)
         self.journal.reset()
         self._since_checkpoint = 0
         self.stats["checkpoint_writes"] += 1

@@ -51,7 +51,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs
 
 from ..semirings.base import FunctionRegistry, POPS
-from .guardrails import FaultPlan
 from .incremental import Mutation
 from .indexes import KeyIndex
 from .instance import Database
@@ -101,7 +100,6 @@ class DatalogService:
         plan: str = "indexed",
         engine: str = "auto",
         dred_cap: Optional[int] = None,
-        fault_plan: Optional[FaultPlan] = None,
     ):
         self.durable = DurableInstance(
             data_dir,
@@ -113,7 +111,6 @@ class DatalogService:
             plan=plan,
             engine=engine,
             dred_cap=dred_cap,
-            fault_plan=fault_plan,
         )
         self.program = program
         self.pops = pops

@@ -19,7 +19,7 @@ from repro.core import BudgetExceeded, Database, Instance, parse_program, solve
 from repro.core.engine import collector_paused
 from repro.core.incremental import IncrementalInstance, Mutation
 from repro.core.io import instance_from_dict, instance_to_dict
-from repro.core.journal import DurableInstance
+from repro.core.journal import DurableInstance, FileStorage
 from repro.semirings import BOTTLENECK, INF, TROP, TropicalPSemiring
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -256,10 +256,11 @@ class TestCollectorOnWritePath:
             str(tmp_path), parse_program(TC), TROP, database=_tc_database(),
             checkpoint_every=1,
         )
-        seen = self._probe(monkeypatch, DurableInstance, "_fault")
+        seen = self._probe(monkeypatch, FileStorage, "fsync")
         dur.apply([Mutation("insert", "E", ("v3", "v9"), 0.5)])
-        # journal, apply and checkpoint sites, all inside the pause.
-        assert seen and not any(seen) and gc.isenabled()
+        # The append's, the checkpoint's and the rotation's fsyncs, all
+        # inside the pause.
+        assert len(seen) == 3 and not any(seen) and gc.isenabled()
 
         def failing(mutations):
             raise RuntimeError("synthetic failure")

@@ -280,7 +280,9 @@ class TestFaultPlan:
         assert [s.kind for s in plan.specs] == ["crash", "corrupt"]
 
     @pytest.mark.parametrize(
-        "raw", ["explode@2:0", "crash", "crash@x:0", "crash@2:0:y"]
+        "raw",
+        # ``crash@journal:3`` is the retired named-site grammar.
+        ["explode@2:0", "crash", "crash@x:0", "crash@2:0:y", "crash@journal:3"],
     )
     def test_parse_rejects_malformed(self, raw):
         with pytest.raises(ValueError, match="DATALOGO_FAULT"):

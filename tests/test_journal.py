@@ -4,7 +4,8 @@ The headline property: **any byte prefix** of a valid journal —
 including a torn mid-record tail — recovers to exactly the state of
 replaying the surviving whole records one by one, across
 TROP/BOOL/THREE, Trop+_2 (no ⊖) and Viterbi.  Recovery applies them as
-one net batch (``TestFoldedRecovery``).
+one net batch (``TestFoldedRecovery``).  Every crash state of whole
+histories is enumerated and checked in ``test_crash_states.py``.
 """
 
 from __future__ import annotations
@@ -20,14 +21,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import core, programs, workloads
-from repro.core.guardrails import FaultPlan
 from repro.core.incremental import IncrementalInstance, Mutation, fingerprint
 from repro.core.journal import (
     CHECKPOINT_NAME,
     CHECKPOINT_SCHEMA,
     JOURNAL_NAME,
     DurableInstance,
-    InjectedCrash,
     JournalError,
     JournalWarning,
     MutationJournal,
@@ -254,42 +253,6 @@ class TestFoldedRecovery:
             assert recovered.seq == len(batches)
             assert fingerprint(recovered.instance) == live
 
-    def test_stale_records_skipped_not_applied(self, tmp_path, monkeypatch):
-        # crash@truncate:2 publishes the seq-2 checkpoint and leaves
-        # records 1 and 2 behind; a third record follows them.
-        program, pops, db, batches = trop_setup()
-        d = str(tmp_path)
-        dur = DurableInstance(
-            d, program, pops, database=db, checkpoint_every=2,
-            fault_plan=FaultPlan.parse("crash@truncate:2"),
-        )
-        dur.apply(batches[0])
-        with pytest.raises(InjectedCrash):
-            dur.apply(batches[1])
-        with open(os.path.join(d, JOURNAL_NAME), "ab") as f:
-            f.write(encode_record(3, batches[2]))
-        applied = []
-        real_apply = IncrementalInstance.apply
-
-        def recording_apply(inc, mutations):
-            applied.append(list(mutations))
-            return real_apply(inc, mutations)
-
-        monkeypatch.setattr(IncrementalInstance, "apply", recording_apply)
-        with DurableInstance(d, program, pops, checkpoint_every=2) as rec:
-            assert rec.stats["journal_skips"] == 2
-            assert rec.stats["journal_replays"] == 1
-            assert rec.inc.stats["incremental_applies"] == 1
-            assert rec.seq == 3
-            got = fingerprint(rec.instance)
-        assert applied == [batches[2]]
-        monkeypatch.undo()
-        program2, _pops2, db2, _ = trop_setup()
-        ref = IncrementalInstance(program2, db2)
-        for batch in batches[:3]:
-            ref.apply(batch)
-        assert got == fingerprint(ref.instance)
-
     def test_net_empty_suffix_gives_checkpoint(self, tmp_path):
         program, pops, db, _batches = trop_setup()
         d = str(tmp_path)
@@ -361,89 +324,6 @@ class TestCollectorAfterRecovery:
             assert not gc.isenabled()
         finally:
             gc.enable()
-
-
-class TestCrashMatrix:
-    """Deterministic DATALOGO_FAULT sites: reopen equals uncrashed."""
-
-    # (site, does the batch survive the crash?)
-    MATRIX = [
-        ("crash@journal:2", True),    # record fsync'd before the fault
-        ("crash@apply:2", True),      # applied + journaled, no checkpoint
-        ("corrupt@journal:2", False),  # torn record → truncated on replay
-        ("crash@checkpoint:2", True),  # old checkpoint + full journal
-        ("crash@truncate:2", True),   # new checkpoint + stale journal
-    ]
-
-    @pytest.mark.parametrize("site,survives", MATRIX)
-    def test_reopen_equals_uncrashed(self, site, survives, tmp_path):
-        program, pops, db, batches = trop_setup()
-        crash_dir = str(tmp_path / "crashed")
-        ref_dir = str(tmp_path / "reference")
-        os.makedirs(crash_dir)
-        os.makedirs(ref_dir)
-        dur = DurableInstance(
-            crash_dir, program, pops, database=db, checkpoint_every=2,
-            fault_plan=FaultPlan.parse(site),
-        )
-        dur.apply(batches[0])
-        with pytest.raises(InjectedCrash):
-            dur.apply(batches[1])
-        # the journal handle is abandoned exactly as a dead process
-        # would leave it; recovery happens purely from disk
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", JournalWarning)
-            recovered = DurableInstance(
-                crash_dir, program, pops, checkpoint_every=2
-            )
-        program2, pops2, db2, batches2 = trop_setup()
-        with DurableInstance(
-            ref_dir, program2, pops2, database=db2, checkpoint_every=2
-        ) as ref:
-            ref.apply(batches2[0])
-            if survives:
-                ref.apply(batches2[1])
-            assert fingerprint(recovered.instance) == fingerprint(ref.instance)
-            assert recovered.seq == ref.seq
-        assert recovered.stats["recoveries"] == 1
-        recovered.close()
-
-    def test_corrupt_tail_warns(self, tmp_path):
-        program, pops, db, batches = trop_setup()
-        d = str(tmp_path)
-        dur = DurableInstance(
-            d, program, pops, database=db, checkpoint_every=100,
-            fault_plan=FaultPlan.parse("corrupt@journal:1"),
-        )
-        with pytest.raises(InjectedCrash):
-            dur.apply(batches[0])
-        with pytest.warns(JournalWarning):
-            DurableInstance(d, program, pops, checkpoint_every=100).close()
-
-    def test_crash_then_continue_then_crash_again(self, tmp_path):
-        """Recovery is re-entrant: crash, recover, mutate, crash, recover."""
-        program, pops, db, batches = trop_setup()
-        d = str(tmp_path)
-        dur = DurableInstance(
-            d, program, pops, database=db, checkpoint_every=2,
-            fault_plan=FaultPlan.parse("crash@apply:1"),
-        )
-        with pytest.raises(InjectedCrash):
-            dur.apply(batches[0])
-        dur2 = DurableInstance(
-            d, program, pops, checkpoint_every=1,
-            fault_plan=FaultPlan.parse("crash@checkpoint:2"),
-        )
-        assert dur2.seq == 1
-        with pytest.raises(InjectedCrash):
-            dur2.apply(batches[1])
-        with DurableInstance(d, program, pops, checkpoint_every=2) as dur3:
-            assert dur3.seq == 2
-            program2, _pops2, db2, _ = trop_setup()
-            ref = IncrementalInstance(program2, db2)
-            for batch in batches[:2]:
-                ref.apply(batch)
-            assert fingerprint(dur3.instance) == fingerprint(ref.instance)
 
 
 class TestApplyAbort:
